@@ -4,27 +4,24 @@ A student network learns from a few labels plus consistency with two
 weight-averaged guides (teacher and master); the master repeatedly discovers
 the unlabelled samples nearest its class centers, pseudo-labels them and
 folds them into training, growing the labelled set like a snowball.
+
+The package namespace holds the Python API (`ExperimentConfig`,
+`gen_two_moons`, `split`, `run_algorithm`), the helpers behind the command
+line (`DataSpec`, `benchmark_two_moons`, `benchmark_blobs`, `make_dataset`,
+`run_one`, `verify_manifest`, `RunRecord`, `IterationRow`) and the error
+types. Everything else is imported from its module, e.g.
+`snowball.network` or `snowball.discovery`.
 """
 
 from __future__ import annotations
 
-from .cli import (DataSpec, aggregate, benchmark_blobs, benchmark_two_moons,
-                  make_dataset, run_one, verify_manifest)
-from .data import (DatasetSplit, RawDataset, augment, gen_gaussian_blobs,
-                   gen_rings, gen_two_moons, load_csv, split)
-from .discovery import (DiscoveryReport, assign_pseudo_labels, compute_class_centers,
-                        fuse_distances, noise_rate, select_balanced, select_samples)
+from .cli import (DataSpec, benchmark_blobs, benchmark_two_moons, make_dataset,
+                  run_one, verify_manifest)
+from .data import gen_two_moons, split
 from .errors import (AggregationError, ConfigError, DataError, DiscoveryError,
                      DivergenceError, NumericsError, OrchestrationError, SnowballError)
-from .network import (ForwardOutput, ModelParams, MomentumState, error_rate, forward,
-                      forward_batch, grad, init_params, load_checkpoint, params_equal,
-                      save_checkpoint, sgd_step, softmax)
-from .orchestrator import (ExperimentConfig, TrainingSet, build_master,
-                           mean_teacher_run, run_algorithm, self_learning_run,
-                           snowball_run, supervised_run)
-from .records import IterationRow, RunRecord, read_manifest, rows_equal, write_manifest
-from .training import (EmaState, LossBreakdown, StepMetrics, TrainConfig,
-                       classification_loss, consistency_loss, cross_entropy,
-                       ema_update, lambda2_schedule, student_loss, train_iteration)
+from .orchestrator import run_algorithm
+from .records import IterationRow, RunRecord
+from .training import ExperimentConfig
 
 __version__ = "0.1.0"

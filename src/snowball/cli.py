@@ -28,10 +28,10 @@ from .discovery import write_report_csv
 from .errors import (AggregationError, ConfigError, DataError, DiscoveryError,
                      DivergenceError, NumericsError, OrchestrationError,
                      SnowballError)
-from .orchestrator import ALGOS, ExperimentConfig, run_algorithm
+from .orchestrator import ALGOS, run_algorithm
 from .records import (IterationRow, RunRecord, read_manifest, rows_equal,
                       write_manifest)
-from .training import write_step_metrics
+from .training import ExperimentConfig, write_step_metrics
 
 OUT_DIR_ENV = "SNOWBALL_OUT_DIR"
 DATASETS = ("two-moons", "blobs", "rings", "csv")
@@ -151,6 +151,11 @@ def parse_config_file(path) -> dict[str, str]:
     return flat
 
 
+# Keys that older manifests carry, with the only value they were ever
+# written with; a manifest holding exactly that value still loads and verifies.
+_RETIRED = {"ema_every": "1", "ema_warmup": "False"}
+
+
 def build_configs(flat: dict[str, object]) -> tuple[ExperimentConfig, DataSpec]:
     """Split a flat mapping into typed configs; unknown keys are errors."""
     exp_kwargs: dict[str, object] = {}
@@ -158,7 +163,11 @@ def build_configs(flat: dict[str, object]) -> tuple[ExperimentConfig, DataSpec]:
     for key, value in flat.items():
         if key == "algo":
             continue
-        if key in _EXP_TYPES:
+        if key in _RETIRED:
+            if str(value).strip() != _RETIRED[key]:
+                raise ConfigError(f"config key {key!r} is retired; only {key} = "
+                                  f"{_RETIRED[key]} is accepted, got {value!r}")
+        elif key in _EXP_TYPES:
             exp_kwargs[key] = _coerce(key, value, _EXP_TYPES[key])
         elif key in _DATA_TYPES:
             data_kwargs[key] = _coerce(key, value, _DATA_TYPES[key])

@@ -9,6 +9,7 @@ variance using statistics of the labelled and unlabelled portions only.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -198,8 +199,8 @@ def load_csv(path, class_count: int | None = None) -> RawDataset:
     """Load samples from a CSV: real feature columns, last column the label.
 
     Labels must be integers in [0, class_count); when class_count is None it
-    is inferred as max label + 1. Every malformed row produces a DataError
-    naming the line number.
+    is inferred as max label + 1. Every malformed row, including one holding
+    a nan or infinite value, produces a DataError naming the line number.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -223,10 +224,14 @@ def load_csv(path, class_count: int | None = None) -> RawDataset:
                 values = [float(cell) for cell in row[:-1]]
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-numeric feature value") from None
+            if not all(math.isfinite(v) for v in values):
+                raise DataError(f"{path}: line {lineno}: non-finite feature value")
             try:
                 label_raw = float(row[-1])
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-numeric label") from None
+            if not math.isfinite(label_raw):
+                raise DataError(f"{path}: line {lineno}: non-finite label {row[-1].strip()!r}")
             if label_raw != int(label_raw):
                 raise DataError(f"{path}: line {lineno}: label {row[-1].strip()!r} is not an integer")
             label = int(label_raw)

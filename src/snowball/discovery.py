@@ -50,7 +50,6 @@ class DiscoveryReport:
     labels: np.ndarray       # (n,) assigned pseudo-labels
     distances: np.ndarray    # (n,) score used for ranking
     selected: np.ndarray     # (n,) bool
-    centers: np.ndarray      # (classes, f) centers in the scoring feature space
     strategy: str = "min"
     fusion: str = "single"
     truncated: bool = False
@@ -93,13 +92,13 @@ def _rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.lexsort((ids, scores))
 
 
-def _build_report(ids, inputs, feats, labels, scores, centers, fusion) -> DiscoveryReport:
+def _build_report(ids, inputs, feats, labels, scores, fusion) -> DiscoveryReport:
     order = _rank_order(scores, ids)
     return DiscoveryReport(
         sample_ids=np.asarray(ids)[order], inputs=np.asarray(inputs)[order],
         features=np.asarray(feats)[order],
         labels=np.asarray(labels)[order], distances=np.asarray(scores)[order],
-        selected=np.zeros(len(order), dtype=bool), centers=centers, fusion=fusion)
+        selected=np.zeros(len(order), dtype=bool), fusion=fusion)
 
 
 def assign_pseudo_labels(model: ModelParams, pool_x: np.ndarray, pool_ids: np.ndarray,
@@ -111,7 +110,7 @@ def assign_pseudo_labels(model: ModelParams, pool_x: np.ndarray, pool_ids: np.nd
     centers = compute_class_centers(model, train_x, train_y, class_count)
     feats = net.forward_batch(model, pool_x).features
     labels, dists = _nearest_center(feats, centers)
-    return _build_report(pool_ids, pool_x, feats, labels, dists, centers, "single")
+    return _build_report(pool_ids, pool_x, feats, labels, dists, "single")
 
 
 def _majority_vote(per_model_labels: list[np.ndarray], class_count: int) -> np.ndarray:
@@ -160,7 +159,7 @@ def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.n
         feats = np.concatenate(per_feats, axis=1)
         centers = np.concatenate(per_centers, axis=1)
         labels, dists = _nearest_center(feats, centers)
-        return _build_report(pool_ids, pool_x, feats, labels, dists, centers, fusion)
+        return _build_report(pool_ids, pool_x, feats, labels, dists, fusion)
     labels = _majority_vote(per_labels, class_count)
     if fusion == "average_distance":
         scores = np.mean(per_dists, axis=0)
@@ -173,7 +172,7 @@ def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.n
             ranks[order] = np.arange(len(pool_ids))
             rank_sum += ranks
         scores = rank_sum / len(models)
-    return _build_report(pool_ids, pool_x, per_feats[-1], labels, scores, per_centers[-1], fusion)
+    return _build_report(pool_ids, pool_x, per_feats[-1], labels, scores, fusion)
 
 
 def select_samples(report: DiscoveryReport, n: int, strategy: str = "min",

@@ -273,12 +273,17 @@ class MomentumState:
 
 
 def sgd_step(params: ModelParams, gradient: ModelParams, lr: float,
-             state: MomentumState) -> tuple[ModelParams, MomentumState]:
-    """One momentum SGD update; returns the new parameters and state."""
+             state: MomentumState, l2: float = 0.0) -> tuple[ModelParams, MomentumState]:
+    """One momentum SGD update; returns the new parameters and state. l2 > 0
+    adds l2 * w to each weight gradient (biases are not decayed)."""
     if lr <= 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     if params.layer_dims != gradient.layer_dims:
         raise ConfigError("gradient shape does not match parameters")
+    if l2 > 0.0:
+        gradient = ModelParams(
+            tuple(g + l2 * w for g, w in zip(gradient.weights, params.weights)),
+            gradient.biases, gradient.activation)
     velocity = gradient if state.velocity is None else state.momentum * state.velocity + gradient
     return params - lr * velocity, MomentumState(state.momentum, velocity)
 

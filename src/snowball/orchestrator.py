@@ -18,7 +18,6 @@ generation boundary.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, replace
 
@@ -26,13 +25,12 @@ import numpy as np
 
 from . import network as net
 from .data import DatasetSplit
-from .discovery import (DiscoveryReport, FUSIONS, STRATEGIES, assign_pseudo_labels,
-                        fuse_distances, noise_rate, select_balanced, select_samples)
+from .discovery import (DiscoveryReport, assign_pseudo_labels, fuse_distances,
+                        noise_rate, select_balanced, select_samples)
 from .errors import ConfigError, DivergenceError, OrchestrationError
-from .network import ACTIVATIONS, ModelParams
+from .network import ModelParams
 from .records import IterationRow, RunRecord
-from .training import (CONSISTENCY_KINDS, EmaState, TrainConfig, ema_update,
-                       train_iteration)
+from .training import EmaState, ExperimentConfig, ema_update, one_hot, train_iteration
 
 ALGOS = ("snowball", "mean-teacher", "self-learning", "supervised")
 
@@ -80,95 +78,6 @@ class TrainingSet:
 
     def discovered_count(self) -> int:
         return len(self) - self.original_count()
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved hyperparameters of a full run.
-
-    discovery_schedule lists how many samples to discover at iteration k of
-    every generation; empty means "double the cumulative labelled count each
-    iteration" resolved against the actual labelled-set size.
-    master_refine_steps < 0 resolves to steps // 4.
-    """
-
-    generations: int = 3
-    iterations: int = 3
-    discovery_schedule: tuple[int, ...] = ()
-    steps: int = 300
-    labeled_batch: int = 8
-    unlabeled_batch: int = 56
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    l2: float = 0.0
-    alpha: float = 0.99
-    beta: float = 0.99
-    lambda1: float = 1.0
-    lambda2_max: float = 1.0
-    ramp_len: int = 150
-    sigma_aug: float = 0.1
-    ema_every: int = 1
-    ema_warmup: bool = False
-    consistency: str = "ce"
-    master_weight: float = 1.0
-    master_extra_fraction: float = 0.5
-    master_refine_steps: int = -1
-    hidden_dims: tuple[int, ...] = (32, 32)
-    activation: str = "relu"
-    strategy: str = "min"
-    fusion: str = "single"
-    balance_classes: bool = False
-    use_true_labels: bool = False
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.generations < 1 or self.iterations < 1:
-            raise ConfigError("generations and iterations must be >= 1")
-        if self.discovery_schedule:
-            if len(self.discovery_schedule) < self.iterations:
-                raise ConfigError(
-                    f"discovery_schedule has {len(self.discovery_schedule)} entries "
-                    f"but {self.iterations} iterations are configured")
-            if any(n < 0 for n in self.discovery_schedule):
-                raise ConfigError("discovery_schedule entries must be >= 0")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.master_extra_fraction < 0.0:
-            raise ConfigError(f"master_extra_fraction must be >= 0, got {self.master_extra_fraction}")
-        if any(d < 1 for d in self.hidden_dims):
-            raise ConfigError(f"hidden layer widths must be >= 1, got {self.hidden_dims}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown selection strategy {self.strategy!r}")
-        if self.fusion not in FUSIONS:
-            raise ConfigError(f"unknown fusion {self.fusion!r}")
-        if self.consistency not in CONSISTENCY_KINDS:
-            raise ConfigError(f"unknown consistency kind {self.consistency!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        self.to_train_config().validate()
-
-    def resolved_schedule(self, labeled_size: int) -> tuple[int, ...]:
-        if self.discovery_schedule:
-            return tuple(self.discovery_schedule[: self.iterations])
-        return tuple(labeled_size * 2 ** k for k in range(self.iterations))
-
-    def resolved_refine_steps(self) -> int:
-        return self.master_refine_steps if self.master_refine_steps >= 0 else self.steps // 4
-
-    def to_train_config(self) -> TrainConfig:
-        return TrainConfig(
-            steps=self.steps, labeled_batch=self.labeled_batch,
-            unlabeled_batch=self.unlabeled_batch, learning_rate=self.learning_rate,
-            momentum=self.momentum, l2=self.l2, alpha=self.alpha,
-            lambda1=self.lambda1, lambda2_max=self.lambda2_max,
-            ramp_len=self.ramp_len, sigma_aug=self.sigma_aug,
-            ema_every=self.ema_every, ema_warmup=self.ema_warmup,
-            consistency=self.consistency, master_weight=self.master_weight)
-
-    def to_dict(self) -> dict[str, object]:
-        return dataclasses.asdict(self)
 
 
 def _effective(config: ExperimentConfig, algo: str) -> ExperimentConfig:
@@ -219,49 +128,25 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
         return prev_master if prev_master is not None else teacher.copy()
     refined = teacher
     momentum = net.MomentumState(config.momentum)
-    targets = np.zeros((len(refine_y), teacher.class_count))
-    targets[np.arange(len(refine_y)), refine_y] = 1.0
+    targets = one_hot(refine_y, teacher.class_count)
     ema: EmaState | None = None if prev_master is None else EmaState(config.beta, prev_master)
     for _ in range(steps):
         gradient = net.grad(refined, refine_x, targets)
-        if config.l2 > 0.0:
-            gradient = ModelParams(
-                tuple(g + config.l2 * w for g, w in zip(gradient.weights, refined.weights)),
-                gradient.biases, gradient.activation)
-        refined, momentum = net.sgd_step(refined, gradient, config.learning_rate, momentum)
-        ema = EmaState(config.beta, refined, 1) if ema is None else ema_update(ema, refined)
+        refined, momentum = net.sgd_step(refined, gradient, config.learning_rate, momentum,
+                                         l2=config.l2)
+        ema = EmaState(config.beta, refined) if ema is None else ema_update(ema, refined)
     assert ema is not None
     return ema.averaged
 
 
-def snowball_run(data: DatasetSplit, config: ExperimentConfig) -> RunRecord:
-    """Full master-teacher-student evolution with confident-sample discovery."""
-    return _run(data, config, "snowball")
-
-
-def mean_teacher_run(data: DatasetSplit, config: ExperimentConfig) -> RunRecord:
-    """One training iteration, no discovery: the mean-teacher baseline."""
-    return _run(data, config, "mean-teacher")
-
-
-def self_learning_run(data: DatasetSplit, config: ExperimentConfig) -> RunRecord:
-    """Discovery loop without guidance: classification loss only, the plain
-    trained model does the discovering."""
-    return _run(data, config, "self-learning")
-
-
-def supervised_run(data: DatasetSplit, config: ExperimentConfig) -> RunRecord:
-    """Labels-only baseline: the mean-teacher loop with lambda2 forced to 0."""
-    return _run(data, config, "supervised")
-
-
 def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> RunRecord:
-    if algo not in ALGOS:
-        raise ConfigError(f"unknown algorithm {algo!r}, expected one of {ALGOS}")
-    return _run(data, config, algo)
+    """Run one of the ALGOS pipelines on a split and return its record.
 
-
-def _run(data: DatasetSplit, config: ExperimentConfig, algo: str) -> RunRecord:
+    snowball: the full master-teacher-student evolution with discovery;
+    mean-teacher: one training iteration, no discovery; self-learning: the
+    discovery loop without guidance, the plain student discovering;
+    supervised: the mean-teacher loop with lambda2 forced to 0.
+    """
     cfg = _effective(config, algo)
     cfg.validate()
     if len(data.labeled_ids) == 0:
@@ -294,7 +179,7 @@ def _run(data: DatasetSplit, config: ExperimentConfig, algo: str) -> RunRecord:
             try:
                 student, teacher, steps = train_iteration(
                     student, training_set.x, training_set.y, pool_x, guide,
-                    cfg.to_train_config(), rng, eval_x=data.test_x, eval_y=data.test_y)
+                    cfg, rng, eval_x=data.test_x, eval_y=data.test_y)
             except DivergenceError as err:
                 raise DivergenceError(
                     f"training diverged at generation {m}, iteration {k}, step {err.step}",

@@ -141,7 +141,17 @@ def read_manifest(path) -> tuple[dict[str, str], list[IterationRow]]:
     header = tuple(next(reader, ()))
     if header != METRIC_HEADER:
         raise DataError(f"{path}: unexpected metrics header {header}")
-    rows = [IterationRow(int(r[0]), int(r[1]), float(r[2]), float(r[3]),
-                         float(r[4]), int(r[5]), float(r[6]))
-            for r in reader if r]
+    rows = []
+    for lineno, r in enumerate(reader, start=met_at + 3):
+        if not r:
+            continue
+        if len(r) != len(METRIC_HEADER):
+            raise DataError(f"{path}: line {lineno}: expected {len(METRIC_HEADER)} "
+                            f"metric values, found {len(r)}")
+        try:
+            rows.append(IterationRow(int(r[0]), int(r[1]), float(r[2]), float(r[3]),
+                                     float(r[4]), int(r[5]), float(r[6])))
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: unparsable metric values "
+                            f"{','.join(r)!r}") from None
     return config, rows

@@ -1,4 +1,5 @@
-"""Losses, exponential moving averages and the inner training loop.
+"""The run configuration, losses, exponential moving averages and the inner
+training loop.
 
 The student is the only network touched by gradient descent. The teacher is
 an exponential moving average of student snapshots, refreshed every step; a
@@ -15,15 +16,16 @@ sigmoid ramp so early, unreliable guidance carries little weight.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import network as net
 from .data import augment
+from .discovery import FUSIONS, STRATEGIES
 from .errors import ConfigError, DivergenceError, NumericsError
-from .network import EPS_LOG, ModelParams, MomentumState
+from .network import ACTIVATIONS, EPS_LOG, ModelParams, MomentumState
 
 CONSISTENCY_KINDS = ("ce", "mse")
 UNLABELED = -1  # label marker for pool rows inside a mixed minibatch
@@ -54,7 +56,6 @@ class EmaState:
 
     decay: float
     averaged: ModelParams
-    step_count: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.decay <= 1.0:
@@ -64,7 +65,7 @@ class EmaState:
 def ema_update(state: EmaState, source: ModelParams) -> EmaState:
     """averaged <- decay * averaged + (1 - decay) * source."""
     averaged = state.decay * state.averaged + (1.0 - state.decay) * source
-    return EmaState(state.decay, averaged, state.step_count + 1)
+    return EmaState(state.decay, averaged)
 
 
 def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
@@ -89,38 +90,6 @@ def _mean_ce(targets: np.ndarray, probs: np.ndarray) -> float:
 
 def _mean_mse(targets: np.ndarray, probs: np.ndarray) -> float:
     return float(np.mean(np.sum((probs - targets) ** 2, axis=1) / probs.shape[1]))
-
-
-def classification_loss(student: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy against one-hot labels. Every sample must be labelled."""
-    y = np.asarray(y, dtype=int)
-    if len(y) == 0:
-        raise ConfigError("classification batch is empty")
-    if np.any(y < 0):
-        raise ValueError("unlabeled sample in classification batch")
-    probs = net.forward_batch(student, x).probs
-    return _mean_ce(one_hot(y, student.class_count), probs)
-
-
-def consistency_loss(student: ModelParams, guide: ModelParams, x: np.ndarray, *,
-                     sigma_aug: float = 0.0, perturb_seed: int = 0,
-                     kind: str = "ce") -> float:
-    """Mean divergence between the guide's and the student's predictions.
-
-    Student and guide each see an independently perturbed copy of the batch
-    (student view drawn first); the guide's output is the target and receives
-    no gradient. kind selects cross-entropy (default) or mean squared error
-    over the softmax outputs.
-    """
-    if kind not in CONSISTENCY_KINDS:
-        raise ConfigError(f"unknown consistency kind {kind!r}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(perturb_seed)]))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    student_view = augment(x, sigma_aug, rng)
-    guide_view = augment(x, sigma_aug, rng)
-    p_s = net.forward_batch(student, student_view).probs
-    p_g = net.forward_batch(guide, guide_view).probs
-    return _mean_ce(p_g, p_s) if kind == "ce" else _mean_mse(p_g, p_s)
 
 
 def student_loss(student: ModelParams, teacher: ModelParams,
@@ -170,12 +139,11 @@ def _objective(student: ModelParams, teacher: ModelParams, master: ModelParams |
         j_class = 0.0
     p_t = net.forward_batch(teacher, guide_view).probs
     p_m = net.forward_batch(master, guide_view).probs if master is not None else None
-    if kind == "ce":
-        j_teacher = _mean_ce(p_t, p_s)
-        j_master = master_weight * _mean_ce(p_m, p_s) if p_m is not None else 0.0
-    else:
-        j_teacher = _mean_mse(p_t, p_s)
-        j_master = master_weight * _mean_mse(p_m, p_s) if p_m is not None else 0.0
+    # each kind's mean loss and its per-row gradient at the student's logits
+    # (for cross-entropy against a fixed target that is p_s - p_g)
+    loss, dloss = (_mean_ce, np.subtract) if kind == "ce" else (_mean_mse, _mse_dlogits)
+    j_teacher = loss(p_t, p_s)
+    j_master = master_weight * loss(p_m, p_s) if p_m is not None else 0.0
     breakdown = LossBreakdown.combine(j_class, j_teacher, j_master, lambda1, lambda2)
     if not want_grad:
         return breakdown, None
@@ -183,14 +151,9 @@ def _objective(student: ModelParams, teacher: ModelParams, master: ModelParams |
     dlogits = np.zeros_like(p_s)
     if n_lab:
         dlogits[labeled] += lambda1 * (p_s[labeled] - targets) / n_lab
-    if kind == "ce":
-        dlogits += lambda2 * (p_s - p_t) / n
-        if p_m is not None:
-            dlogits += lambda2 * master_weight * (p_s - p_m) / n
-    else:
-        dlogits += lambda2 * _mse_dlogits(p_s, p_t) / n
-        if p_m is not None:
-            dlogits += lambda2 * master_weight * _mse_dlogits(p_s, p_m) / n
+    dlogits += lambda2 * dloss(p_s, p_t) / n
+    if p_m is not None:
+        dlogits += lambda2 * master_weight * dloss(p_s, p_m) / n
     return breakdown, net.grad_from_dlogits(student, student_view, dlogits)
 
 
@@ -209,9 +172,18 @@ def lambda2_schedule(step: int, ramp_len: int, lambda2_max: float) -> float:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters of one training iteration."""
+class ExperimentConfig:
+    """Resolved hyperparameters of a full run, training iterations included.
 
+    discovery_schedule lists how many samples to discover at iteration k of
+    every generation; empty means "double the cumulative labelled count each
+    iteration" resolved against the actual labelled-set size.
+    master_refine_steps < 0 resolves to steps // 4.
+    """
+
+    generations: int = 3
+    iterations: int = 3
+    discovery_schedule: tuple[int, ...] = ()
     steps: int = 300
     labeled_batch: int = 8
     unlabeled_batch: int = 56
@@ -219,16 +191,33 @@ class TrainConfig:
     momentum: float = 0.9
     l2: float = 0.0
     alpha: float = 0.99          # teacher EMA decay
+    beta: float = 0.99           # master EMA decay
     lambda1: float = 1.0
     lambda2_max: float = 1.0
     ramp_len: int = 150
     sigma_aug: float = 0.1
-    ema_every: int = 1
-    ema_warmup: bool = False
     consistency: str = "ce"
     master_weight: float = 1.0
+    master_extra_fraction: float = 0.5
+    master_refine_steps: int = -1
+    hidden_dims: tuple[int, ...] = (32, 32)
+    activation: str = "relu"
+    strategy: str = "min"
+    fusion: str = "single"
+    balance_classes: bool = False
+    use_true_labels: bool = False
+    seed: int = 0
 
     def validate(self) -> None:
+        if self.generations < 1 or self.iterations < 1:
+            raise ConfigError("generations and iterations must be >= 1")
+        if self.discovery_schedule:
+            if len(self.discovery_schedule) < self.iterations:
+                raise ConfigError(
+                    f"discovery_schedule has {len(self.discovery_schedule)} entries "
+                    f"but {self.iterations} iterations are configured")
+            if any(n < 0 for n in self.discovery_schedule):
+                raise ConfigError("discovery_schedule entries must be >= 0")
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.labeled_batch < 1:
@@ -243,18 +232,41 @@ class TrainConfig:
             raise ConfigError(f"l2 must be non-negative, got {self.l2}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not 0.0 <= self.beta <= 1.0:
+            raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
         if self.lambda1 < 0.0 or self.lambda2_max < 0.0:
             raise ConfigError("loss weights must be non-negative")
         if self.ramp_len < 0:
             raise ConfigError(f"ramp_len must be >= 0, got {self.ramp_len}")
         if self.sigma_aug < 0.0:
             raise ConfigError(f"sigma_aug must be non-negative, got {self.sigma_aug}")
-        if self.ema_every < 1:
-            raise ConfigError(f"ema_every must be >= 1, got {self.ema_every}")
         if self.consistency not in CONSISTENCY_KINDS:
             raise ConfigError(f"unknown consistency kind {self.consistency!r}")
         if self.master_weight < 0.0:
             raise ConfigError(f"master_weight must be non-negative, got {self.master_weight}")
+        if self.master_extra_fraction < 0.0:
+            raise ConfigError(f"master_extra_fraction must be >= 0, got {self.master_extra_fraction}")
+        if any(d < 1 for d in self.hidden_dims):
+            raise ConfigError(f"hidden layer widths must be >= 1, got {self.hidden_dims}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown selection strategy {self.strategy!r}")
+        if self.fusion not in FUSIONS:
+            raise ConfigError(f"unknown fusion {self.fusion!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+
+    def resolved_schedule(self, labeled_size: int) -> tuple[int, ...]:
+        if self.discovery_schedule:
+            return tuple(self.discovery_schedule[: self.iterations])
+        return tuple(labeled_size * 2 ** k for k in range(self.iterations))
+
+    def resolved_refine_steps(self) -> int:
+        return self.master_refine_steps if self.master_refine_steps >= 0 else self.steps // 4
+
+    def to_dict(self) -> dict[str, object]:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -300,7 +312,7 @@ def read_step_metrics(path) -> list[StepMetrics]:
 
 
 def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.ndarray,
-                    pool_x: np.ndarray, master: ModelParams | None, cfg: TrainConfig,
+                    pool_x: np.ndarray, master: ModelParams | None, cfg: ExperimentConfig,
                     rng: np.random.Generator, *, eval_x: np.ndarray | None = None,
                     eval_y: np.ndarray | None = None
                     ) -> tuple[ModelParams, ModelParams, list[StepMetrics]]:
@@ -311,8 +323,9 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     pool is empty). Per step the rng is consumed in a fixed order - labelled
     indices, pool indices, student noise, guide noise - so runs are exactly
     reproducible from the seed. The teacher EMA starts at student_init and
-    absorbs the student every ema_every steps; with steps=0 the inputs come
-    back unchanged and the teacher equals student_init.
+    absorbs the student after every step; with steps=0 the inputs come back
+    unchanged and the teacher equals student_init. Only the training fields
+    of cfg are read.
 
     train_err is the student's error on the labelled set, test_err its error
     on the eval set (nan when no eval set is given), both measured after the
@@ -350,11 +363,8 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
             student, teacher_ema.averaged, master, student_view, guide_view, by,
             cfg.lambda1, lam2, cfg.consistency, cfg.master_weight, want_grad=True)
         assert gradient is not None
-        if cfg.l2 > 0.0:
-            gradient = ModelParams(
-                tuple(g + cfg.l2 * w for g, w in zip(gradient.weights, student.weights)),
-                gradient.biases, gradient.activation)
-        student, momentum = net.sgd_step(student, gradient, cfg.learning_rate, momentum)
+        student, momentum = net.sgd_step(student, gradient, cfg.learning_rate, momentum,
+                                         l2=cfg.l2)
 
         if not np.isfinite(breakdown.total) or not student.all_finite():
             raise DivergenceError(f"training diverged at step {step}", step=step)
@@ -366,13 +376,7 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
                         if eval_x is not None else float("nan"))
         except NumericsError:
             raise DivergenceError(f"training diverged at step {step}", step=step) from None
-        if (step + 1) % cfg.ema_every == 0:
-            if cfg.ema_warmup:
-                # Cap the decay early on so the teacher tracks the student
-                # instead of the random init (the usual mean-teacher ramp).
-                eff = min(cfg.alpha, 1.0 - 1.0 / (teacher_ema.step_count + 2))
-                teacher_ema = EmaState(eff, teacher_ema.averaged, teacher_ema.step_count)
-            teacher_ema = ema_update(teacher_ema, student)
+        teacher_ema = ema_update(teacher_ema, student)
 
         metrics.append(StepMetrics(step, breakdown.classification,
                                    breakdown.consistency_teacher, breakdown.consistency_master,

@@ -171,3 +171,13 @@ class TestLoadCsv:
     def test_inferred_class_count(self, tmp_path):
         raw = load_csv(self.write(tmp_path, "0,1,0\n1,0,4\n"))
         assert raw.class_count == 5
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_feature(self, tmp_path, value):
+        with pytest.raises(DataError, match="line 2: non-finite feature"):
+            load_csv(self.write(tmp_path, f"0,1,0\n{value},1,1\n"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_label(self, tmp_path, value):
+        with pytest.raises(DataError, match="line 2: non-finite label"):
+            load_csv(self.write(tmp_path, f"0,1,0\n1,1,{value}\n"))

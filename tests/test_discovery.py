@@ -143,7 +143,7 @@ def report_from_distances(dists, ids=None):
     return DiscoveryReport(
         sample_ids=ids[order], inputs=np.zeros((n, 1)), features=np.zeros((n, 1)),
         labels=np.zeros(n, dtype=int), distances=dists[order],
-        selected=np.zeros(n, dtype=bool), centers=np.zeros((1, 1)))
+        selected=np.zeros(n, dtype=bool))
 
 
 class TestSelection:
@@ -191,7 +191,7 @@ class TestBalancedSelection:
         return DiscoveryReport(
             sample_ids=np.arange(n), inputs=np.zeros((n, 1)), features=np.zeros((n, 1)),
             labels=np.array([0, 0, 0, 0, 1, 1]), distances=np.arange(n, dtype=float),
-            selected=np.zeros(n, dtype=bool), centers=np.zeros((2, 1)))
+            selected=np.zeros(n, dtype=bool))
 
     def test_quota_split(self):
         rep = select_balanced(self.make_report(), 4, 2, "min")
@@ -210,7 +210,7 @@ class TestBalancedSelection:
                 sample_ids=np.arange(n), inputs=np.zeros((n, 1)),
                 features=np.zeros((n, 1)),
                 labels=rng.integers(0, 3, size=n), distances=np.sort(rng.uniform(size=n)),
-                selected=np.zeros(n, dtype=bool), centers=np.zeros((3, 1)))
+                selected=np.zeros(n, dtype=bool))
             want = int(rng.integers(1, n + 2))
             got = select_balanced(rep, want, 3, "min")
             assert got.selected.sum() == min(want, n)

@@ -1,15 +1,17 @@
 """Command-line harness: config plumbing, aggregation, exit codes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from snowball.cli import (DataSpec, aggregate, build_configs, cli_run,
-                          make_dataset, parse_config_file, parse_seeds,
-                          rerun_manifest, run_one, verify_manifest)
+                          dataclass_flat, make_dataset, parse_config_file,
+                          parse_seeds, rerun_manifest, run_one, verify_manifest)
 from snowball.errors import (AggregationError, ConfigError, DiscoveryError,
                              DivergenceError, NumericsError, OrchestrationError)
 from snowball.orchestrator import ExperimentConfig
-from snowball.records import IterationRow, RunRecord, read_manifest
+from snowball.records import IterationRow, RunRecord, read_manifest, write_manifest
 
 FAST = dict(steps=30, ramp_len=15, generations=1, iterations=1)
 
@@ -218,6 +220,25 @@ class TestExitCodes:
     def test_report_missing_manifest_is_data_error(self, tmp_path):
         assert cli_run(["report", str(tmp_path / "absent.txt")]) == 2
 
+    @pytest.mark.parametrize("row", ["0,1,0\nnan,1,1\n", "0,1,0\n1,inf,1\n",
+                                     "0,1,0\n1,1,nan\n", "0,1,0\n1,1,-inf\n"])
+    def test_non_finite_csv_value_is_data_error(self, tmp_path, capsys, row):
+        path = tmp_path / "data.csv"
+        path.write_text("".join(f"{i % 3},{i % 5},{i % 2}\n" for i in range(40)) + row)
+        argv = ["train", "--dataset", "csv", "--set", f"csv_path={path}",
+                "--out-dir", str(tmp_path)]
+        assert cli_run(argv) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_truncated_manifest_is_data_error(self, tmp_path, capsys):
+        assert cli_run(fast_args(tmp_path)) == 0
+        manifest = tmp_path / "supervised-two-moons-seed0" / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "2,1\n")
+        capsys.readouterr()
+        assert cli_run(["report", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert "expected 7 metric values" in err and err.count("\n") == 1
+
     def test_bad_seed_list(self, tmp_path):
         argv = ["sweep", "--dataset", "two-moons", "--seeds", "x..y",
                 "--out-dir", str(tmp_path)]
@@ -285,6 +306,48 @@ class TestCliBehaviour:
         assert (run_dir / "discovery-g1-i1.csv").exists()
         header = (run_dir / "discovery-g1-i1.csv").read_text().splitlines()[0]
         assert header == "sample_id,assigned_label,true_label,distance,rank,selected"
+
+
+class TestConfigRoundTrip:
+    def test_every_field_survives_the_manifest(self, tmp_path):
+        config = ExperimentConfig(
+            generations=2, iterations=2, discovery_schedule=(3, 5), steps=40,
+            labeled_batch=4, unlabeled_batch=20, learning_rate=0.1 + 0.2,
+            momentum=0.8, l2=1e-4 / 3, alpha=0.95, beta=0.97, lambda1=0.5,
+            lambda2_max=2.5, ramp_len=20, sigma_aug=0.15, consistency="mse",
+            master_weight=0.5, master_extra_fraction=0.25, master_refine_steps=7,
+            hidden_dims=(16, 8), activation="tanh", strategy="random",
+            fusion="feature_cascade", balance_classes=True, use_true_labels=True,
+            seed=5)
+        for f in dataclasses.fields(ExperimentConfig):
+            assert getattr(config, f.name) != f.default, f.name
+        spec = DataSpec(dataset="blobs", classes=3, data_noise=0.3)
+        record = RunRecord("snowball", {**config.to_dict(), **dataclass_flat(spec)},
+                           [IterationRow(1, 1, 0.5, 0.25, 0.0, 12, 1.5)])
+        write_manifest(tmp_path / "manifest.txt", record)
+        raw, _ = read_manifest(tmp_path / "manifest.txt")
+        assert build_configs(raw) == (config, spec)
+
+    def parent_format_manifest(self, tmp_path, ema_every, ema_warmup):
+        """A manifest as written before the two EMA keys were retired."""
+        assert cli_run(fast_args(tmp_path)) == 0
+        manifest = tmp_path / "supervised-two-moons-seed0" / "manifest.txt"
+        text = manifest.read_text().replace(
+            "[config]\n", f"[config]\nema_every = {ema_every}\nema_warmup = {ema_warmup}\n")
+        manifest.write_text(text)
+        return manifest
+
+    def test_retired_keys_at_their_only_value_verify(self, tmp_path):
+        manifest = self.parent_format_manifest(tmp_path, 1, False)
+        assert cli_run(["report", "--verify", str(manifest)]) == 0
+
+    @pytest.mark.parametrize("ema_every, ema_warmup", [(2, False), (1, True), ("x", False)])
+    def test_retired_keys_at_another_value_are_usage_errors(self, tmp_path, capsys,
+                                                            ema_every, ema_warmup):
+        manifest = self.parent_format_manifest(tmp_path, ema_every, ema_warmup)
+        capsys.readouterr()
+        assert cli_run(["report", "--verify", str(manifest)]) == 1
+        assert "is retired" in capsys.readouterr().err
 
 
 class TestMakeDataset:

@@ -196,6 +196,17 @@ class TestSgd:
         for a, b, gw in zip(q1.weights, q2.weights, g.weights):
             np.testing.assert_allclose(a - b, 1.9 * gw, atol=1e-12)
 
+    def test_l2_decays_weights_not_biases(self):
+        # with a zero gradient the step is the decay term alone: w - lr*l2*w
+        p = tiny_net(seed=2)
+        p = ModelParams(p.weights, tuple(b + 1.0 for b in p.biases), p.activation)
+        zero = 0.0 * p
+        q, _ = sgd_step(p, zero, lr=0.5, state=MomentumState(0.0), l2=0.1)
+        for pw, qw in zip(p.weights, q.weights):
+            np.testing.assert_array_equal(qw, pw - 0.5 * (0.0 + 0.1 * pw))
+        for pb, qb in zip(p.biases, q.biases):
+            np.testing.assert_array_equal(qb, pb)
+
 
 class TestParamsAlgebra:
     def test_affine_combination(self):

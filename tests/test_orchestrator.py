@@ -11,11 +11,7 @@ from snowball.orchestrator import (
     ExperimentConfig,
     TrainingSet,
     build_master,
-    mean_teacher_run,
     run_algorithm,
-    self_learning_run,
-    snowball_run,
-    supervised_run,
 )
 
 
@@ -41,6 +37,12 @@ class TestExperimentConfig:
             ExperimentConfig(strategy="closest").validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(fusion="blend").validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(steps=-1).validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(alpha=1.5).validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(consistency="nope").validate()
         ExperimentConfig().validate()
 
     def test_doubling_schedule(self):
@@ -143,8 +145,8 @@ class TestDegenerateEquivalence:
     def test_snowball_m1_k1_n0_equals_mean_teacher(self):
         d = small_data()
         cfg = quick_cfg(generations=1, iterations=1, discovery_schedule=(0,))
-        a = snowball_run(d, cfg)
-        b = mean_teacher_run(d, cfg)
+        a = run_algorithm("snowball", d, cfg)
+        b = run_algorithm("mean-teacher", d, cfg)
         assert params_equal(a.models["student"], b.models["student"])
         assert params_equal(a.models["teacher"], b.models["teacher"])
 
@@ -152,9 +154,9 @@ class TestDegenerateEquivalence:
         d = small_data()
         cfg = quick_cfg(generations=1, iterations=1, discovery_schedule=(0,),
                         lambda2_max=0.0)
-        a = snowball_run(d, cfg)
-        b = supervised_run(d, cfg)
-        c = mean_teacher_run(d, cfg)
+        a = run_algorithm("snowball", d, cfg)
+        b = run_algorithm("supervised", d, cfg)
+        c = run_algorithm("mean-teacher", d, cfg)
         assert params_equal(a.models["student"], b.models["student"])
         assert params_equal(b.models["student"], c.models["student"])
 
@@ -162,8 +164,8 @@ class TestDegenerateEquivalence:
         # one generation of N=0 self-learning is plain supervised training
         d = small_data()
         cfg = quick_cfg(generations=1, iterations=1, discovery_schedule=(0,))
-        a = self_learning_run(d, cfg)
-        b = supervised_run(d, cfg)
+        a = run_algorithm("self-learning", d, cfg)
+        b = run_algorithm("supervised", d, cfg)
         assert params_equal(a.models["student"], b.models["student"])
 
 
@@ -171,7 +173,7 @@ class TestRunStructure:
     def test_row_grid_and_reset(self):
         d = small_data()
         cfg = quick_cfg(generations=2, iterations=2, discovery_schedule=(2, 2))
-        rec = snowball_run(d, cfg)
+        rec = run_algorithm("snowball", d, cfg)
         grid = [(r.generation, r.iteration) for r in rec.rows]
         assert grid == [(1, 1), (1, 2), (2, 1), (2, 2)]
         sizes = [r.labeled_size for r in rec.rows]
@@ -182,8 +184,8 @@ class TestRunStructure:
     def test_same_seed_identical_records(self):
         d = small_data()
         cfg = quick_cfg(discovery_schedule=(2, 2))
-        a = snowball_run(d, cfg)
-        b = snowball_run(d, cfg)
+        a = run_algorithm("snowball", d, cfg)
+        b = run_algorithm("snowball", d, cfg)
         assert params_equal(a.models["student"], b.models["student"])
         assert params_equal(a.models["teacher"], b.models["teacher"])
         assert params_equal(a.models["master"], b.models["master"])
@@ -194,37 +196,37 @@ class TestRunStructure:
 
     def test_different_seed_differs(self):
         d = small_data()
-        a = snowball_run(d, quick_cfg(seed=0, discovery_schedule=(2, 2)))
-        b = snowball_run(d, quick_cfg(seed=1, discovery_schedule=(2, 2)))
+        a = run_algorithm("snowball", d, quick_cfg(seed=0, discovery_schedule=(2, 2)))
+        b = run_algorithm("snowball", d, quick_cfg(seed=1, discovery_schedule=(2, 2)))
         assert not params_equal(a.models["student"], b.models["student"])
 
     def test_output_model_convention(self):
         d = small_data()
         cfg = quick_cfg(generations=1, iterations=1, discovery_schedule=(2,))
-        snow = snowball_run(d, cfg)
+        snow = run_algorithm("snowball", d, cfg)
         for r in snow.rows:
             assert r.test_err == r.teacher_test_err
-        sup = supervised_run(d, cfg)
+        sup = run_algorithm("supervised", d, cfg)
         for r in sup.rows:
             assert r.test_err == r.student_test_err
 
     def test_self_learning_has_no_master(self):
         d = small_data()
-        rec = self_learning_run(d, quick_cfg(discovery_schedule=(2, 2)))
+        rec = run_algorithm("self-learning", d, quick_cfg(discovery_schedule=(2, 2)))
         assert "master" not in rec.models
         assert all((r.generation, r.iteration) in rec.reports or r.noise_rate == 0.0
                    for r in rec.rows)
 
     def test_snowball_builds_master_and_reports(self):
         d = small_data()
-        rec = snowball_run(d, quick_cfg(discovery_schedule=(2, 2)))
+        rec = run_algorithm("snowball", d, quick_cfg(discovery_schedule=(2, 2)))
         assert "master" in rec.models
         assert (1, 1) in rec.reports
         assert (2, 2) in rec.reports
 
     def test_use_true_labels_discovery_noise_still_reported(self):
         d = small_data()
-        rec = snowball_run(d, quick_cfg(discovery_schedule=(3, 3), use_true_labels=True))
+        rec = run_algorithm("snowball", d, quick_cfg(discovery_schedule=(3, 3), use_true_labels=True))
         # noise is a property of the assignment, not of what was trained on
         assert all(0.0 <= r.noise_rate <= 1.0 for r in rec.rows)
 
@@ -236,9 +238,9 @@ class TestRunStructure:
     def test_fusion_runs(self):
         d = small_data()
         for fusion in ("average_distance", "feature_cascade", "average_sorting_score"):
-            rec = snowball_run(d, quick_cfg(generations=1, iterations=3,
-                                            discovery_schedule=(2, 2, 2),
-                                            fusion=fusion))
+            cfg = quick_cfg(generations=1, iterations=3,
+                            discovery_schedule=(2, 2, 2), fusion=fusion)
+            rec = run_algorithm("snowball", d, cfg)
             assert len(rec.rows) == 3
 
 
@@ -253,6 +255,6 @@ class TestSemiSupervisedDirection:
         cfg = ExperimentConfig(generations=2, iterations=3, seed=0,
                                lambda2_max=3.0, sigma_aug=0.15,
                                balance_classes=True)
-        snow = snowball_run(d, cfg)
-        sup = supervised_run(d, cfg)
+        snow = run_algorithm("snowball", d, cfg)
+        sup = run_algorithm("supervised", d, cfg)
         assert snow.final_test_err() < sup.final_test_err()

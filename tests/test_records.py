@@ -134,6 +134,14 @@ class TestManifestErrors:
         with pytest.raises(DataError, match="line 3"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("row", ["2,1", "2,1,0.5,0.25,0.0,12", "2,1,0.5,x,0.0,12,1.5"])
+    def test_short_or_unparsable_metrics_row(self, tmp_path, row):
+        path = tmp_path / "m.txt"
+        write_manifest(path, RunRecord("snowball", {"seed": 0}, [make_row()]))
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(DataError, match="line 8"):
+            read_manifest(path)
+
     def test_wrong_metrics_header(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("SNOWBALL-RUN v1\n[config]\na = 1\n[metrics]\n"

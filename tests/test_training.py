@@ -9,12 +9,12 @@ from snowball.data import augment, gen_two_moons, split
 from snowball.errors import ConfigError, DivergenceError
 from snowball.network import ModelParams, error_rate, init_params, params_equal
 from snowball.training import (
+    UNLABELED,
     EmaState,
+    ExperimentConfig,
     LossBreakdown,
     StepMetrics,
-    TrainConfig,
-    classification_loss,
-    consistency_loss,
+    _objective,
     cross_entropy,
     ema_update,
     lambda2_schedule,
@@ -28,6 +28,18 @@ from snowball.training import (
 
 def tiny(dims=(2, 4, 2), seed=0, activation="relu"):
     return init_params(dims, seed=seed, activation=activation)
+
+
+def classification_loss(p, x, y):
+    """The classification term of the student objective, noise off."""
+    return student_loss(p, p, None, x, y, lambda1=1.0, lambda2=0.0).classification
+
+
+def consistency_loss(student, guide, x, sigma_aug=0.0, kind="ce"):
+    """The teacher consistency term on an all-unlabelled batch."""
+    y = np.full(len(np.atleast_2d(x)), UNLABELED)
+    return student_loss(student, guide, None, x, y, lambda1=0.0, lambda2=1.0,
+                        sigma_aug=sigma_aug, kind=kind).consistency_teacher
 
 
 class TestCrossEntropy:
@@ -71,10 +83,13 @@ class TestClassificationLoss:
         both = classification_loss(p, x, y)
         assert both == pytest.approx((a + b) / 2, abs=1e-12)
 
-    def test_unlabeled_marker_rejected(self):
-        p = tiny()
-        with pytest.raises(ValueError):
-            classification_loss(p, np.zeros((1, 2)), np.array([-1]))
+    def test_unlabeled_rows_left_out(self):
+        p = tiny(seed=5)
+        x = np.random.default_rng(1).normal(size=(3, 2))
+        assert classification_loss(p, x[:1], np.array([UNLABELED])) == 0.0
+        mixed = classification_loss(p, x, np.array([0, UNLABELED, 1]))
+        labelled = classification_loss(p, x[[0, 2]], np.array([0, 1]))
+        assert mixed == pytest.approx(labelled, abs=1e-12)
 
 
 class TestConsistencyLoss:
@@ -143,6 +158,43 @@ class TestStudentLoss:
         assert b.total == pytest.approx(1.0, abs=1e-15)
 
 
+class TestObjectiveGradient:
+    """The gradient training steps on, against central differences of the
+    objective's own total, on a batch mixing labelled and unlabelled rows."""
+
+    @pytest.mark.parametrize("kind", ["ce", "mse"])
+    @pytest.mark.parametrize("with_master", [False, True])
+    def test_matches_finite_differences(self, kind, with_master, h=1e-5):
+        rng = np.random.default_rng(3)
+        dims = (3, 5, 3)
+        student = init_params(dims, "tanh", seed=1)
+        teacher = init_params(dims, "tanh", seed=2)
+        master = init_params(dims, "tanh", seed=4) if with_master else None
+        student_view = rng.normal(size=(6, 3))
+        guide_view = student_view + 0.1 * rng.normal(size=(6, 3))
+        y = np.array([0, 2, UNLABELED, 1, UNLABELED, UNLABELED])
+
+        def objective(params, want_grad):
+            return _objective(params, teacher, master, student_view, guide_view, y,
+                              lambda1=0.7, lambda2=1.3, kind=kind, master_weight=0.6,
+                              want_grad=want_grad)
+
+        _, gradient = objective(student, want_grad=True)
+        arrays = list(student.weights + student.biases)
+        for a, analytic in enumerate(gradient.weights + gradient.biases):
+            numeric = np.zeros_like(analytic)
+            for idx in np.ndindex(analytic.shape):
+                totals = []
+                for step in (h, -h):
+                    moved = [arr.copy() for arr in arrays]
+                    moved[a][idx] += step
+                    params = ModelParams(tuple(moved[:len(dims) - 1]),
+                                         tuple(moved[len(dims) - 1:]), "tanh")
+                    totals.append(objective(params, want_grad=False)[0].total)
+                numeric[idx] = (totals[0] - totals[1]) / (2 * h)
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
+
+
 class TestEma:
     def test_decay_zero_copies_source(self):
         a, b = tiny(seed=1), tiny(seed=2)
@@ -188,17 +240,6 @@ class TestSchedule:
         assert lambda2_schedule(0, 0, 3.0) == 3.0
 
 
-class TestTrainConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(steps=-1).validate()
-        with pytest.raises(ConfigError):
-            TrainConfig(alpha=1.5).validate()
-        with pytest.raises(ConfigError):
-            TrainConfig(consistency="nope").validate()
-        TrainConfig().validate()
-
-
 def small_problem(seed=0, n=60):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 2))
@@ -210,7 +251,7 @@ class TestTrainIteration:
     def test_zero_steps_identity(self):
         x, y = small_problem()
         p = tiny(seed=3)
-        cfg = TrainConfig(steps=0)
+        cfg = ExperimentConfig(steps=0)
         student, teacher, metrics = train_iteration(
             p, x, y, np.zeros((0, 2)), None, cfg, np.random.default_rng(0))
         assert params_equal(student, p)
@@ -220,7 +261,7 @@ class TestTrainIteration:
     def test_student_learns_separable_data(self):
         x, y = small_problem()
         p = tiny(seed=3)
-        cfg = TrainConfig(steps=300, labeled_batch=16, unlabeled_batch=0,
+        cfg = ExperimentConfig(steps=300, labeled_batch=16, unlabeled_batch=0,
                           lambda2_max=0.0, sigma_aug=0.0)
         student, teacher, metrics = train_iteration(
             p, x, y, np.zeros((0, 2)), None, cfg, np.random.default_rng(0))
@@ -230,7 +271,7 @@ class TestTrainIteration:
     def test_teacher_is_ema_not_student(self):
         x, y = small_problem()
         p = tiny(seed=3)
-        cfg = TrainConfig(steps=50, sigma_aug=0.0, lambda2_max=0.0, unlabeled_batch=0)
+        cfg = ExperimentConfig(steps=50, sigma_aug=0.0, lambda2_max=0.0, unlabeled_batch=0)
         student, teacher, _ = train_iteration(
             p, x, y, np.zeros((0, 2)), None, cfg, np.random.default_rng(0))
         assert not params_equal(student, teacher)
@@ -239,7 +280,7 @@ class TestTrainIteration:
         x, y = small_problem()
         pool = np.random.default_rng(9).normal(size=(40, 2))
         p = tiny(seed=3)
-        cfg = TrainConfig(steps=40)
+        cfg = ExperimentConfig(steps=40)
         out1 = train_iteration(p, x, y, pool, None, cfg, np.random.default_rng(17),
                                eval_x=x, eval_y=y)
         out2 = train_iteration(p, x, y, pool, None, cfg, np.random.default_rng(17),
@@ -253,14 +294,14 @@ class TestTrainIteration:
         pool = np.random.default_rng(9).normal(size=(40, 2))
         p = tiny(seed=3)
         master = tiny(seed=4)
-        cfg = TrainConfig(steps=30)
+        cfg = ExperimentConfig(steps=30)
         train_iteration(p, x, y, pool, master, cfg, np.random.default_rng(0))
         assert params_equal(master, tiny(seed=4))
 
     def test_divergence_raises(self):
         x, y = small_problem()
         p = tiny(seed=3)
-        cfg = TrainConfig(steps=200, learning_rate=1e6, lambda2_max=0.0,
+        cfg = ExperimentConfig(steps=200, learning_rate=1e6, lambda2_max=0.0,
                           unlabeled_batch=0, sigma_aug=0.0)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
             train_iteration(p, x, y, np.zeros((0, 2)), None, cfg,
@@ -274,7 +315,7 @@ class TestTrainIteration:
         d = split(raw, labels_per_class=2, test_fraction=1 / 3, seed=0)
         p = init_params((2, 32, 32, 2), seed=0)
         student, _, metrics = train_iteration(
-            p, d.labeled_x, d.labeled_y, d.unlabeled_x, None, TrainConfig(),
+            p, d.labeled_x, d.labeled_y, d.unlabeled_x, None, ExperimentConfig(),
             np.random.default_rng(0))
         assert error_rate(student, d.labeled_x, d.labeled_y) == 0.0
         assert metrics[-1].train_err == 0.0
