@@ -37,12 +37,6 @@ class TestExperimentConfig:
             ExperimentConfig(strategy="closest").validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(fusion="blend").validate()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(steps=-1).validate()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(alpha=1.5).validate()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(consistency="nope").validate()
         ExperimentConfig().validate()
 
     def test_doubling_schedule(self):
