@@ -496,7 +496,9 @@ def cli_run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # overflow is reported as a numerical error below, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, AggregationError, OrchestrationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

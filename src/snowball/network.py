@@ -1,16 +1,21 @@
 """Dense feed-forward classifier with hand-assembled reverse-mode gradients.
 
-Everything runs in double precision numpy. Parameters live in a flat value
-container that supports element-wise arithmetic, which is what makes weight
-averaging (and therefore the whole teacher/master machinery) a one-liner.
+Everything runs in double precision numpy. Parameters live in one flat
+float64 buffer laid out exactly like a checkpoint's payload: for each layer
+in order, its weights row-major, then its bias. ``ModelParams.weights`` and
+``.biases`` are views into that buffer, so element-wise arithmetic on models
+is one array operation on the buffer, which is what makes weight averaging
+(and therefore the whole teacher/master machinery) a one-liner, and a
+checkpoint is the buffer's bytes behind a short header.
 The forward pass exposes the activations entering the final linear layer as
-the sample's feature vector; gradients are exact and are checked against
+the sample's feature vector and keeps the trace backpropagation needs, so a
+gradient costs one forward pass; gradients are exact and are checked against
 central finite differences in the test suite.
 """
 
 from __future__ import annotations
 
-import io
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,77 +26,138 @@ from .errors import ConfigError, DataError, NumericsError
 ACTIVATIONS = ("relu", "tanh")
 CHECKPOINT_MAGIC = "SNOWBALL-CKPT v1"
 EPS_LOG = 1e-12  # clamp inside every log() so cross-entropies stay finite
-_DTYPE = np.dtype("<f8")  # little-endian float64, also the on-disk layout
+_DTYPE = np.dtype("<f8")  # little-endian float64, the on-disk layout
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=64)
+def _layout(dims: tuple[int, ...]) -> tuple[tuple[slice, slice, tuple[int, int]], ...]:
+    """(weight slice, bias slice, weight shape) of each layer in the buffer."""
+    layers, at = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        w = slice(at, at + fan_in * fan_out)
+        b = slice(w.stop, w.stop + fan_out)
+        layers.append((w, b, (fan_in, fan_out)))
+        at = b.stop
+    return tuple(layers)
+
+
+def _buffer_size(dims: tuple[int, ...]) -> int:
+    return _layout(dims)[-1][1].stop
+
+
 class ModelParams:
     """Parameters of a dense net, treated as an immutable value.
 
     ``weights[i]`` has shape ``(fan_in, fan_out)`` and ``biases[i]`` shape
-    ``(fan_out,)``. Addition, subtraction and scalar multiplication act
-    element-wise on every array, so expressions like
+    ``(fan_out,)``; both are views into ``buffer``. The constructor validates
+    the shapes and copies the given arrays, so later changes to them do not
+    reach the parameters. Addition, subtraction and scalar multiplication act
+    element-wise on the buffer and return new parameters, so expressions like
     ``0.99 * teacher + 0.01 * student`` build exponential moving averages
     directly on models.
     """
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    activation: str = "relu"
+    __slots__ = ("buffer", "layer_dims", "activation", "_views")
+
+    def __init__(self, weights: tuple[np.ndarray, ...], biases: tuple[np.ndarray, ...],
+                 activation: str = "relu"):
+        # the given arrays wait in _views until __post_init__ copies them
+        object.__setattr__(self, "_views", (tuple(weights), tuple(biases)))
+        object.__setattr__(self, "activation", activation)
+        self.__post_init__()
 
     def __post_init__(self):
+        weights, biases = self._views
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}")
-        if not self.weights or len(self.weights) != len(self.biases):
+        if not weights or len(weights) != len(biases):
             raise ConfigError("weights and biases must be non-empty and of equal length")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ConfigError(f"layer {i} has incompatible shapes {w.shape} / {b.shape}")
-            if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
+            if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
                 raise ConfigError(f"layer {i - 1} output does not match layer {i} input")
+        dims = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
+        buffer = np.empty(_buffer_size(dims))
+        for (ws, bs, _), w, b in zip(_layout(dims), weights, biases):
+            buffer[ws] = w.ravel()
+            buffer[bs] = b
+        self._bind(buffer, dims, self.activation)
+
+    def _bind(self, buffer: np.ndarray, dims: tuple[int, ...], activation: str) -> None:
+        object.__setattr__(self, "buffer", buffer)
+        object.__setattr__(self, "layer_dims", dims)
+        object.__setattr__(self, "activation", activation)
+        object.__setattr__(self, "_views", None)
+
+    @classmethod
+    def _wrap(cls, buffer: np.ndarray, dims: tuple[int, ...], activation: str) -> ModelParams:
+        """Parameters over ``buffer`` as is, without validation: the caller
+        guarantees a float64 vector of the size ``dims`` needs."""
+        params = object.__new__(cls)
+        params._bind(buffer, dims, activation)
+        return params
+
+    def _derive(self, buffer: np.ndarray) -> ModelParams:
+        return ModelParams._wrap(buffer, self.layer_dims, self.activation)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ModelParams is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ModelParams is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):  # pickle and copy.deepcopy
+        return ModelParams._wrap, (self.buffer, self.layer_dims, self.activation)
+
+    def _layer_views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        if self._views is None:
+            layout = _layout(self.layer_dims)
+            views = (tuple(self.buffer[ws].reshape(shape) for ws, _, shape in layout),
+                     tuple(self.buffer[bs] for _, bs, _ in layout))
+            object.__setattr__(self, "_views", views)
+        return self._views
 
     @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return self._layer_views()[0]
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return self._layer_views()[1]
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.layer_dims[0]
 
     @property
     def class_count(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.layer_dims[-1]
 
     def copy(self) -> ModelParams:
-        return ModelParams(tuple(w.copy() for w in self.weights),
-                           tuple(b.copy() for b in self.biases), self.activation)
+        return self._derive(self.buffer.copy())
 
-    def _zip(self, other: ModelParams, op) -> ModelParams:
+    def _other_buffer(self, other: ModelParams) -> np.ndarray:
         if self.layer_dims != other.layer_dims:
             raise ConfigError(f"parameter shapes differ: {self.layer_dims} vs {other.layer_dims}")
-        return ModelParams(tuple(op(a, b) for a, b in zip(self.weights, other.weights)),
-                           tuple(op(a, b) for a, b in zip(self.biases, other.biases)),
-                           self.activation)
+        return other.buffer
 
     def __add__(self, other: ModelParams) -> ModelParams:
-        return self._zip(other, np.add)
+        return self._derive(self.buffer + self._other_buffer(other))
 
     def __sub__(self, other: ModelParams) -> ModelParams:
-        return self._zip(other, np.subtract)
+        return self._derive(self.buffer - self._other_buffer(other))
 
     def __mul__(self, scalar: float) -> ModelParams:
-        s = float(scalar)
-        return ModelParams(tuple(s * w for w in self.weights),
-                           tuple(s * b for b in self.biases), self.activation)
+        return self._derive(float(scalar) * self.buffer)
 
     __rmul__ = __mul__
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and \
-            all(np.all(np.isfinite(b)) for b in self.biases)
+        return bool(np.isfinite(self.buffer).all())
 
     def num_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.buffer.size
 
 
 @dataclass(frozen=True)
@@ -105,11 +171,28 @@ class ForwardOutput:
 
 @dataclass(frozen=True)
 class BatchForward:
-    """Batched forward pass: rows are samples."""
+    """Batched forward pass (rows are samples) with the trace that
+    `grad_from_dlogits` backpropagates through.
 
-    features: np.ndarray  # (n, feature_dim)
-    logits: np.ndarray    # (n, classes)
-    probs: np.ndarray     # (n, classes)
+    ``activations[0]`` is the input and ``activations[-1]`` the logits;
+    ``pre_activations[i]`` is layer i's affine output. The softmax is only
+    computed when ``probs`` is first read.
+    """
+
+    activations: tuple[np.ndarray, ...]
+    pre_activations: tuple[np.ndarray, ...]
+
+    @property
+    def features(self) -> np.ndarray:  # (n, feature_dim)
+        return self.activations[-2]
+
+    @property
+    def logits(self) -> np.ndarray:    # (n, classes)
+        return self.activations[-1]
+
+    @functools.cached_property
+    def probs(self) -> np.ndarray:     # (n, classes)
+        return softmax(self.logits)
 
 
 def init_params(layer_dims, activation: str = "relu", seed=0) -> ModelParams:
@@ -159,15 +242,15 @@ def _forward_trace(params: ModelParams, x: np.ndarray):
     a = x
     acts = [a]
     pres = []
-    last = len(params.weights) - 1
+    last = len(params.layer_dims) - 2
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w + b
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise NumericsError(f"non-finite values in forward pass at layer {i}", layer=i)
         pres.append(z)
         a = z if i == last else _apply_activation(z, params.activation)
         acts.append(a)
-    return acts, pres
+    return tuple(acts), tuple(pres)
 
 
 def _as_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -186,9 +269,7 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardOutput:
 
 
 def forward_batch(params: ModelParams, x: np.ndarray) -> BatchForward:
-    acts, _ = _forward_trace(params, _as_batch(params, x))
-    logits = acts[-1]
-    return BatchForward(acts[-2], logits, softmax(logits))
+    return BatchForward(*_forward_trace(params, _as_batch(params, x)))
 
 
 def predict_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -217,27 +298,30 @@ def batch_loss(params: ModelParams, x: np.ndarray, targets: np.ndarray,
     return float(np.mean(ce))
 
 
-def grad_from_dlogits(params: ModelParams, x: np.ndarray, dlogits: np.ndarray) -> ModelParams:
+def grad_from_dlogits(params: ModelParams, forward: BatchForward,
+                      dlogits: np.ndarray) -> ModelParams:
     """Backpropagate a given gradient w.r.t. the logits down to every parameter.
 
-    This is the workhorse the training losses share: each loss term reduces
-    to a per-sample gradient at the logits, and the rest of the chain rule is
+    ``forward`` must be ``forward_batch(params, x)`` for the batch the
+    gradient belongs to; its trace is reused, not recomputed. This is the
+    workhorse the training losses share: each loss term reduces to a
+    per-sample gradient at the logits, and the rest of the chain rule is
     identical. Returns a gradient with ModelParams shape.
     """
-    x = _as_batch(params, x)
-    acts, pres = _forward_trace(params, x)
+    acts, pres = forward.activations, forward.pre_activations
     delta = np.asarray(dlogits, dtype=float)
     if delta.shape != acts[-1].shape:
         raise ConfigError(f"dlogits shape {delta.shape} does not match logits {acts[-1].shape}")
-    gw: list[np.ndarray] = [None] * len(params.weights)  # type: ignore[list-item]
-    gb: list[np.ndarray] = [None] * len(params.biases)  # type: ignore[list-item]
-    for i in range(len(params.weights) - 1, -1, -1):
-        gw[i] = acts[i].T @ delta
-        gb[i] = delta.sum(axis=0)
+    out = np.empty_like(params.buffer)
+    layout = _layout(params.layer_dims)
+    for i in range(len(layout) - 1, -1, -1):
+        ws, bs, _ = layout[i]
+        out[ws] = (acts[i].T @ delta).ravel()
+        out[bs] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ params.weights[i].T) * \
                 _activation_grad(pres[i - 1], acts[i], params.activation)
-    return ModelParams(tuple(gw), tuple(gb), params.activation)
+    return params._derive(out)
 
 
 def grad(params: ModelParams, x: np.ndarray, targets: np.ndarray,
@@ -253,11 +337,11 @@ def grad(params: ModelParams, x: np.ndarray, targets: np.ndarray,
     targets = np.asarray(targets, dtype=float)
     if targets.shape != (x.shape[0], params.class_count):
         raise ConfigError(f"targets of shape {targets.shape} do not match batch {x.shape[0]} x {params.class_count}")
-    probs = forward_batch(params, x).probs
-    dlogits = (probs - targets) / x.shape[0]
+    out = forward_batch(params, x)
+    dlogits = (out.probs - targets) / x.shape[0]
     if weights is not None:
         dlogits = dlogits * np.asarray(weights, dtype=float)[:, None]
-    return grad_from_dlogits(params, x, dlogits)
+    return grad_from_dlogits(params, out, dlogits)
 
 
 @dataclass(frozen=True)
@@ -280,33 +364,30 @@ def sgd_step(params: ModelParams, gradient: ModelParams, lr: float,
         raise ConfigError(f"learning rate must be positive, got {lr}")
     if params.layer_dims != gradient.layer_dims:
         raise ConfigError("gradient shape does not match parameters")
+    g = gradient.buffer
     if l2 > 0.0:
-        gradient = ModelParams(
-            tuple(g + l2 * w for g, w in zip(gradient.weights, params.weights)),
-            gradient.biases, gradient.activation)
-    velocity = gradient if state.velocity is None else state.momentum * state.velocity + gradient
-    return params - lr * velocity, MomentumState(state.momentum, velocity)
+        g = g.copy()
+        for ws, _, _ in _layout(params.layer_dims):
+            g[ws] += l2 * params.buffer[ws]
+    velocity = g.copy() if state.velocity is None else state.momentum * state.velocity.buffer + g
+    return (params._derive(params.buffer - lr * velocity),
+            MomentumState(state.momentum, gradient._derive(velocity)))
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
     """Exact value equality of two parameter sets (shapes, activation, entries)."""
     return a.activation == b.activation and a.layer_dims == b.layer_dims and \
-        all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights)) and \
-        all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases))
+        np.array_equal(a.buffer, b.buffer)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write a checkpoint: magic line, layer dims, activation, then raw
-    little-endian float64 parameter bytes in layer order (weights row-major,
-    then bias, per layer). The round-trip is bit-exact.
+    """Write a checkpoint: magic line, layer dims, activation, then the
+    parameter buffer as raw little-endian float64 bytes (per layer, weights
+    row-major, then bias). The round-trip is bit-exact.
     """
-    buf = io.BytesIO()
     header = f"{CHECKPOINT_MAGIC}\n{' '.join(str(d) for d in params.layer_dims)}\n{params.activation}\n"
-    buf.write(header.encode("ascii"))
-    for w, b in zip(params.weights, params.biases):
-        buf.write(np.ascontiguousarray(w, dtype=_DTYPE).tobytes())
-        buf.write(np.ascontiguousarray(b, dtype=_DTYPE).tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    payload = params.buffer.astype(_DTYPE, copy=False).tobytes()
+    Path(path).write_bytes(header.encode("ascii") + payload)
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -327,14 +408,11 @@ def load_checkpoint(path) -> ModelParams:
         raise DataError(f"{path}: unknown activation {activation!r}")
     if len(dims) < 2:
         raise DataError(f"{path}: need at least two layer dims, got {dims}")
-    expect = sum(fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:]))
-    flat = np.frombuffer(rest, dtype=_DTYPE)
-    if flat.size != expect:
-        raise DataError(f"{path}: expected {expect} parameters, found {flat.size}")
-    weights, biases, at = [], [], 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out).copy())
-        at += fan_in * fan_out
-        biases.append(flat[at:at + fan_out].copy())
-        at += fan_out
-    return ModelParams(tuple(weights), tuple(biases), activation)
+    if any(d <= 0 for d in dims):
+        raise DataError(f"{path}: layer dims must be positive, got {dims}")
+    expect = _buffer_size(dims)
+    if len(rest) != expect * _DTYPE.itemsize:
+        raise DataError(f"{path}: expected {expect} parameters ({expect * _DTYPE.itemsize} bytes), "
+                        f"found {len(rest)} bytes")
+    # astype copies into an aligned, writable, native-order buffer
+    return ModelParams._wrap(np.frombuffer(rest, dtype=_DTYPE).astype(np.float64), dims, activation)

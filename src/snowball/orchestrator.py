@@ -27,7 +27,7 @@ from . import network as net
 from .data import DatasetSplit
 from .discovery import (DiscoveryReport, assign_pseudo_labels, fuse_distances,
                         noise_rate, select_balanced, select_samples)
-from .errors import ConfigError, DivergenceError, OrchestrationError
+from .errors import ConfigError, DivergenceError, NumericsError, OrchestrationError
 from .network import ModelParams
 from .records import IterationRow, RunRecord
 from .training import EmaState, ExperimentConfig, ema_update, one_hot, train_iteration
@@ -106,7 +106,9 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     ground-truth labels). A copy of the teacher takes classification-only
     full-batch SGD steps on that set; the master is an EMA with decay beta
     over the per-step snapshots, continuing from prev_master when given and
-    starting at the first snapshot otherwise.
+    starting at the first snapshot otherwise. A refine step whose forward
+    pass or parameters go non-finite raises DivergenceError carrying the
+    step index.
     """
     n_selected = int(report.selected.sum())
     if len(report) == 0 or n_selected == 0:
@@ -130,10 +132,18 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     momentum = net.MomentumState(config.momentum)
     targets = one_hot(refine_y, teacher.class_count)
     ema: EmaState | None = None if prev_master is None else EmaState(config.beta, prev_master)
-    for _ in range(steps):
-        gradient = net.grad(refined, refine_x, targets)
+    for step in range(steps):
+        # finite weights can still overflow the forward pass; both are divergence
+        try:
+            gradient = net.grad(refined, refine_x, targets)
+        except NumericsError:
+            raise DivergenceError(f"master refinement diverged at refine step {step}",
+                                  step=step) from None
         refined, momentum = net.sgd_step(refined, gradient, config.learning_rate, momentum,
                                          l2=config.l2)
+        if not refined.all_finite():
+            raise DivergenceError(f"master refinement diverged at refine step {step}",
+                                  step=step)
         ema = EmaState(config.beta, refined) if ema is None else ema_update(ema, refined)
     assert ema is not None
     return ema.averaged
@@ -209,8 +219,14 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                 keep[sel_rows] = False
                 pool_ids, pool_x = pool_ids[keep], pool_x[keep]
                 if algo == "snowball":
-                    master = build_master(teacher, training_set, report, cfg, master,
-                                          truth if cfg.use_true_labels else None)
+                    try:
+                        master = build_master(teacher, training_set, report, cfg, master,
+                                              truth if cfg.use_true_labels else None)
+                    except DivergenceError as err:
+                        raise DivergenceError(
+                            f"master refinement diverged at generation {m}, iteration {k}, "
+                            f"refine step {err.step}",
+                            step=err.step, generation=m, iteration=k) from None
                     past_masters.append(master)
 
             student_test = net.error_rate(student, data.test_x, data.test_y)

@@ -122,7 +122,8 @@ def _objective(student: ModelParams, teacher: ModelParams, master: ModelParams |
 
     All loss terms share the student's forward pass on student_view, so the
     combined gradient is a single backpropagation of the summed per-logit
-    gradients. Guides are evaluated on guide_view and treated as constants.
+    gradients through that pass's trace. Guides are evaluated on guide_view
+    and treated as constants.
     """
     if kind not in CONSISTENCY_KINDS:
         raise ConfigError(f"unknown consistency kind {kind!r}")
@@ -154,7 +155,7 @@ def _objective(student: ModelParams, teacher: ModelParams, master: ModelParams |
     dlogits += lambda2 * dloss(p_s, p_t) / n
     if p_m is not None:
         dlogits += lambda2 * master_weight * dloss(p_s, p_m) / n
-    return breakdown, net.grad_from_dlogits(student, student_view, dlogits)
+    return breakdown, net.grad_from_dlogits(student, out, dlogits)
 
 
 def _mse_dlogits(p_s: np.ndarray, p_g: np.ndarray) -> np.ndarray:

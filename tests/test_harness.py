@@ -1,9 +1,15 @@
 """Command-line harness: config plumbing, aggregation, exit codes."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import snowball
 
 from snowball.cli import (DataSpec, aggregate, build_configs, cli_run,
                           dataclass_flat, make_dataset, parse_config_file,
@@ -238,6 +244,22 @@ class TestExitCodes:
         assert cli_run(["report", str(manifest)]) == 2
         err = capsys.readouterr().err
         assert "expected 7 metric values" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra, where", [
+        (("--set", "learning_rate=1e200"), "iteration 1, step 0"),
+        (("--set", "learning_rate=1e200", "--set", "steps=0",
+          "--set", "master_refine_steps=5"), "iteration 1, refine step"),
+    ], ids=["training", "refinement"])
+    def test_divergence_is_one_stderr_line_without_numpy_warnings(self, tmp_path, extra, where):
+        src = str(Path(snowball.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "snowball", *fast_args(tmp_path, *extra, algo="snowball")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("numerical error: ") and where in lines[0]
 
     def test_bad_seed_list(self, tmp_path):
         argv = ["sweep", "--dataset", "two-moons", "--seeds", "x..y",

@@ -1,9 +1,11 @@
 """Forward pass, gradient, optimizer, and checkpoint behaviour."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from snowball.errors import ConfigError, NumericsError
+from snowball.errors import ConfigError, DataError, NumericsError
 from snowball.network import (
     ModelParams,
     MomentumState,
@@ -228,7 +230,47 @@ class TestParamsAlgebra:
         assert not params_equal(a, b)
 
 
+    def test_constructor_copies_its_arrays(self):
+        w, b = np.eye(2), np.zeros(2)
+        p = ModelParams(weights=(w,), biases=(b,))
+        w[0, 0] = 5.0
+        b[1] = 3.0
+        np.testing.assert_array_equal(p.weights[0], np.eye(2))
+        np.testing.assert_array_equal(p.biases[0], np.zeros(2))
+
+    def test_layers_are_views_of_the_buffer_in_checkpoint_layout(self):
+        p = tiny_net((2, 3, 2), seed=1)
+        layout = [a.ravel() for w, b in zip(p.weights, p.biases) for a in (w, b)]
+        np.testing.assert_array_equal(p.buffer, np.concatenate(layout))
+        assert all(np.shares_memory(a, p.buffer) for a in p.weights + p.biases)
+
+    def test_derived_values_do_not_alias_their_operands(self):
+        a, b = tiny_net(seed=1), tiny_net(seed=2)
+        g = init_params(a.layer_dims, seed=3)
+        derived = [a + b, a - b, 0.5 * a, a * 2.0, a.copy(), copy.deepcopy(a)]
+        for l2 in (0.0, 0.01):
+            q, st = sgd_step(a, g, lr=0.1, state=MomentumState(0.9), l2=l2)
+            q2, st2 = sgd_step(q, g, lr=0.1, state=st, l2=l2)
+            derived += [q, st.velocity, q2, st2.velocity]
+        operands = [a, b, g]
+        for i, r in enumerate(derived):
+            for other in operands + derived[:i]:
+                assert not np.shares_memory(r.buffer, other.buffer)
+
+    def test_attributes_cannot_be_rebound(self):
+        p = tiny_net()
+        with pytest.raises(AttributeError):
+            p.activation = "tanh"
+
+
 class TestCheckpoint:
+    def test_bytes_are_header_plus_buffer(self, tmp_path):
+        p = init_params((3, 4, 2), activation="tanh", seed=5)
+        save_checkpoint(p, tmp_path / "m.ckpt")
+        expect = b"SNOWBALL-CKPT v1\n3 4 2\ntanh\n" + p.buffer.astype("<f8").tobytes()
+        assert (tmp_path / "m.ckpt").read_bytes() == expect
+
+
     def test_round_trip_bit_identical(self, tmp_path):
         p = init_params((4, 16, 8, 3), activation="tanh", seed=123)
         path = tmp_path / "model.ckpt"
@@ -268,6 +310,21 @@ class TestCheckpoint:
         (tmp_path / "short.ckpt").write_bytes(blob[:-8])
         with pytest.raises(Exception):
             load_checkpoint(tmp_path / "short.ckpt")
+
+
+    def test_payload_of_partial_floats_is_data_error(self, tmp_path):
+        p = tiny_net()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(p, path)
+        (tmp_path / "odd.ckpt").write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(DataError, match="bytes"):
+            load_checkpoint(tmp_path / "odd.ckpt")
+
+    def test_non_positive_dims_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"SNOWBALL-CKPT v1\n2 0 2\nrelu\n" + np.zeros(2).tobytes())
+        with pytest.raises(DataError, match="positive"):
+            load_checkpoint(path)
 
 
 class TestPredict:

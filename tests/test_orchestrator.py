@@ -5,7 +5,7 @@ import pytest
 
 from snowball.data import gen_two_moons, split
 from snowball.discovery import assign_pseudo_labels, select_samples
-from snowball.errors import ConfigError, OrchestrationError
+from snowball.errors import ConfigError, DivergenceError, OrchestrationError
 from snowball.network import init_params, params_equal
 from snowball.orchestrator import (
     ExperimentConfig,
@@ -125,6 +125,17 @@ class TestBuildMaster:
         m = build_master(teacher, ts, rep, cfg)
         assert m.layer_dims == teacher.layer_dims
 
+    def test_divergence_names_the_refine_step(self):
+        d = small_data()
+        teacher = init_params((2, 8, 2), seed=1)
+        ts = TrainingSet.from_split(d, generation=1)
+        rep = self.make_report(d, teacher)
+        cfg = quick_cfg(learning_rate=1e200, master_refine_steps=5)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match=r"refine step \d") as info:
+            build_master(teacher, ts, rep, cfg)
+        assert 0 <= info.value.step < 5
+
     def test_empty_selection_rejected(self):
         d = small_data()
         teacher = init_params((2, 8, 2), seed=1)
@@ -223,6 +234,13 @@ class TestRunStructure:
         rec = run_algorithm("snowball", d, quick_cfg(discovery_schedule=(3, 3), use_true_labels=True))
         # noise is a property of the assignment, not of what was trained on
         assert all(0.0 <= r.noise_rate <= 1.0 for r in rec.rows)
+
+    def test_refinement_divergence_names_generation_and_iteration(self):
+        cfg = quick_cfg(steps=0, learning_rate=1e200)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match="generation 1, iteration 1, refine step") as info:
+            run_algorithm("snowball", small_data(), cfg)
+        assert (info.value.generation, info.value.iteration) == (1, 1)
 
     def test_unknown_algorithm(self):
         d = small_data()
