@@ -7,7 +7,8 @@ directory under the output root (``--out-dir``, else $SNOWBALL_OUT_DIR,
 else ./runs) containing a manifest, per-step CSVs and model checkpoints.
 
 Exit codes: 0 success, 1 usage or configuration problems, 2 data problems,
-3 numerical divergence.
+3 numerical divergence. A run whose output model predicts one class for the
+whole test set exits 0 with a collapse warning on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .discovery import write_report_csv
 from .errors import (AggregationError, ConfigError, DataError, DiscoveryError,
                      DivergenceError, NumericsError, OrchestrationError,
                      SnowballError)
-from .orchestrator import ALGOS, run_algorithm
+from .orchestrator import ALGOS, output_role, run_algorithm
 from .records import (IterationRow, RunRecord, read_manifest, rows_equal,
                       write_manifest)
 from .training import ExperimentConfig, write_step_metrics
@@ -207,9 +208,14 @@ def _out_root(args) -> Path:
 # --- running and persisting -------------------------------------------------
 
 def run_one(algo: str, config: ExperimentConfig, spec: DataSpec, out_root: Path,
-            name: str | None = None, dump_discovery: bool = False) -> tuple[RunRecord, Path]:
-    """Execute one run and persist manifest, step CSVs and checkpoints."""
-    data = make_dataset(spec, config.seed)
+            name: str | None = None, dump_discovery: bool = False,
+            data: DatasetSplit | None = None) -> tuple[RunRecord, Path]:
+    """Execute one run and persist manifest, step CSVs and checkpoints.
+
+    data is the split to run on, make_dataset(spec, config.seed) when None.
+    """
+    if data is None:
+        data = make_dataset(spec, config.seed)
     record = run_algorithm(algo, data, config)
     record.config.update(dataclass_flat(spec))
     run_dir = out_root / (name or f"{algo}-{spec.dataset}-seed{config.seed}")
@@ -224,6 +230,17 @@ def run_one(algo: str, config: ExperimentConfig, spec: DataSpec, out_root: Path,
         for (m, k), report in record.reports.items():
             write_report_csv(run_dir / f"discovery-g{m}-i{k}.csv", report, truth)
     return record, run_dir
+
+
+def warn_if_collapsed(record: RunRecord, data: DatasetSplit) -> None:
+    """Print one stderr warning when the model behind the final test error
+    predicts a single class for every test row of a test set that holds
+    several classes. Nothing of it enters the run's artifacts."""
+    role = output_role(record.algo)
+    predicted = np.unique(net.predict_labels(record.models[role], data.test_x))
+    if len(predicted) == 1 and len(np.unique(data.test_y)) > 1:
+        print(f"warning: training collapsed: the {role} predicts class {predicted[0]} "
+              f"for all {len(data.test_y)} test rows", file=sys.stderr)
 
 
 def dataclass_flat(spec: DataSpec) -> dict[str, object]:
@@ -308,13 +325,15 @@ def parse_seeds(text: str) -> list[int]:
 
 def _cmd_train(args) -> int:
     config, spec = build_configs(_flat_from_args(args))
+    data = make_dataset(spec, config.seed)
     record, run_dir = run_one(args.algo, config, spec, _out_root(args),
-                              args.name, args.dump_discovery)
+                              args.name, args.dump_discovery, data)
     _print_rows(record.rows, prefix=args.algo)
     final = record.rows[-1]
     print(f"final test error {final.test_err:.4f} "
           f"(labelled set {final.labeled_size}, noise {final.noise_rate:.4f})")
     print(f"run written to {run_dir}")
+    warn_if_collapsed(record, data)
     return 0
 
 
@@ -328,10 +347,12 @@ def _cmd_sweep(args) -> int:
     records = []
     for seed in seeds:
         cfg = replace(config, seed=seed)
+        data = make_dataset(spec, seed)
         record, run_dir = run_one(args.algo, cfg, spec, out_root,
-                                  name=f"{args.name or args.algo}-seed{seed}")
+                                  name=f"{args.name or args.algo}-seed{seed}", data=data)
         records.append(record)
         print(f"seed {seed}: final test error {record.final_test_err():.4f} ({run_dir})")
+        warn_if_collapsed(record, data)
     summary = aggregate(records)
     print(f"\naggregate over {len(seeds)} seeds "
           f"(mean +/- sample std), algo {args.algo}:")

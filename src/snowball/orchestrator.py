@@ -94,6 +94,12 @@ def _effective(config: ExperimentConfig, algo: str) -> ExperimentConfig:
     raise ConfigError(f"unknown algorithm {algo!r}, expected one of {ALGOS}")
 
 
+def output_role(algo: str) -> str:
+    """The model whose test error a pipeline's rows report: the teacher for
+    teacher-driven pipelines, the student for label-only ones."""
+    return "teacher" if algo in ("snowball", "mean-teacher") else "student"
+
+
 def build_master(teacher: ModelParams, training_set: TrainingSet,
                  report: DiscoveryReport, config: ExperimentConfig,
                  prev_master: ModelParams | None = None,
@@ -173,9 +179,7 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
     rows: list[IterationRow] = []
     step_metrics: dict[tuple[int, int], list] = {}
     reports: dict[tuple[int, int], DiscoveryReport] = {}
-    # teacher-driven pipelines report the teacher's test error; label-only
-    # pipelines report the student's
-    teacher_is_output = algo in ("snowball", "mean-teacher")
+    teacher_is_output = output_role(algo) == "teacher"
     discovers = algo in ("snowball", "self-learning")
 
     for m in range(1, cfg.generations + 1):

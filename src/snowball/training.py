@@ -24,11 +24,12 @@ import numpy as np
 from . import network as net
 from .data import augment
 from .discovery import FUSIONS, STRATEGIES
-from .errors import ConfigError, DivergenceError, NumericsError
+from .errors import ConfigError, DataError, DivergenceError, NumericsError
 from .network import ACTIVATIONS, EPS_LOG, ModelParams, MomentumState
 
 CONSISTENCY_KINDS = ("ce", "mse")
 UNLABELED = -1  # label marker for pool rows inside a mixed minibatch
+EVAL_EVERY = 25  # train_iteration measures error rates every EVAL_EVERY-th step
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class StepMetrics:
-    """One row of the per-step metrics CSV."""
+    """One row of the per-step metrics CSV.
+
+    train_err and test_err are None on steps that were not evaluated (an
+    empty CSV cell); test_err is nan when no eval set was given.
+    """
 
     step: int
     j_c: float
@@ -280,8 +285,8 @@ class StepMetrics:
     j_theta_master: float
     j_s: float
     lambda2: float
-    train_err: float
-    test_err: float
+    train_err: float | None
+    test_err: float | None
 
 
 STEP_CSV_HEADER = ("step", "J_C", "J_theta_teacher", "J_theta_master",
@@ -300,16 +305,31 @@ def write_step_metrics(path, rows: list[StepMetrics], append: bool = False) -> N
         for r in rows:
             writer.writerow([r.step, repr(r.j_c), repr(r.j_theta_teacher),
                              repr(r.j_theta_master), repr(r.j_s), repr(r.lambda2),
-                             repr(r.train_err), repr(r.test_err)])
+                             _cell(r.train_err), _cell(r.test_err)])
+
+
+def _cell(value: float | None) -> str:
+    return "" if value is None else repr(value)
 
 
 def read_step_metrics(path) -> list[StepMetrics]:
+    """Parse a per-step metrics CSV; an empty error cell reads back as None.
+    A short or unparsable row raises DataError naming the file and line."""
     with Path(path).open(newline="") as handle:
         reader = csv.reader(handle)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != STEP_CSV_HEADER:
             raise ConfigError(f"{path}: unexpected step metrics header {header}")
-        return [StepMetrics(int(r[0]), *(float(v) for v in r[1:])) for r in reader]
+        rows = []
+        for r in reader:
+            try:
+                if len(r) != len(STEP_CSV_HEADER):
+                    raise ValueError(f"expected {len(STEP_CSV_HEADER)} values, got {len(r)}")
+                rows.append(StepMetrics(int(r[0]), *(float(v) for v in r[1:6]),
+                                        *(None if v == "" else float(v) for v in r[6:])))
+            except ValueError as err:
+                raise DataError(f"{path}: line {reader.line_num}: {err}") from None
+        return rows
 
 
 def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.ndarray,
@@ -330,8 +350,16 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
 
     train_err is the student's error on the labelled set, test_err its error
     on the eval set (nan when no eval set is given), both measured after the
-    step's update. Non-finite losses or parameters raise DivergenceError
-    carrying the step index.
+    step's update on every EVAL_EVERY-th step (steps EVAL_EVERY - 1,
+    2 * EVAL_EVERY - 1, ...) and on the last step; on the other steps both
+    are None. Evaluation reads no randomness, so the cadence leaves the
+    parameters and loss columns unchanged.
+
+    Divergence raises DivergenceError carrying the step index: a non-finite
+    loss or parameters after step t's update, or an error-rate forward pass
+    that overflows on an evaluated step t, name step t. A forward pass that
+    overflows inside step t's objective (student, teacher or master) names
+    the update that produced those parameters, step max(t - 1, 0).
     """
     cfg.validate()
     train_x = np.asarray(train_x, dtype=float)
@@ -360,26 +388,35 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
         student_view = augment(bx, cfg.sigma_aug, rng)
         guide_view = augment(bx, cfg.sigma_aug, rng)
 
-        breakdown, gradient = _objective(
-            student, teacher_ema.averaged, master, student_view, guide_view, by,
-            cfg.lambda1, lam2, cfg.consistency, cfg.master_weight, want_grad=True)
+        # Finite weights can still overflow the forward pass once they get
+        # large enough; that is divergence too, of the update that made them.
+        try:
+            breakdown, gradient = _objective(
+                student, teacher_ema.averaged, master, student_view, guide_view, by,
+                cfg.lambda1, lam2, cfg.consistency, cfg.master_weight, want_grad=True)
+        except NumericsError:
+            raise _diverged(max(step - 1, 0)) from None
         assert gradient is not None
         student, momentum = net.sgd_step(student, gradient, cfg.learning_rate, momentum,
                                          l2=cfg.l2)
 
         if not np.isfinite(breakdown.total) or not student.all_finite():
-            raise DivergenceError(f"training diverged at step {step}", step=step)
-        # Finite weights can still overflow the forward pass once they get
-        # large enough; treat that as divergence too so callers see one error.
-        try:
-            train_err = net.error_rate(student, train_x, train_y)
-            test_err = (net.error_rate(student, eval_x, eval_y)
-                        if eval_x is not None else float("nan"))
-        except NumericsError:
-            raise DivergenceError(f"training diverged at step {step}", step=step) from None
+            raise _diverged(step)
+        train_err = test_err = None
+        if (step + 1) % EVAL_EVERY == 0 or step == cfg.steps - 1:
+            try:
+                train_err = net.error_rate(student, train_x, train_y)
+                test_err = (net.error_rate(student, eval_x, eval_y)
+                            if eval_x is not None else float("nan"))
+            except NumericsError:
+                raise _diverged(step) from None
         teacher_ema = ema_update(teacher_ema, student)
 
         metrics.append(StepMetrics(step, breakdown.classification,
                                    breakdown.consistency_teacher, breakdown.consistency_master,
                                    breakdown.total, lam2, train_err, test_err))
     return student, teacher_ema.averaged, metrics
+
+
+def _diverged(step: int) -> DivergenceError:
+    return DivergenceError(f"training diverged at step {step}", step=step)

@@ -14,6 +14,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from snowball import network as net
 from snowball.cli import (DataSpec, benchmark_blobs, benchmark_two_moons,
@@ -217,6 +218,7 @@ def test_criterion_04_discovery_matches_brute_force():
 
 # --- 5: selection strategy ordering ----------------------------------------
 
+@pytest.mark.slow
 def test_criterion_05_selection_noise_ordering():
     start = time.perf_counter()
     cfg, spec = benchmark_blobs()
@@ -247,6 +249,7 @@ def test_criterion_05_selection_noise_ordering():
 
 # --- 6: guidance vs self-learning ------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_06_guidance_beats_self_learning():
     start = time.perf_counter()
     cfg, _ = benchmark_two_moons()
@@ -266,6 +269,7 @@ def test_criterion_06_guidance_beats_self_learning():
 
 # --- 7: convergence across generations -------------------------------------
 
+@pytest.mark.slow
 def test_criterion_07_generations_non_increasing():
     start = time.perf_counter()
     cfg, spec = benchmark_two_moons()
@@ -282,6 +286,7 @@ def test_criterion_07_generations_non_increasing():
 
 # --- 8: semi-supervised gain -----------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_08_semi_supervised_gain():
     start = time.perf_counter()
     cfg, spec = benchmark_two_moons()

@@ -311,6 +311,29 @@ class TestCliBehaviour:
         assert (tmp_path / "supervised-seed0" / "manifest.txt").exists()
         assert (tmp_path / "supervised-seed1" / "manifest.txt").exists()
 
+    # lr = 1e6 pins the losses at the log clamp; every model ends up
+    # predicting class 0 for the whole two-class test set
+    COLLAPSING = ["--algo", "snowball", "--dataset", "two-moons", "--seed", "0",
+                  "--set", "learning_rate=1e6", "--set", "steps=60",
+                  "--set", "generations=1", "--set", "iterations=2"]
+    COLLAPSE_WARNING = ("warning: training collapsed: the teacher predicts class 0 "
+                        "for all 500 test rows")
+
+    def test_collapsed_training_warns_and_exits_0(self, tmp_path, capsys):
+        assert cli_run(["train", "--out-dir", str(tmp_path), *self.COLLAPSING]) == 0
+        assert capsys.readouterr().err.splitlines() == [self.COLLAPSE_WARNING]
+        manifest = tmp_path / "snowball-two-moons-seed0" / "manifest.txt"
+        assert "collapse" not in manifest.read_text()
+
+    def test_collapsed_sweep_warns(self, tmp_path, capsys):
+        argv = ["sweep", "--seeds", "0", "--out-dir", str(tmp_path), *self.COLLAPSING]
+        assert cli_run(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [self.COLLAPSE_WARNING]
+
+    def test_healthy_run_does_not_warn(self, tmp_path, capsys):
+        assert cli_run(fast_args(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+
     def test_ablation_commands_run(self, tmp_path):
         common = ["--dataset", "blobs", "--labels-per-class", "2",
                   "--seed", "0", "--out-dir", str(tmp_path),

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from snowball import training
 from snowball.data import augment, gen_two_moons, split
-from snowball.errors import ConfigError, DivergenceError
+from snowball.errors import ConfigError, DataError, DivergenceError
 from snowball.network import ModelParams, error_rate, init_params, params_equal
 from snowball.training import (
     UNLABELED,
@@ -320,6 +321,55 @@ class TestTrainIteration:
                             np.random.default_rng(0))
         assert exc.value.step is not None
 
+    def test_huge_learning_rate_diverges_at_step_0(self):
+        # the first update leaves finite weights whose forward pass overflows;
+        # step 1's objective finds it, and step 0's update is to blame
+        x, y = small_problem()
+        cfg = ExperimentConfig(steps=30, learning_rate=1e200)
+        pool = np.random.default_rng(9).normal(size=(40, 2))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as exc:
+            train_iteration(tiny(seed=3), x, y, pool, None, cfg,
+                            np.random.default_rng(0), eval_x=x, eval_y=y)
+        assert exc.value.step == 0
+
+    def test_master_overflow_is_divergence_at_step_0(self):
+        x, y = small_problem()
+        master = 1e300 * tiny(seed=4)
+        assert master.all_finite()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as exc:
+            train_iteration(tiny(seed=3), x, y, np.zeros((0, 2)), master,
+                            ExperimentConfig(steps=30), np.random.default_rng(0))
+        assert exc.value.step == 0
+
+    @pytest.mark.parametrize("steps", [60, 75])
+    def test_eval_cadence_changes_only_the_skipped_cells(self, monkeypatch, steps):
+        x, y = small_problem()
+        pool = np.random.default_rng(9).normal(size=(40, 2))
+        ex, ey = small_problem(seed=1, n=30)
+        cfg = ExperimentConfig(steps=steps, ramp_len=30)
+
+        def run():
+            return train_iteration(tiny(seed=3), x, y, pool, tiny(seed=4), cfg,
+                                   np.random.default_rng(17), eval_x=ex, eval_y=ey)
+
+        student, teacher, sparse = run()
+        monkeypatch.setattr(training, "EVAL_EVERY", 1)
+        every_student, every_teacher, every = run()
+
+        assert params_equal(student, every_student)
+        assert params_equal(teacher, every_teacher)
+        evaluated = [m.step for m in sparse if m.train_err is not None]
+        assert evaluated == [*range(24, steps - 1, 25), steps - 1]
+        assert all(m.test_err is None for m in sparse if m.step not in evaluated)
+        for a, b in zip(sparse, every, strict=True):
+            assert (a.step, a.j_c, a.j_theta_teacher, a.j_theta_master, a.j_s,
+                    a.lambda2) == (b.step, b.j_c, b.j_theta_teacher, b.j_theta_master,
+                                   b.j_s, b.lambda2)
+            if a.step in evaluated:
+                assert (a.train_err, a.test_err) == (b.train_err, b.test_err)
+
     def test_two_moons_labeled_error_reaches_zero(self):
         # run-once regression on the canonical small setup: 4 labels + pool,
         # default config, seed 0 -> the labeled set is learned exactly
@@ -364,10 +414,34 @@ class TestStepMetricsCsv:
         rows = [
             StepMetrics(0, 0.69314718, 0.1, 0.0, 0.79314718, 0.0, 0.5, 0.5),
             StepMetrics(1, 1 / 3, 0.25, 0.125, 0.70833333, 1.0, 0.25, 0.375),
+            StepMetrics(2, 0.5, 0.25, 0.0, 0.75, 1.0, None, None),
         ]
         path = tmp_path / "steps.csv"
         write_step_metrics(path, rows)
-        header = path.read_text().splitlines()[0]
-        assert header == "step,J_C,J_theta_teacher,J_theta_master,J_S,lambda2,train_err,test_err"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "step,J_C,J_theta_teacher,J_theta_master,J_S,lambda2,train_err,test_err"
+        assert lines[3].endswith(",,")
         got = read_step_metrics(path)
         assert got == rows
+
+    def test_nan_test_err_round_trips(self, tmp_path):
+        path = tmp_path / "steps.csv"
+        write_step_metrics(path, [StepMetrics(0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.25,
+                                              float("nan"))])
+        (row,) = read_step_metrics(path)
+        assert row.train_err == 0.25 and math.isnan(row.test_err)
+
+    @pytest.mark.parametrize("line", [
+        "3,0.5,0.25,0.0,0.75,1.0,0.5",        # short
+        "3,0.5,0.25,0.0,0.75,1.0,0.5,0.5,9",  # long
+        "3,0.5,x,0.0,0.75,1.0,0.5,0.5",       # unparsable loss
+        "3,0.5,0.25,,0.75,1.0,0.5,0.5",       # empty loss cell
+        "3.5,0.5,0.25,0.0,0.75,1.0,0.5,0.5",  # non-integer step
+        "3,0.5,0.25,0.0,0.75,1.0,0.5,half",   # unparsable error cell
+    ], ids=["short", "long", "bad-loss", "empty-loss", "bad-step", "bad-err"])
+    def test_malformed_row_is_data_error(self, tmp_path, line):
+        path = tmp_path / "steps.csv"
+        write_step_metrics(path, [StepMetrics(0, 0.5, 0.0, 0.0, 0.5, 0.0, None, None)])
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(DataError, match=rf"steps\.csv: line 3\b"):
+            read_step_metrics(path)
