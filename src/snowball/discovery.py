@@ -11,6 +11,9 @@ When several model snapshots are available their distances can be fused:
 averaged directly, computed in a concatenated feature space, or averaged as
 per-model sorting ranks. Pseudo-labels under fusion are majority votes with
 ties going to the most recent model.
+
+Distances are computed NEAREST_BLOCK pool rows at a time and reports keep no
+features, so discovery's memory is linear in the pool.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ FUSIONS = ("single", "average_distance", "feature_cascade", "average_sorting_sco
 
 REPORT_CSV_HEADER = ("sample_id", "assigned_label", "true_label", "distance", "rank", "selected")
 
+NEAREST_BLOCK = 1024  # pool rows per (rows, classes, features) difference array
+
 
 @dataclass(frozen=True)
 class DiscoveryReport:
@@ -40,13 +45,13 @@ class DiscoveryReport:
     holds plain Euclidean distances for single-model and feature_cascade
     reports, mean distances for average_distance and mean 0-based ranks for
     average_sorting_score. ``selected`` is all-False until `select_samples`.
-    The raw input rows ride along so downstream consumers (the master's
-    extra-candidate refinement) need no access to the original pool.
+    The raw input rows ride along so downstream consumers (the enlarged
+    training set, the master's extra candidates) need no access to the
+    original pool; features are not kept, so a report is linear in n.
     """
 
     sample_ids: np.ndarray   # (n,) int
     inputs: np.ndarray       # (n, d) raw input rows, in rank order
-    features: np.ndarray     # (n, f) features behind the scores (last model's for averaging fusions)
     labels: np.ndarray       # (n,) assigned pseudo-labels
     distances: np.ndarray    # (n,) score used for ranking
     selected: np.ndarray     # (n,) bool
@@ -81,10 +86,20 @@ def compute_class_centers(model: ModelParams, x: np.ndarray, y: np.ndarray,
 
 
 def _nearest_center(feats: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-center label (ties to the lowest class index) and distance."""
-    dists = np.linalg.norm(feats[:, None, :] - centers[None, :, :], axis=2)
+    """Nearest-center label (ties to the lowest class index) and distance,
+    NEAREST_BLOCK rows at a time; each element's arithmetic is unblocked."""
+    dists = np.empty((len(feats), len(centers)))
+    for start in range(0, len(feats), NEAREST_BLOCK):
+        rows = slice(start, start + NEAREST_BLOCK)
+        dists[rows] = np.linalg.norm(feats[rows, None, :] - centers[None, :, :], axis=2)
     labels = np.argmin(dists, axis=1)
     return labels, dists[np.arange(len(feats)), labels]
+
+
+def _model_nearest(model, pool_x, train_x, train_y, class_count):
+    """Labels and distances of a pool by one model's nearest class center."""
+    centers = compute_class_centers(model, train_x, train_y, class_count)
+    return _nearest_center(net.forward_batch(model, pool_x).features, centers)
 
 
 def _rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -92,11 +107,10 @@ def _rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.lexsort((ids, scores))
 
 
-def _build_report(ids, inputs, feats, labels, scores, fusion) -> DiscoveryReport:
+def _build_report(ids, inputs, labels, scores, fusion) -> DiscoveryReport:
     order = _rank_order(scores, ids)
     return DiscoveryReport(
         sample_ids=np.asarray(ids)[order], inputs=np.asarray(inputs)[order],
-        features=np.asarray(feats)[order],
         labels=np.asarray(labels)[order], distances=np.asarray(scores)[order],
         selected=np.zeros(len(order), dtype=bool), fusion=fusion)
 
@@ -107,13 +121,11 @@ def assign_pseudo_labels(model: ModelParams, pool_x: np.ndarray, pool_ids: np.nd
     """Pseudo-label a pool by nearest class center of a single model."""
     if len(pool_x) == 0:
         raise DiscoveryError("unlabelled pool is empty")
-    centers = compute_class_centers(model, train_x, train_y, class_count)
-    feats = net.forward_batch(model, pool_x).features
-    labels, dists = _nearest_center(feats, centers)
-    return _build_report(pool_ids, pool_x, feats, labels, dists, "single")
+    labels, dists = _model_nearest(model, pool_x, train_x, train_y, class_count)
+    return _build_report(pool_ids, pool_x, labels, dists, "single")
 
 
-def _majority_vote(per_model_labels: list[np.ndarray], class_count: int) -> np.ndarray:
+def _majority_vote(per_model_labels: tuple[np.ndarray, ...], class_count: int) -> np.ndarray:
     """Majority label per sample; ties take the most recent model's label."""
     stacked = np.stack(per_model_labels, axis=1)  # (n, models)
     counts = np.stack([np.sum(stacked == c, axis=1) for c in range(class_count)], axis=1)
@@ -143,23 +155,15 @@ def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.n
     if len(pool_x) == 0:
         raise DiscoveryError("unlabelled pool is empty")
     class_count = models[0].class_count if class_count is None else class_count
-
-    per_feats, per_centers, per_labels, per_dists = [], [], [], []
-    for model in models:
-        centers = compute_class_centers(model, train_x, train_y, class_count)
-        feats = net.forward_batch(model, pool_x).features
-        labels, dists = _nearest_center(feats, centers)
-        per_feats.append(feats)
-        per_centers.append(centers)
-        per_labels.append(labels)
-        per_dists.append(dists)
-
     if fusion == "feature_cascade":
         # the center of concatenated features is the concatenation of centers
-        feats = np.concatenate(per_feats, axis=1)
-        centers = np.concatenate(per_centers, axis=1)
+        centers = np.concatenate([compute_class_centers(m, train_x, train_y, class_count)
+                                  for m in models], axis=1)
+        feats = np.concatenate([net.forward_batch(m, pool_x).features for m in models], axis=1)
         labels, dists = _nearest_center(feats, centers)
-        return _build_report(pool_ids, pool_x, feats, labels, dists, fusion)
+        return _build_report(pool_ids, pool_x, labels, dists, fusion)
+    per_labels, per_dists = zip(*(_model_nearest(m, pool_x, train_x, train_y, class_count)
+                                  for m in models))
     labels = _majority_vote(per_labels, class_count)
     if fusion == "average_distance":
         scores = np.mean(per_dists, axis=0)
@@ -172,7 +176,7 @@ def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.n
             ranks[order] = np.arange(len(pool_ids))
             rank_sum += ranks
         scores = rank_sum / len(models)
-    return _build_report(pool_ids, pool_x, per_feats[-1], labels, scores, fusion)
+    return _build_report(pool_ids, pool_x, labels, scores, fusion)
 
 
 def select_samples(report: DiscoveryReport, n: int, strategy: str = "min",

@@ -112,9 +112,9 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     ground-truth labels). A copy of the teacher takes classification-only
     full-batch SGD steps on that set; the master is an EMA with decay beta
     over the per-step snapshots, continuing from prev_master when given and
-    starting at the first snapshot otherwise. A refine step whose forward
-    pass or parameters go non-finite raises DivergenceError carrying the
-    step index.
+    starting at the first snapshot otherwise. Non-finite parameters raise
+    DivergenceError with their refine step; a forward pass that overflows at
+    step t names the update that made its weights, max(t - 1, 0).
     """
     n_selected = int(report.selected.sum())
     if len(report) == 0 or n_selected == 0:
@@ -143,8 +143,9 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
         try:
             gradient = net.grad(refined, refine_x, targets)
         except NumericsError:
-            raise DivergenceError(f"master refinement diverged at refine step {step}",
-                                  step=step) from None
+            culprit = max(step - 1, 0)
+            raise DivergenceError(f"master refinement diverged at refine step {culprit}",
+                                  step=culprit) from None
         refined, momentum = net.sgd_step(refined, gradient, config.learning_rate, momentum,
                                          l2=config.l2)
         if not refined.all_finite():
@@ -211,16 +212,13 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                 reports[(m, k)] = report
                 noise = noise_rate(report, truth)
                 sel_ids = report.sample_ids[report.selected]
-                row_of = {int(i): j for j, i in enumerate(pool_ids)}
-                sel_rows = np.array([row_of[int(i)] for i in sel_ids], dtype=int)
                 if cfg.use_true_labels:
                     sel_y = np.array([truth[int(i)] for i in sel_ids], dtype=int)
                 else:
                     sel_y = report.labels[report.selected]
                 training_set = training_set.with_discovered(
-                    sel_ids, pool_x[sel_rows], sel_y, m, k)
-                keep = np.ones(len(pool_ids), dtype=bool)
-                keep[sel_rows] = False
+                    sel_ids, report.inputs[report.selected], sel_y, m, k)
+                keep = np.isin(pool_ids, sel_ids, invert=True)
                 pool_ids, pool_x = pool_ids[keep], pool_x[keep]
                 if algo == "snowball":
                     try:

@@ -293,15 +293,12 @@ STEP_CSV_HEADER = ("step", "J_C", "J_theta_teacher", "J_theta_master",
                    "J_S", "lambda2", "train_err", "test_err")
 
 
-def write_step_metrics(path, rows: list[StepMetrics], append: bool = False) -> None:
-    """Write (or append to) a per-step metrics CSV; floats use repr so the
-    file parses back bit-identically."""
-    path = Path(path)
-    fresh = not (append and path.exists())
-    with path.open("a" if append else "w", newline="") as handle:
+def write_step_metrics(path, rows: list[StepMetrics]) -> None:
+    """Write a per-step metrics CSV; floats use repr so the file parses back
+    bit-identically."""
+    with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
-        if fresh:
-            writer.writerow(STEP_CSV_HEADER)
+        writer.writerow(STEP_CSV_HEADER)
         for r in rows:
             writer.writerow([r.step, repr(r.j_c), repr(r.j_theta_teacher),
                              repr(r.j_theta_master), repr(r.j_s), repr(r.lambda2),

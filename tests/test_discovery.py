@@ -5,12 +5,17 @@ deliberately dumb (python loops, no shared helpers) so they can only agree
 with the library by computing the same thing.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import snowball.network as net
 from snowball.discovery import (
+    NEAREST_BLOCK,
     DiscoveryReport,
+    _nearest_center,
     assign_pseudo_labels,
     compute_class_centers,
     fuse_distances,
@@ -141,7 +146,7 @@ def report_from_distances(dists, ids=None):
     ids = np.arange(n) if ids is None else np.asarray(ids)
     order = np.lexsort((ids, dists))
     return DiscoveryReport(
-        sample_ids=ids[order], inputs=np.zeros((n, 1)), features=np.zeros((n, 1)),
+        sample_ids=ids[order], inputs=np.zeros((n, 1)),
         labels=np.zeros(n, dtype=int), distances=dists[order],
         selected=np.zeros(n, dtype=bool))
 
@@ -189,7 +194,7 @@ class TestBalancedSelection:
         # 6 rows, labels alternate 0/1, distances ascending
         n = 6
         return DiscoveryReport(
-            sample_ids=np.arange(n), inputs=np.zeros((n, 1)), features=np.zeros((n, 1)),
+            sample_ids=np.arange(n), inputs=np.zeros((n, 1)),
             labels=np.array([0, 0, 0, 0, 1, 1]), distances=np.arange(n, dtype=float),
             selected=np.zeros(n, dtype=bool))
 
@@ -208,7 +213,6 @@ class TestBalancedSelection:
             n = int(rng.integers(3, 40))
             rep = DiscoveryReport(
                 sample_ids=np.arange(n), inputs=np.zeros((n, 1)),
-                features=np.zeros((n, 1)),
                 labels=rng.integers(0, 3, size=n), distances=np.sort(rng.uniform(size=n)),
                 selected=np.zeros(n, dtype=bool))
             want = int(rng.integers(1, n + 2))
@@ -342,6 +346,69 @@ class TestFusion:
             fuse_distances(models[:2], pool_x, ids, train_x, train_y, "single", 2)
         with pytest.raises(ConfigError):
             fuse_distances(models[:1], pool_x, ids, train_x, train_y, "stacking", 2)
+
+
+class TestBoundedMemory:
+    """Discovery's memory is linear in the pool, not pool x classes x features."""
+
+    POOL = 9_600
+
+    def make_pool(self):
+        rng = np.random.default_rng(0)
+        models = [init_params((2, 32, 32, 4), seed=s) for s in range(3)]
+        train_x = rng.normal(size=(40, 2))
+        train_y = np.arange(40) % 4
+        pool_x = rng.normal(size=(self.POOL, 2))
+        return models, pool_x, np.arange(self.POOL), train_x, train_y
+
+    @staticmethod
+    def peak_mb(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_blocks_equal_the_unblocked_broadcast(self):
+        n = 2 * NEAREST_BLOCK + 3  # the last block is 3 rows
+        centers = np.array([[-1.0, 0, 0, 0, 0], [5, 5, 5, 5, 5], [5, 5, 5, 5, 5],
+                            [1, 0, 0, 0, 0]])
+        feats = np.random.default_rng(1).normal(size=(n, 5))
+        feats[1::2] += 5  # near the identical centers 1 and 2: ties go to 1
+        feats[::6, 0] = 0  # equidistant from centers 0 and 3: ties go to 0
+        dists = np.linalg.norm(feats[:, None, :] - centers[None, :, :], axis=2)
+        want_labels = np.argmin(dists, axis=1)
+        labels, got = _nearest_center(feats, centers)
+        assert np.array_equal(labels, want_labels)
+        assert got.tobytes() == dists[np.arange(n), want_labels].tobytes()
+        assert np.all(labels[1::2] == 1)
+        assert np.array_equal(dists[::6, 0], dists[::6, 3]) and np.all(labels[::6] == 0)
+
+    def test_feature_cascade_peak_is_bounded(self):
+        # one model's forward trace over the pool is ~10 MB; an unblocked
+        # (pool, 4, 96) difference array and its square would add 59 MB
+        models, pool_x, ids, train_x, train_y = self.make_pool()
+        peak = self.peak_mb(lambda: fuse_distances(models, pool_x, ids, train_x, train_y,
+                                                   "feature_cascade", 4))
+        assert peak < 25.0
+
+    def test_single_model_peak_is_bounded(self):
+        models, pool_x, ids, train_x, train_y = self.make_pool()
+        peak = self.peak_mb(lambda: assign_pseudo_labels(models[0], pool_x, ids,
+                                                         train_x, train_y, 4))
+        assert peak < 16.0
+
+    @pytest.mark.parametrize("fusion", ["single", "average_distance", "feature_cascade",
+                                        "average_sorting_score"])
+    def test_report_holds_no_feature_array(self, fusion):
+        models, pool_x, ids, train_x, train_y = self.make_pool()
+        models = models[:1] if fusion == "single" else models
+        rep = fuse_distances(models, pool_x[:50], ids[:50], train_x, train_y, fusion, 4)
+        shapes = [getattr(rep, f.name).shape for f in dataclasses.fields(rep)
+                  if isinstance(getattr(rep, f.name), np.ndarray)]
+        assert (50, 2) in shapes  # the input rows
+        assert all(shape in ((50,), (50, 2)) for shape in shapes), shapes
 
 
 class TestNoiseRate:

@@ -268,6 +268,19 @@ class TestExitCodes:
 
 
 class TestCliBehaviour:
+    def test_refinement_overflow_names_the_update_that_made_the_weights(self, tmp_path,
+                                                                         capsys):
+        # refine step 0's update leaves finite weights whose forward pass
+        # overflows at step 1; like training, the divergence is step 0's
+        argv = ["train", "--algo", "snowball", "--dataset", "two-moons",
+                "--labels-per-class", "2", "--seed", "0", "--out-dir", str(tmp_path),
+                "--set", "steps=0", "--set", "master_refine_steps=5",
+                "--set", "learning_rate=1e200", "--set", "generations=1",
+                "--set", "iterations=1"]
+        assert cli_run(argv) == 3
+        err = capsys.readouterr().err
+        assert "generation 1, iteration 1, refine step 0" in err, err
+
     def test_set_overrides_config_file(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("steps = 40\nramp_len = 20\ngenerations = 1\n"
