@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +28,11 @@ from .data import (DatasetSplit, gen_gaussian_blobs, gen_rings, gen_two_moons,
 from .discovery import write_report_csv
 from .errors import (AggregationError, ConfigError, DataError, DiscoveryError,
                      DivergenceError, NumericsError, OrchestrationError,
-                     SnowballError)
+                     SnowballError, decoding)
 from .orchestrator import ALGOS, output_role, run_algorithm
 from .records import (IterationRow, RunRecord, read_manifest, rows_equal,
                       write_manifest)
-from .training import ExperimentConfig, write_step_metrics
+from .training import ExperimentConfig, require_finite, write_step_metrics
 
 OUT_DIR_ENV = "SNOWBALL_OUT_DIR"
 DATASETS = ("two-moons", "blobs", "rings", "csv")
@@ -59,6 +59,7 @@ class DataSpec:
             raise ConfigError(f"unknown dataset {self.dataset!r}, expected one of {DATASETS}")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigError("dataset 'csv' needs csv_path")
+        require_finite(self)
 
 
 def benchmark_two_moons() -> tuple[ExperimentConfig, DataSpec]:
@@ -141,7 +142,9 @@ def parse_config_file(path) -> dict[str, str]:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     flat: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    with decoding(path, ConfigError):
+        text = path.read_text()
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -338,7 +341,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from dataclasses import replace
     config, spec = build_configs(_flat_from_args(args))
     seeds = parse_seeds(args.seeds)
     if not seeds:
@@ -380,7 +382,6 @@ def _cmd_ablate_selection(args) -> int:
     """Compare selection strategies: error when training on the selected
     samples with their true labels, next to the pseudo-label noise each
     strategy would have introduced."""
-    from dataclasses import replace
     config, spec = build_configs(_flat_from_args(args))
     out_root = _out_root(args)
     print(f"{'strategy':<10} {'err (true labels)':>18} {'sample noise rate':>18}")
@@ -395,7 +396,6 @@ def _cmd_ablate_selection(args) -> int:
 
 def _cmd_ablate_fusion(args) -> int:
     """Compare distance fusion methods by their final pseudo-label noise."""
-    from dataclasses import replace
     config, spec = build_configs(_flat_from_args(args))
     out_root = _out_root(args)
     print(f"{'fusion':<22} {'noise rate':>12} {'test err':>10}")

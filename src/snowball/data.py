@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, decoding
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def load_csv(path, class_count: int | None = None) -> RawDataset:
         handle = path.open(newline="")
     except OSError as err:
         raise DataError(f"{path}: {err.strerror or err}") from None
-    with handle:
+    with handle, decoding(path):
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not row or all(not cell.strip() for cell in row):
                 raise DataError(f"{path}: line {lineno}: empty row")
@@ -235,11 +235,10 @@ def load_csv(path, class_count: int | None = None) -> RawDataset:
             if label_raw != int(label_raw):
                 raise DataError(f"{path}: line {lineno}: label {row[-1].strip()!r} is not an integer")
             label = int(label_raw)
-            if label < 0 or (class_count is not None and label >= class_count):
-                raise DataError(
-                    f"{path}: line {lineno}: label {label} outside [0, {class_count})"
-                    if class_count is not None else
-                    f"{path}: line {lineno}: label {label} is negative")
+            # an inferred class count, max label + 1, must fit a 64-bit integer
+            limit = class_count if class_count is not None else np.iinfo(np.int64).max
+            if not 0 <= label < limit:
+                raise DataError(f"{path}: line {lineno}: label {label} outside [0, {limit})")
             rows.append(values)
             labels.append(label)
     if not rows:

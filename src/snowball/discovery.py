@@ -66,16 +66,13 @@ class DiscoveryReport:
     def ranks(self) -> np.ndarray:
         return np.arange(len(self.sample_ids))
 
-    def selected_ids(self) -> np.ndarray:
-        return self.sample_ids[self.selected]
-
 
 def compute_class_centers(model: ModelParams, x: np.ndarray, y: np.ndarray,
                           class_count: int | None = None) -> np.ndarray:
     """Per-class mean feature vectors over a labelled set."""
     class_count = model.class_count if class_count is None else class_count
     y = np.asarray(y, dtype=int)
-    feats = net.forward_batch(model, x).features
+    feats = net.forward(model, x).features
     centers = np.empty((class_count, feats.shape[1]))
     for c in range(class_count):
         mask = y == c
@@ -99,7 +96,7 @@ def _nearest_center(feats: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray,
 def _model_nearest(model, pool_x, train_x, train_y, class_count):
     """Labels and distances of a pool by one model's nearest class center."""
     centers = compute_class_centers(model, train_x, train_y, class_count)
-    return _nearest_center(net.forward_batch(model, pool_x).features, centers)
+    return _nearest_center(net.forward(model, pool_x).features, centers)
 
 
 def _rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -159,7 +156,7 @@ def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.n
         # the center of concatenated features is the concatenation of centers
         centers = np.concatenate([compute_class_centers(m, train_x, train_y, class_count)
                                   for m in models], axis=1)
-        feats = np.concatenate([net.forward_batch(m, pool_x).features for m in models], axis=1)
+        feats = np.concatenate([net.forward(m, pool_x).features for m in models], axis=1)
         labels, dists = _nearest_center(feats, centers)
         return _build_report(pool_ids, pool_x, labels, dists, fusion)
     per_labels, per_dists = zip(*(_model_nearest(m, pool_x, train_x, train_y, class_count)

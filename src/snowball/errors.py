@@ -6,6 +6,8 @@ exit with 1, data problems with 2, numerical failures with 3.
 
 from __future__ import annotations
 
+import contextlib
+
 
 class SnowballError(Exception):
     """Base class for every error raised by this package."""
@@ -48,3 +50,12 @@ class DivergenceError(SnowballError):
 
 class AggregationError(SnowballError):
     """Run records cannot be aggregated (mismatched configs or grids)."""
+
+
+@contextlib.contextmanager
+def decoding(path, error: type[SnowballError] = DataError):
+    """Raise ``error`` naming path for text inside that is not valid UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: {err}") from None

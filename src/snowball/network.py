@@ -8,9 +8,11 @@ is one array operation on the buffer, which is what makes weight averaging
 (and therefore the whole teacher/master machinery) a one-liner, and a
 checkpoint is the buffer's bytes behind a short header.
 The forward pass exposes the activations entering the final linear layer as
-the sample's feature vector and keeps the trace backpropagation needs, so a
-gradient costs one forward pass; gradients are exact and are checked against
-central finite differences in the test suite.
+the sample's feature vector. `forward_batch` keeps the trace backpropagation
+needs, so a gradient costs one forward pass; `forward`, for the guide passes,
+evaluation and discovery, keeps only features and logits. Both run the same
+layer loop. Gradients are exact and are checked against central finite
+differences in the test suite.
 """
 
 from __future__ import annotations
@@ -156,31 +158,18 @@ class ModelParams:
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.buffer).all())
 
-    def num_params(self) -> int:
-        return self.buffer.size
-
-
-@dataclass(frozen=True)
-class ForwardOutput:
-    """Result of a single-sample forward pass."""
-
-    features: np.ndarray  # activations entering the final linear layer
-    logits: np.ndarray
-    probs: np.ndarray
-
 
 @dataclass(frozen=True)
 class BatchForward:
-    """Batched forward pass (rows are samples) with the trace that
-    `grad_from_dlogits` backpropagates through.
+    """A forward pass over a batch (rows are samples).
 
-    ``activations[0]`` is the input and ``activations[-1]`` the logits;
-    ``pre_activations[i]`` is layer i's affine output. The softmax is only
-    computed when ``probs`` is first read.
+    ``activations`` ends with the logits. `forward_batch` keeps every layer's,
+    from the input on: the trace that `grad_from_dlogits` backpropagates
+    through. `forward` keeps only the last two, features and logits. The
+    softmax is only computed when ``probs`` is first read.
     """
 
     activations: tuple[np.ndarray, ...]
-    pre_activations: tuple[np.ndarray, ...]
 
     @property
     def features(self) -> np.ndarray:  # (n, feature_dim)
@@ -215,42 +204,35 @@ def init_params(layer_dims, activation: str = "relu", seed=0) -> ModelParams:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis."""
-    z = logits - np.max(logits, axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+    """The activation of z, written over z."""
+    return np.maximum(z, 0.0, out=z) if kind == "relu" else np.tanh(z, out=z)
 
 
-def _activation_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(z.dtype)
-    return 1.0 - a * a
+def _activation_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    # read off the output a; relu's bool mask a > 0 is z > 0 for every finite z
+    return a > 0.0 if kind == "relu" else 1.0 - a * a
 
 
-def _forward_trace(params: ModelParams, x: np.ndarray):
-    """Run the forward pass keeping every intermediate needed for backprop.
-
-    Returns (activations, pre_activations) where activations[0] is the input
-    and activations[-1] the logits. Raises NumericsError on the first layer
-    that produces a non-finite value.
-    """
-    a = x
-    acts = [a]
-    pres = []
+def _run_layers(params: ModelParams, x: np.ndarray, keep_trace: bool) -> BatchForward:
+    """The layer loop of both forward passes; without keep_trace only the last
+    two activations are kept. Raises NumericsError at the first non-finite layer."""
+    acts = [x]
     last = len(params.layer_dims) - 2
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
+        z = acts[-1] @ w
+        z += b  # in place: no pass keeps z once the activation is applied
         if not np.isfinite(z).all():
             raise NumericsError(f"non-finite values in forward pass at layer {i}", layer=i)
-        pres.append(z)
-        a = z if i == last else _apply_activation(z, params.activation)
-        acts.append(a)
-    return tuple(acts), tuple(pres)
+        if not keep_trace:
+            del acts[:-1]
+        acts.append(z if i == last else _apply_activation(z, params.activation))
+    return BatchForward(tuple(acts))
 
 
 def _as_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -262,26 +244,29 @@ def _as_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward(params: ModelParams, x: np.ndarray) -> ForwardOutput:
-    """Evaluate one sample: features, logits and softmax probabilities."""
-    batch = forward_batch(params, _as_batch(params, x))
-    return ForwardOutput(batch.features[0], batch.logits[0], batch.probs[0])
+def forward(params: ModelParams, x: np.ndarray) -> BatchForward:
+    """Features, logits and probs of a batch (or of one sample, as one row),
+    without the trace: for callers that run no backward pass."""
+    return _run_layers(params, _as_batch(params, x), keep_trace=False)
 
 
 def forward_batch(params: ModelParams, x: np.ndarray) -> BatchForward:
-    return BatchForward(*_forward_trace(params, _as_batch(params, x)))
+    """Forward pass keeping the trace `grad_from_dlogits` needs."""
+    return _run_layers(params, _as_batch(params, x), keep_trace=True)
 
 
 def predict_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Argmax class per sample; ties resolve to the lowest class index."""
-    return np.argmax(forward_batch(params, x).logits, axis=1)
+    return forward(params, x).logits.argmax(axis=1)
 
 
 def error_rate(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of samples whose argmax prediction disagrees with y."""
-    if len(np.asarray(y)) == 0:
+    y = np.asarray(y)
+    if len(y) == 0:
         raise DataError("cannot compute an error rate on an empty set")
-    return float(np.mean(predict_labels(params, x) != np.asarray(y)))
+    wrong = predict_labels(params, x) != y
+    return float(wrong.sum() / wrong.size)  # np.mean's sum and division
 
 
 def batch_loss(params: ModelParams, x: np.ndarray, targets: np.ndarray,
@@ -291,24 +276,26 @@ def batch_loss(params: ModelParams, x: np.ndarray, targets: np.ndarray,
     loss = (1/n) * sum_i w_i * CE(targets[i], softmax(f(x[i]))); the value
     function that `grad` differentiates.
     """
-    probs = forward_batch(params, x).probs
+    probs = forward(params, x).probs
     ce = -np.sum(targets * np.log(np.maximum(probs, EPS_LOG)), axis=1)
     if weights is not None:
         ce = ce * weights
     return float(np.mean(ce))
 
 
-def grad_from_dlogits(params: ModelParams, forward: BatchForward,
+def grad_from_dlogits(params: ModelParams, trace: BatchForward,
                       dlogits: np.ndarray) -> ModelParams:
     """Backpropagate a given gradient w.r.t. the logits down to every parameter.
 
-    ``forward`` must be ``forward_batch(params, x)`` for the batch the
-    gradient belongs to; its trace is reused, not recomputed. This is the
+    ``trace`` must be ``forward_batch(params, x)`` for the batch the
+    gradient belongs to; it is reused, not recomputed. This is the
     workhorse the training losses share: each loss term reduces to a
     per-sample gradient at the logits, and the rest of the chain rule is
     identical. Returns a gradient with ModelParams shape.
     """
-    acts, pres = forward.activations, forward.pre_activations
+    acts = trace.activations
+    if len(acts) != len(params.layer_dims):
+        raise ConfigError("backpropagation needs the trace of forward_batch")
     delta = np.asarray(dlogits, dtype=float)
     if delta.shape != acts[-1].shape:
         raise ConfigError(f"dlogits shape {delta.shape} does not match logits {acts[-1].shape}")
@@ -319,8 +306,7 @@ def grad_from_dlogits(params: ModelParams, forward: BatchForward,
         out[ws] = (acts[i].T @ delta).ravel()
         out[bs] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ params.weights[i].T) * \
-                _activation_grad(pres[i - 1], acts[i], params.activation)
+            delta = (delta @ params.weights[i].T) * _activation_grad(acts[i], params.activation)
     return params._derive(out)
 
 

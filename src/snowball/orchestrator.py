@@ -73,12 +73,6 @@ class TrainingSet:
             np.concatenate([self.prov_iteration, np.full(n, iteration)]),
             generation, iteration)
 
-    def original_count(self) -> int:
-        return int(np.sum(self.prov_generation == 0))
-
-    def discovered_count(self) -> int:
-        return len(self) - self.original_count()
-
 
 def _effective(config: ExperimentConfig, algo: str) -> ExperimentConfig:
     """Coerce a config to the loop an algorithm actually runs (idempotent)."""
@@ -119,8 +113,9 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     n_selected = int(report.selected.sum())
     if len(report) == 0 or n_selected == 0:
         raise OrchestrationError("cannot build a master from an empty discovery report")
-    n_extra = int(np.ceil(config.master_extra_fraction * n_selected))
     unselected = np.flatnonzero(~report.selected)  # already in rank order
+    # clamped before int(): the slice caps there anyway, and a huge product overflows
+    n_extra = int(min(np.ceil(config.master_extra_fraction * n_selected), len(unselected)))
     extra_rows = unselected[:n_extra]
     extra_x = report.inputs[extra_rows]
     if label_override is not None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .discovery import DiscoveryReport
-from .errors import DataError
+from .errors import DataError, decoding
 from .network import ModelParams
 from .training import StepMetrics
 
@@ -119,7 +119,8 @@ def read_manifest(path) -> tuple[dict[str, str], list[IterationRow]]:
     """Parse a manifest back into (raw config strings, metric rows)."""
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        with decoding(path):
+            lines = path.read_text().splitlines()
     except OSError as err:
         raise DataError(f"{path}: {err.strerror or err}") from None
     if not lines or lines[0] != MANIFEST_MAGIC:

@@ -16,6 +16,7 @@ sigmoid ramp so early, unreliable guidance carries little weight.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import network as net
 from .data import augment
 from .discovery import FUSIONS, STRATEGIES
-from .errors import ConfigError, DataError, DivergenceError, NumericsError
+from .errors import ConfigError, DataError, DivergenceError, NumericsError, decoding
 from .network import ACTIVATIONS, EPS_LOG, ModelParams, MomentumState
 
 CONSISTENCY_KINDS = ("ce", "mse")
@@ -65,8 +66,9 @@ class EmaState:
 
 def ema_update(state: EmaState, source: ModelParams) -> EmaState:
     """averaged <- decay * averaged + (1 - decay) * source."""
-    averaged = state.decay * state.averaged + (1.0 - state.decay) * source
-    return EmaState(state.decay, averaged)
+    old, decay = state.averaged, state.decay  # the model arithmetic, on the buffers
+    buffer = decay * old.buffer + (1.0 - decay) * old._other_buffer(source)
+    return EmaState(decay, old._derive(buffer))
 
 
 def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
@@ -76,21 +78,15 @@ def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
     return out
 
 
-def cross_entropy(target: np.ndarray, pred: np.ndarray) -> float:
-    """-sum target_i * log(max(pred_i, 1e-12)) for two probability vectors."""
-    target = np.asarray(target, dtype=float)
-    pred = np.asarray(pred, dtype=float)
-    if target.shape != pred.shape:
-        raise ConfigError(f"distribution shapes differ: {target.shape} vs {pred.shape}")
-    return float(-np.sum(target * np.log(np.maximum(pred, EPS_LOG))))
-
-
-def _mean_ce(targets: np.ndarray, probs: np.ndarray) -> float:
-    return float(np.mean(-np.sum(targets * np.log(np.maximum(probs, EPS_LOG)), axis=1)))
+# The row means below are x.sum() / len(x): np.mean's reduction and division.
+def _mean_ce(targets: np.ndarray, log_probs: np.ndarray) -> float:
+    ce = -(targets * log_probs).sum(axis=1)
+    return float(ce.sum() / len(ce))
 
 
 def _mean_mse(targets: np.ndarray, probs: np.ndarray) -> float:
-    return float(np.mean(np.sum((probs - targets) ** 2, axis=1) / probs.shape[1]))
+    se = ((probs - targets) ** 2).sum(axis=1) / probs.shape[1]
+    return float(se.sum() / len(se))
 
 
 def student_loss(student: ModelParams, teacher: ModelParams,
@@ -121,31 +117,36 @@ def _objective(student: ModelParams, teacher: ModelParams, master: ModelParams |
                want_grad: bool) -> tuple[LossBreakdown, ModelParams | None]:
     """Loss breakdown and (optionally) its gradient in one backward pass.
 
-    All loss terms share the student's forward pass on student_view, so the
-    combined gradient is a single backpropagation of the summed per-logit
-    gradients through that pass's trace. Guides are evaluated on guide_view
-    and treated as constants.
+    All loss terms share the student's traced forward pass on student_view,
+    so the combined gradient is a single backpropagation of the summed
+    per-logit gradients through that trace, and every cross-entropy term
+    reads one log of the student's probabilities: classification over the
+    labelled rows, the ce consistency terms over all rows. Guides are treated
+    as constants, so their passes on guide_view keep no trace.
     """
     if kind not in CONSISTENCY_KINDS:
         raise ConfigError(f"unknown consistency kind {kind!r}")
     n, class_count = len(y), student.class_count
     out = net.forward_batch(student, student_view)
     p_s = out.probs
+    log_p_s = np.log(np.maximum(p_s, EPS_LOG))
     labeled = y >= 0
     n_lab = int(labeled.sum())
 
     if n_lab:
         targets = one_hot(y[labeled], class_count)
-        j_class = _mean_ce(targets, p_s[labeled])
+        j_class = _mean_ce(targets, log_p_s[labeled])
     else:
         j_class = 0.0
-    p_t = net.forward_batch(teacher, guide_view).probs
-    p_m = net.forward_batch(master, guide_view).probs if master is not None else None
-    # each kind's mean loss and its per-row gradient at the student's logits
-    # (for cross-entropy against a fixed target that is p_s - p_g)
-    loss, dloss = (_mean_ce, np.subtract) if kind == "ce" else (_mean_mse, _mse_dlogits)
-    j_teacher = loss(p_t, p_s)
-    j_master = master_weight * loss(p_m, p_s) if p_m is not None else 0.0
+    p_t = net.forward(teacher, guide_view).probs
+    p_m = net.forward(master, guide_view).probs if master is not None else None
+    # each kind's mean loss, what it reads of the student, and its per-row
+    # gradient at the student's logits (for cross-entropy against a fixed
+    # target that is p_s - p_g)
+    loss, student_side, dloss = ((_mean_ce, log_p_s, np.subtract) if kind == "ce"
+                                 else (_mean_mse, p_s, _mse_dlogits))
+    j_teacher = loss(p_t, student_side)
+    j_master = master_weight * loss(p_m, student_side) if p_m is not None else 0.0
     breakdown = LossBreakdown.combine(j_class, j_teacher, j_master, lambda1, lambda2)
     if not want_grad:
         return breakdown, None
@@ -162,7 +163,7 @@ def _objective(student: ModelParams, teacher: ModelParams, master: ModelParams |
 def _mse_dlogits(p_s: np.ndarray, p_g: np.ndarray) -> np.ndarray:
     # d/dz of (1/C)*||softmax(z) - p_g||^2 through the softmax Jacobian
     d = 2.0 * (p_s - p_g) / p_s.shape[1]
-    return p_s * (d - np.sum(d * p_s, axis=1, keepdims=True))
+    return p_s * (d - (d * p_s).sum(axis=1, keepdims=True))
 
 
 def lambda2_schedule(step: int, ramp_len: int, lambda2_max: float) -> float:
@@ -171,6 +172,13 @@ def lambda2_schedule(step: int, ramp_len: int, lambda2_max: float) -> float:
     tau = 1.0 if ramp_len <= 0 else min(1.0, step / ramp_len)
     floor = np.exp(-5.0)
     return lambda2_max * float((np.exp(-5.0 * (1.0 - tau) ** 2) - floor) / (1.0 - floor))
+
+
+def require_finite(config) -> None:
+    """ConfigError naming the first float field of a config that is nan or infinite."""
+    for key, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config key {key!r} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -211,6 +219,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        require_finite(self)
         if self.generations < 1 or self.iterations < 1:
             raise ConfigError("generations and iterations must be >= 1")
         if self.discovery_schedule:
@@ -312,7 +321,7 @@ def _cell(value: float | None) -> str:
 def read_step_metrics(path) -> list[StepMetrics]:
     """Parse a per-step metrics CSV; an empty error cell reads back as None.
     A short or unparsable row raises DataError naming the file and line."""
-    with Path(path).open(newline="") as handle:
+    with decoding(path), Path(path).open(newline="") as handle:
         reader = csv.reader(handle)
         header = tuple(next(reader, ()))
         if header != STEP_CSV_HEADER:
@@ -397,7 +406,7 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
         student, momentum = net.sgd_step(student, gradient, cfg.learning_rate, momentum,
                                          l2=cfg.l2)
 
-        if not np.isfinite(breakdown.total) or not student.all_finite():
+        if not math.isfinite(breakdown.total) or not student.all_finite():
             raise _diverged(step)
         train_err = test_err = None
         if (step + 1) % EVAL_EVERY == 0 or step == cfg.steps - 1:

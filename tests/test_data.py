@@ -168,6 +168,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 2"):
             load_csv(self.write(tmp_path, "0,1,0\n1,1\n"))
 
+    @pytest.mark.parametrize("label", ["-1", "1e19"])
+    def test_label_outside_the_inferable_range(self, tmp_path, label):
+        with pytest.raises(DataError, match="line 2: label .* outside"):
+            load_csv(self.write(tmp_path, f"0,1,0\n1,0,{label}\n"))
+
     def test_inferred_class_count(self, tmp_path):
         raw = load_csv(self.write(tmp_path, "0,1,0\n1,0,4\n"))
         assert raw.class_count == 5
@@ -181,3 +186,9 @@ class TestLoadCsv:
     def test_non_finite_label(self, tmp_path, value):
         with pytest.raises(DataError, match="line 2: non-finite label"):
             load_csv(self.write(tmp_path, f"0,1,0\n1,1,{value}\n"))
+
+    def test_non_utf8_bytes_are_data_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"0,1,0\n1,1\xff,1\n")
+        with pytest.raises(DataError, match=r"data\.csv: .*can't decode byte 0xff"):
+            load_csv(path)

@@ -36,7 +36,7 @@ def feature_identity_net(dim=2, classes=2):
 
 
 def brute_force_centers(model, x, y, class_count):
-    feats = [net.forward(model, row).features for row in x]
+    feats = [net.forward_batch(model, row).features[0] for row in x]
     out = []
     for c in range(class_count):
         rows = [f for f, label in zip(feats, y) if label == c]
@@ -47,7 +47,7 @@ def brute_force_centers(model, x, y, class_count):
 def brute_force_assign(model, pool_x, centers):
     labels, dists = [], []
     for row in pool_x:
-        f = net.forward(model, row).features
+        f = net.forward_batch(model, row).features[0]
         best_c, best_d = None, None
         for c, center in enumerate(centers):
             d = float(np.sqrt(np.sum((f - center) ** 2)))
@@ -154,11 +154,11 @@ def report_from_distances(dists, ids=None):
 class TestSelection:
     def test_min_takes_smallest(self):
         rep = select_samples(report_from_distances([1.0, 5.0, 3.0]), 2, "min")
-        assert sorted(rep.selected_ids()) == [0, 2]
+        assert sorted(rep.sample_ids[rep.selected]) == [0, 2]
 
     def test_max_takes_largest(self):
         rep = select_samples(report_from_distances([1.0, 5.0, 3.0]), 2, "max")
-        assert sorted(rep.selected_ids()) == [1, 2]
+        assert sorted(rep.sample_ids[rep.selected]) == [1, 2]
 
     def test_random_deterministic_under_seed(self):
         base = report_from_distances(np.arange(30, dtype=float))
@@ -201,7 +201,7 @@ class TestBalancedSelection:
     def test_quota_split(self):
         rep = select_balanced(self.make_report(), 4, 2, "min")
         # 2 per class: class 0 -> rows 0,1; class 1 -> rows 4,5
-        assert sorted(rep.selected_ids()) == [0, 1, 4, 5]
+        assert sorted(rep.sample_ids[rep.selected]) == [0, 1, 4, 5]
 
     def test_backfill_when_class_exhausted(self):
         rep = select_balanced(self.make_report(), 6, 2, "min")
@@ -242,7 +242,8 @@ class TestFusion:
         for fusion in ("average_distance", "feature_cascade", "average_sorting_score"):
             rep = fuse_distances(models, pool_x, ids, train_x, train_y, fusion, 2)
             rep = select_samples(rep, 10, "min")
-            assert sorted(rep.selected_ids()) == sorted(single.selected_ids()), fusion
+            assert sorted(rep.sample_ids[rep.selected]) == \
+                sorted(single.sample_ids[single.selected]), fusion
             assert np.array_equal(rep.labels, single.labels), fusion
 
     def test_average_distance_tie_by_id(self):
@@ -289,7 +290,7 @@ class TestFusion:
         # brute force in the concatenated space
         def cat_features(x_rows):
             return np.array([
-                np.concatenate([net.forward(m, row).features for m in models])
+                np.concatenate([net.forward_batch(m, row).features[0] for m in models])
                 for row in x_rows])
         feats = cat_features(pool_x)
         train_feats = cat_features(train_x)

@@ -59,6 +59,11 @@ class TestCoercion:
         with pytest.raises(ConfigError, match="unknown config key"):
             build_configs({"stepz": "40"})
 
+    @pytest.mark.parametrize("key", ["data_noise", "separation", "test_fraction"])
+    def test_non_finite_data_value(self, key):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be finite"):
+            build_configs({key: "inf"})
+
     def test_non_string_values_pass_through(self):
         cfg, _ = build_configs({"steps": 40, "sigma_aug": 0.2})
         assert cfg.steps == 40
@@ -81,6 +86,12 @@ class TestConfigFile:
         path = tmp_path / "run.conf"
         path.write_text("steps = 40\njust words\n")
         with pytest.raises(ConfigError, match="line 2"):
+            parse_config_file(path)
+
+    def test_non_utf8_bytes_are_config_error(self, tmp_path):
+        path = tmp_path / "bad.conf"
+        path.write_bytes(b"steps = 5\xff\n")
+        with pytest.raises(ConfigError, match=r"bad\.conf: .*can't decode byte 0xff"):
             parse_config_file(path)
 
 
@@ -222,6 +233,35 @@ class TestExitCodes:
             raise OrchestrationError("bad schedule")
         monkeypatch.setattr("snowball.cli.run_algorithm", boom)
         assert cli_run(fast_args(tmp_path)) == 1
+
+    def test_non_utf8_config_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.conf"
+        path.write_bytes(b"steps = 5\xff\n")
+        assert cli_run(["train", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.conf" in err and err.count("\n") == 1
+
+    def test_non_utf8_manifest_exits_2(self, tmp_path, capsys):
+        assert cli_run(fast_args(tmp_path)) == 0
+        manifest = tmp_path / "supervised-two-moons-seed0" / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes() + b"\xff\n")
+        capsys.readouterr()
+        assert cli_run(["report", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "manifest.txt" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("pair", ["l2=nan", "master_extra_fraction=inf",
+                                      "master_extra_fraction=nan", "learning_rate=nan"])
+    def test_non_finite_config_value_exits_1(self, tmp_path, capsys, pair):
+        assert cli_run(fast_args(tmp_path, "--set", pair, algo="snowball")) == 1
+        err = capsys.readouterr().err
+        key = pair.split("=")[0]
+        assert err == f"error: config key {key!r} must be finite, got {pair.split('=')[1]}\n"
+
+    def test_huge_finite_master_extra_fraction_runs(self, tmp_path):
+        # ceil(1e308 * N) overflows int(); the extra rows stop at the pool's end
+        argv = fast_args(tmp_path, "--set", "master_extra_fraction=1e308", algo="snowball")
+        assert cli_run(argv) == 0
 
     def test_report_missing_manifest_is_data_error(self, tmp_path):
         assert cli_run(["report", str(tmp_path / "absent.txt")]) == 2

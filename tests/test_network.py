@@ -1,6 +1,7 @@
 """Forward pass, gradient, optimizer, and checkpoint behaviour."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from snowball.network import (
     forward,
     forward_batch,
     grad,
+    grad_from_dlogits,
     init_params,
     load_checkpoint,
     params_equal,
@@ -40,15 +42,15 @@ class TestForward:
             weights=(np.zeros((4, 3)),),
             biases=(np.zeros(3),),
         )
-        out = forward(p, np.array([1.0, -2.0, 0.5, 3.0]))
-        np.testing.assert_allclose(out.probs, np.full(3, 1 / 3), atol=1e-15)
+        out = forward_batch(p, np.array([1.0, -2.0, 0.5, 3.0]))
+        np.testing.assert_allclose(out.probs[0], np.full(3, 1 / 3), atol=1e-15)
 
     def test_identity_linear_logits(self):
         # one linear layer mapping input straight to logits (1, 0)
         p = ModelParams(weights=(np.eye(2),), biases=(np.zeros(2),))
-        out = forward(p, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(out.probs, [0.7311, 0.2689], atol=1e-4)
-        np.testing.assert_allclose(out.probs.sum(), 1.0, atol=1e-15)
+        out = forward_batch(p, np.array([1.0, 0.0]))
+        np.testing.assert_allclose(out.probs[0], [0.7311, 0.2689], atol=1e-4)
+        np.testing.assert_allclose(out.probs[0].sum(), 1.0, atol=1e-15)
 
     def test_softmax_shift_invariance(self):
         logits = np.array([0.3, -1.2, 2.0])
@@ -61,9 +63,9 @@ class TestForward:
 
     def test_features_are_penultimate_activations(self):
         p = tiny_net((2, 5, 3))
-        out = forward(p, np.array([0.3, -0.7]))
-        assert out.features.shape == (5,)
-        assert out.logits.shape == (3,)
+        out = forward_batch(p, np.array([0.3, -0.7]))
+        assert out.features.shape == (1, 5)
+        assert out.logits.shape == (1, 3)
         # relu features are non-negative by construction
         assert np.all(out.features >= 0)
 
@@ -72,14 +74,14 @@ class TestForward:
         x = np.random.default_rng(1).normal(size=(6, 3))
         batched = forward_batch(p, x)
         for i in range(6):
-            single = forward(p, x[i])
-            np.testing.assert_allclose(batched.probs[i], single.probs, atol=1e-14)
-            np.testing.assert_allclose(batched.features[i], single.features, atol=1e-14)
+            single = forward_batch(p, x[i])
+            np.testing.assert_allclose(batched.probs[i], single.probs[0], atol=1e-14)
+            np.testing.assert_allclose(batched.features[i], single.features[0], atol=1e-14)
 
     def test_nonfinite_input_raises_with_layer(self):
         p = tiny_net()
         with pytest.raises(NumericsError) as exc:
-            forward(p, np.array([np.nan, 0.0]))
+            forward_batch(p, np.array([np.nan, 0.0]))
         assert exc.value.layer is not None
 
     def test_init_is_deterministic(self):
@@ -168,6 +170,92 @@ class TestGradient:
         lw = batch_loss(p, x, t, weights=w)
         l0 = batch_loss(p, x[:1], t[:1])
         assert lw == pytest.approx(l0, abs=1e-12)
+
+
+def probs_net(probs):
+    """A one-layer net whose softmax output is ``probs`` for every input."""
+    probs = np.asarray(probs, dtype=float)
+    return ModelParams(weights=(np.zeros((1, len(probs))),), biases=(np.log(probs),))
+
+
+class TestBatchLossValue:
+    """batch_loss is the mean of -sum target * log(max(probs, 1e-12))."""
+
+    def test_matching_one_hot_is_zero(self):
+        p = ModelParams(weights=(np.zeros((1, 3)),), biases=(np.array([0.0, 50.0, 0.0]),))
+        assert batch_loss(p, np.zeros((1, 1)), np.array([[0.0, 1.0, 0.0]])) < 1e-11
+
+    def test_one_hot_vs_uniform(self):
+        got = batch_loss(probs_net([0.5, 0.5]), np.zeros((1, 1)), np.array([[1.0, 0.0]]))
+        assert got == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_hand_computed_value(self):
+        got = batch_loss(probs_net([0.9, 0.1]), np.zeros((1, 1)), np.array([[0.5, 0.5]]))
+        want = -0.5 * math.log(0.9) - 0.5 * math.log(0.1)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert got == pytest.approx(1.2040, abs=1e-4)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ConfigError):
+            grad(probs_net([0.5, 0.5]), np.zeros((1, 1)), np.array([[1.0, 0.0, 0.0]]))
+
+
+class TestTraceFreeForward:
+    """`forward` runs forward_batch's layer loop without keeping the trace."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_features_and_logits_are_byte_equal(self, activation):
+        rng = np.random.default_rng(5)
+        for trial in range(6):
+            dims = tuple(int(d) for d in rng.integers(2, 9, size=int(rng.integers(2, 5))))
+            p = init_params(dims, activation=activation, seed=trial)
+            x = rng.normal(scale=3.0, size=(int(rng.integers(1, 40)), dims[0]))
+            lean, traced = forward(p, x), forward_batch(p, x)
+            assert len(lean.activations) == 2 and len(traced.activations) == len(dims)
+            for name in ("features", "logits", "probs"):
+                assert getattr(lean, name).tobytes() == getattr(traced, name).tobytes()
+
+    def test_one_sample_is_one_row(self):
+        p = tiny_net((3, 4, 2), seed=3)
+        x = np.array([0.5, -1.0, 2.0])
+        assert forward(p, x).logits.tobytes() == forward_batch(p, x[None, :]).logits.tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("at_layer, x", [(0, [[1e308, 1e308]]), (1, [[1e10, 1e10]])])
+    def test_overflow_names_the_same_layer(self, activation, at_layer, x):
+        # layer 0 sums two 1e308 inputs; else its output is finite and the
+        # 1e308 weights of the last layer overflow
+        p = ModelParams(weights=(np.ones((2, 4)), np.full((4, 3), 1e308)),
+                        biases=(np.zeros(4), np.zeros(3)), activation=activation)
+        for fn in (forward, forward_batch):
+            with np.errstate(over="ignore"), pytest.raises(NumericsError) as exc:
+                fn(p, np.array(x))
+            assert exc.value.layer == at_layer
+
+    def test_backward_needs_the_trace(self):
+        p = tiny_net((2, 5, 3))
+        x = np.zeros((4, 2))
+        with pytest.raises(ConfigError, match="trace"):
+            grad_from_dlogits(p, forward(p, x), np.zeros((4, 3)))
+
+    def test_ties_predict_and_score_as_before(self):
+        # logits (x0, x0, x1) + bias: every row ties classes 0 and 1, and the
+        # rows with x0 == x1 tie all three
+        p = ModelParams(weights=(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),),
+                        biases=(np.zeros(3),))
+        rng = np.random.default_rng(8)
+        x = rng.integers(-2, 3, size=(200, 2)).astype(float)
+        y = rng.integers(0, 3, size=200)
+        # the traced pass's argmax and np.mean, as error_rate computed them
+        # before it had a trace-free pass
+        want_labels = np.argmax(forward_batch(p, x).logits, axis=1)
+        want_err = float(np.mean(want_labels != y))
+        assert np.array_equal(predict_labels(p, x), want_labels)
+        assert set(want_labels) == {0, 2}
+        assert repr(error_rate(p, x, y)) == repr(want_err)
+        dead = init_params((2, 6, 3), seed=1) * 0.0  # all-zero logits: class 0 everywhere
+        assert np.array_equal(predict_labels(dead, x), np.zeros(200, dtype=int))
+        assert repr(error_rate(dead, x, y)) == repr(float(np.mean(y != 0)))
 
 
 class TestSgd:

@@ -39,6 +39,14 @@ class TestExperimentConfig:
             ExperimentConfig(fusion="blend").validate()
         ExperimentConfig().validate()
 
+    @pytest.mark.parametrize("key", ["learning_rate", "momentum", "l2", "alpha", "beta",
+                                     "lambda1", "lambda2_max", "sigma_aug",
+                                     "master_weight", "master_extra_fraction"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_fields_are_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be finite"):
+            ExperimentConfig(**{key: value}).validate()
+
     def test_doubling_schedule(self):
         cfg = ExperimentConfig(iterations=3)
         # discovering L, 2L, 4L doubles the cumulative labelled count each time
@@ -59,12 +67,12 @@ class TestTrainingSet:
         d = small_data()
         ts = TrainingSet.from_split(d, generation=1)
         assert len(ts) == len(d.labeled_ids)
-        assert ts.discovered_count() == 0
+        assert np.sum(ts.prov_generation != 0) == 0
         grown = ts.with_discovered(
             np.array([9991, 9992]), np.zeros((2, 2)), np.array([0, 1]), 1, 1)
         assert len(grown) == len(ts) + 2
-        assert grown.discovered_count() == 2
-        assert grown.original_count() == len(d.labeled_ids)
+        assert np.sum(grown.prov_generation != 0) == 2
+        assert np.sum(grown.prov_generation == 0) == len(d.labeled_ids)
 
     def test_duplicate_ids_rejected(self):
         d = small_data()
@@ -124,6 +132,18 @@ class TestBuildMaster:
         cfg = quick_cfg(master_extra_fraction=0.5, master_refine_steps=2)
         m = build_master(teacher, ts, rep, cfg)
         assert m.layer_dims == teacher.layer_dims
+
+    def test_huge_fraction_takes_every_unselected_row(self):
+        # 1e308 * N overflows int(ceil(...)); it means "all 10 unselected rows"
+        d = small_data(n=400)
+        teacher = init_params((2, 8, 2), seed=1)
+        ts = TrainingSet.from_split(d, generation=1)
+        rep = assign_pseudo_labels(teacher, d.unlabeled_x[:20], d.unlabeled_ids[:20],
+                                   d.labeled_x, d.labeled_y, d.class_count)
+        rep = select_samples(rep, 10, "min")
+        every = build_master(teacher, ts, rep, quick_cfg(master_extra_fraction=1.0))
+        huge = build_master(teacher, ts, rep, quick_cfg(master_extra_fraction=1e308))
+        assert params_equal(huge, every)
 
     def test_divergence_names_the_refine_step(self):
         d = small_data()

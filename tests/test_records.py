@@ -142,6 +142,13 @@ class TestManifestErrors:
         with pytest.raises(DataError, match="line 8"):
             read_manifest(path)
 
+    def test_non_utf8_bytes_are_data_error(self, tmp_path):
+        path = tmp_path / "m.txt"
+        write_manifest(path, RunRecord("snowball", {"seed": 0}, [make_row()]))
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(DataError, match=r"m\.txt: .*can't decode byte 0xff"):
+            read_manifest(path)
+
     def test_wrong_metrics_header(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("SNOWBALL-RUN v1\n[config]\na = 1\n[metrics]\n"

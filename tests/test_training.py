@@ -16,7 +16,6 @@ from snowball.training import (
     LossBreakdown,
     StepMetrics,
     _objective,
-    cross_entropy,
     ema_update,
     lambda2_schedule,
     one_hot,
@@ -41,25 +40,6 @@ def consistency_loss(student, guide, x, sigma_aug=0.0, kind="ce"):
     y = np.full(len(np.atleast_2d(x)), UNLABELED)
     return student_loss(student, guide, None, x, y, lambda1=0.0, lambda2=1.0,
                         sigma_aug=sigma_aug, kind=kind).consistency_teacher
-
-
-class TestCrossEntropy:
-    def test_matching_one_hot_is_zero(self):
-        v = np.array([0.0, 1.0, 0.0])
-        assert cross_entropy(v, v) < 1e-11
-
-    def test_one_hot_vs_uniform(self):
-        assert cross_entropy([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_hand_computed_value(self):
-        got = cross_entropy([0.5, 0.5], [0.9, 0.1])
-        want = -0.5 * math.log(0.9) - 0.5 * math.log(0.1)
-        assert got == pytest.approx(want, abs=1e-12)
-        assert got == pytest.approx(1.2040, abs=1e-4)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            cross_entropy([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 class TestClassificationLoss:
@@ -430,6 +410,13 @@ class TestStepMetricsCsv:
                                               float("nan"))])
         (row,) = read_step_metrics(path)
         assert row.train_err == 0.25 and math.isnan(row.test_err)
+
+    def test_non_utf8_bytes_are_data_error(self, tmp_path):
+        path = tmp_path / "steps.csv"
+        write_step_metrics(path, [StepMetrics(0, 0.5, 0.0, 0.0, 0.5, 0.0, None, None)])
+        path.write_bytes(path.read_bytes() + b"1,0.5,\xff\n")
+        with pytest.raises(DataError, match=r"steps\.csv: .*can't decode byte 0xff"):
+            read_step_metrics(path)
 
     @pytest.mark.parametrize("line", [
         "3,0.5,0.25,0.0,0.75,1.0,0.5",        # short
