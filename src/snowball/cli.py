@@ -489,20 +489,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", default="0..4", help="'0..4' or '0,1,2'")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_sel = sub.add_parser("ablate-selection",
-                           help="min / random / max selection comparison")
-    _add_common(p_sel)
-    p_sel.set_defaults(func=_cmd_ablate_selection)
-
-    p_fus = sub.add_parser("ablate-fusion",
-                           help="distance fusion comparison")
-    _add_common(p_fus)
-    p_fus.set_defaults(func=_cmd_ablate_fusion)
-
-    p_gui = sub.add_parser("ablate-guidance",
-                           help="snowball vs self-learning")
-    _add_common(p_gui)
-    p_gui.set_defaults(func=_cmd_ablate_guidance)
+    for command, help_text, func in (
+            ("ablate-selection", "min / random / max selection comparison", _cmd_ablate_selection),
+            ("ablate-fusion", "distance fusion comparison", _cmd_ablate_fusion),
+            ("ablate-guidance", "snowball vs self-learning", _cmd_ablate_guidance)):
+        p_abl = sub.add_parser(command, help=help_text)
+        _add_common(p_abl)
+        p_abl.set_defaults(func=func)
 
     p_rep = sub.add_parser("report",
                            help="render a run manifest; --verify re-runs it")

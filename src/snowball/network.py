@@ -8,11 +8,11 @@ is one array operation on the buffer, which is what makes weight averaging
 (and therefore the whole teacher/master machinery) a one-liner, and a
 checkpoint is the buffer's bytes behind a short header.
 The forward pass exposes the activations entering the final linear layer as
-the sample's feature vector. `forward_batch` keeps the trace backpropagation
-needs, so a gradient costs one forward pass; `forward`, for the guide passes,
-evaluation and discovery, keeps only features and logits. Both run the same
-layer loop. Gradients are exact and are checked against central finite
-differences in the test suite.
+the sample's feature vector. One layer loop runs a stack of same-shape models
+(a single model is the stack of one), keeping the trace backpropagation reads
+for `forward_batch` and `forward_many` and only features and logits for
+`forward`. Class-axis reductions run column by column. Gradients are exact
+and are checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -165,22 +165,22 @@ class BatchForward:
 
     ``activations`` ends with the logits. `forward_batch` keeps every layer's,
     from the input on: the trace that `grad_from_dlogits` backpropagates
-    through. `forward` keeps only the last two, features and logits. The
-    softmax is only computed when ``probs`` is first read.
+    through; `forward` keeps features and logits; `forward_many`'s carry a
+    leading model axis. The softmax is only computed when ``probs`` is read.
     """
 
     activations: tuple[np.ndarray, ...]
 
     @property
-    def features(self) -> np.ndarray:  # (n, feature_dim)
+    def features(self) -> np.ndarray:  # ([k,] n, feature_dim)
         return self.activations[-2]
 
     @property
-    def logits(self) -> np.ndarray:    # (n, classes)
+    def logits(self) -> np.ndarray:    # ([k,] n, classes)
         return self.activations[-1]
 
     @functools.cached_property
-    def probs(self) -> np.ndarray:     # (n, classes)
+    def probs(self) -> np.ndarray:     # ([k,] n, classes)
         return softmax(self.logits)
 
 
@@ -202,11 +202,33 @@ def init_params(layer_dims, activation: str = "relu", seed=0) -> ModelParams:
     return ModelParams(tuple(weights), tuple(biases), activation)
 
 
+# numpy sums a row of up to this many entries in sequence from +0.0, a longer one pairwise
+_SEQUENTIAL_SUM_WIDTH = 7
+
+
+def row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1)`` bit for bit, one elementwise maximum per column: numpy
+    reduces each row in its own inner loop, slow on a short class axis."""
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = np.maximum(out, a[..., j])
+    return out
+
+
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` bit for bit, signed zeros too; by column up to _SEQUENTIAL_SUM_WIDTH."""
+    if a.shape[-1] > _SEQUENTIAL_SUM_WIDTH:
+        return a.sum(axis=-1)
+    out = a[..., 0] + 0.0
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - row_max(logits)[..., None])
+    return e / row_sum(e)[..., None]
 
 
 def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
@@ -219,20 +241,23 @@ def _activation_grad(a: np.ndarray, kind: str) -> np.ndarray:
     return a > 0.0 if kind == "relu" else 1.0 - a * a
 
 
-def _run_layers(params: ModelParams, x: np.ndarray, keep_trace: bool) -> BatchForward:
-    """The layer loop of both forward passes; without keep_trace only the last
-    two activations are kept. Raises NumericsError at the first non-finite layer."""
-    acts = [x]
-    last = len(params.layer_dims) - 2
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ w
-        z += b  # in place: no pass keeps z once the activation is applied
+def _run_layers(buffers: np.ndarray, dims: tuple[int, ...], activation: str,
+                xs: np.ndarray, keep_trace: bool) -> tuple[np.ndarray, ...]:
+    """The one layer loop, over k same-shape models: buffers (k, P), inputs
+    (k, n, d). matmul runs one gemm per model on that model's own operands, so
+    its floats do not depend on the stack. Without keep_trace only the last two
+    activations are kept. NumericsError at the first layer any model overflows."""
+    acts = [xs]
+    last = len(dims) - 2
+    for i, (ws, bs, shape) in enumerate(_layout(dims)):
+        z = acts[-1] @ buffers[:, ws].reshape(-1, *shape)
+        z += buffers[:, None, bs]  # in place: no pass keeps z once the activation is applied
         if not np.isfinite(z).all():
             raise NumericsError(f"non-finite values in forward pass at layer {i}", layer=i)
         if not keep_trace:
             del acts[:-1]
-        acts.append(z if i == last else _apply_activation(z, params.activation))
-    return BatchForward(tuple(acts))
+        acts.append(z if i == last else _apply_activation(z, activation))
+    return tuple(acts)
 
 
 def _as_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -244,15 +269,35 @@ def _as_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _run_one(params: ModelParams, x: np.ndarray, keep_trace: bool) -> BatchForward:
+    # the stack of one: buffer[None] and x[None] are views, so nothing is copied
+    acts = _run_layers(params.buffer[None], params.layer_dims, params.activation,
+                       _as_batch(params, x)[None], keep_trace)
+    return BatchForward(tuple(a[0] for a in acts))
+
+
 def forward(params: ModelParams, x: np.ndarray) -> BatchForward:
     """Features, logits and probs of a batch (or of one sample, as one row),
     without the trace: for callers that run no backward pass."""
-    return _run_layers(params, _as_batch(params, x), keep_trace=False)
+    return _run_one(params, x, keep_trace=False)
 
 
 def forward_batch(params: ModelParams, x: np.ndarray) -> BatchForward:
     """Forward pass keeping the trace `grad_from_dlogits` needs."""
-    return _run_layers(params, _as_batch(params, x), keep_trace=True)
+    return _run_one(params, x, keep_trace=True)
+
+
+def forward_many(models, xs) -> BatchForward:
+    """Traced passes of k same-shape models, model i on batch xs[i], in one
+    layer loop. Every activation gains a leading model axis, and its [i] is
+    model i's `forward_batch` trace, byte for byte."""
+    first, xs = models[0], np.asarray(xs, dtype=float)
+    if len({(m.layer_dims, m.activation) for m in models}) > 1:
+        raise ConfigError("stacked models must share layer_dims and activation")
+    if xs.ndim != 3 or xs.shape[0] != len(models) or xs.shape[2] != first.input_dim:
+        raise ConfigError(f"inputs of shape {xs.shape} do not match {len(models)} models")
+    return BatchForward(_run_layers(np.array([m.buffer for m in models]), first.layer_dims,
+                                    first.activation, xs, keep_trace=True))
 
 
 def predict_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -269,18 +314,19 @@ def error_rate(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(wrong.sum() / wrong.size)  # np.mean's sum and division
 
 
-def batch_loss(params: ModelParams, x: np.ndarray, targets: np.ndarray,
-               weights: np.ndarray | None = None) -> float:
-    """Mean weighted cross-entropy of softmax outputs against target distributions.
+def batch_loss(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> float:
+    """Mean cross-entropy of softmax outputs against target distributions.
 
-    loss = (1/n) * sum_i w_i * CE(targets[i], softmax(f(x[i]))); the value
+    loss = (1/n) * sum_i CE(targets[i], softmax(f(x[i]))); the value
     function that `grad` differentiates.
     """
-    probs = forward(params, x).probs
-    ce = -np.sum(targets * np.log(np.maximum(probs, EPS_LOG)), axis=1)
-    if weights is not None:
-        ce = ce * weights
-    return float(np.mean(ce))
+    return mean_ce(targets, np.log(np.maximum(forward(params, x).probs, EPS_LOG)))
+
+
+def mean_ce(targets: np.ndarray, log_probs: np.ndarray) -> float:
+    """Mean over rows of -sum(targets * log_probs), by np.mean's reduction and division."""
+    ce = -row_sum(targets * log_probs)
+    return float(ce.sum() / len(ce))
 
 
 def grad_from_dlogits(params: ModelParams, trace: BatchForward,
@@ -310,14 +356,13 @@ def grad_from_dlogits(params: ModelParams, trace: BatchForward,
     return params._derive(out)
 
 
-def grad(params: ModelParams, x: np.ndarray, targets: np.ndarray,
-         weights: np.ndarray | None = None) -> ModelParams:
+def grad(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> ModelParams:
     """Gradient of `batch_loss` w.r.t. every parameter.
 
     ``targets`` holds one probability distribution per row (a one-hot row for
     hard labels, a guide model's softmax for consistency terms). dCE/dlogits
-    for a fixed target distribution is (probs - target), which the mean and
-    per-sample weights scale.
+    for a fixed target distribution is (probs - target), which the mean
+    scales.
     """
     x = _as_batch(params, x)
     targets = np.asarray(targets, dtype=float)
@@ -325,8 +370,6 @@ def grad(params: ModelParams, x: np.ndarray, targets: np.ndarray,
         raise ConfigError(f"targets of shape {targets.shape} do not match batch {x.shape[0]} x {params.class_count}")
     out = forward_batch(params, x)
     dlogits = (out.probs - targets) / x.shape[0]
-    if weights is not None:
-        dlogits = dlogits * np.asarray(weights, dtype=float)[:, None]
     return grad_from_dlogits(params, out, dlogits)
 
 

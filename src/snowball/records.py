@@ -75,21 +75,10 @@ class RunRecord:
 
 def rows_equal(a: list[IterationRow], b: list[IterationRow]) -> bool:
     """Bit-exact equality of metric rows, ignoring wall_time (a measurement,
-    not a metric)."""
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        va = ra.manifest_values()[:6]
-        vb = rb.manifest_values()[:6]
-        if va != vb and not _nan_tolerant_eq(va, vb):
-            return False
-    return True
-
-
-def _nan_tolerant_eq(va, vb) -> bool:
-    return all(x == y or (isinstance(x, float) and isinstance(y, float)
-                          and np.isnan(x) and np.isnan(y))
-               for x, y in zip(va, vb))
+    not a metric); nan equals nan."""
+    return len(a) == len(b) and all(
+        x == y or (isinstance(x, float) and isinstance(y, float) and np.isnan(x) and np.isnan(y))
+        for ra, rb in zip(a, b) for x, y in zip(ra.manifest_values()[:6], rb.manifest_values()[:6]))
 
 
 def _fmt(value) -> str:

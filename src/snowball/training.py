@@ -72,20 +72,12 @@ def ema_update(state: EmaState, source: ModelParams) -> EmaState:
 
 
 def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
-    y = np.asarray(y, dtype=int)
-    out = np.zeros((len(y), class_count))
-    out[np.arange(len(y)), y] = 1.0
-    return out
+    return np.eye(class_count)[np.asarray(y, dtype=int)]
 
 
-# The row means below are x.sum() / len(x): np.mean's reduction and division.
-def _mean_ce(targets: np.ndarray, log_probs: np.ndarray) -> float:
-    ce = -(targets * log_probs).sum(axis=1)
-    return float(ce.sum() / len(ce))
-
-
+# a row mean is x.sum() / len(x), as in net.mean_ce
 def _mean_mse(targets: np.ndarray, probs: np.ndarray) -> float:
-    se = ((probs - targets) ** 2).sum(axis=1) / probs.shape[1]
+    se = net.row_sum((probs - targets) ** 2) / probs.shape[-1]
     return float(se.sum() / len(se))
 
 
@@ -117,33 +109,33 @@ def _objective(student: ModelParams, teacher: ModelParams, master: ModelParams |
                want_grad: bool) -> tuple[LossBreakdown, ModelParams | None]:
     """Loss breakdown and (optionally) its gradient in one backward pass.
 
-    All loss terms share the student's traced forward pass on student_view,
-    so the combined gradient is a single backpropagation of the summed
-    per-logit gradients through that trace, and every cross-entropy term
-    reads one log of the student's probabilities: classification over the
-    labelled rows, the ce consistency terms over all rows. Guides are treated
-    as constants, so their passes on guide_view keep no trace.
+    The student on student_view and the guides on guide_view run as one
+    stacked forward pass with one softmax. All loss terms share the student's
+    trace, so the combined gradient is a single backpropagation of the summed
+    per-logit gradients through it, and every cross-entropy term reads one log
+    of the student's probabilities: classification over the labelled rows, the
+    ce consistency terms over all rows. Guides are constants to the gradient.
     """
     if kind not in CONSISTENCY_KINDS:
         raise ConfigError(f"unknown consistency kind {kind!r}")
     n, class_count = len(y), student.class_count
-    out = net.forward_batch(student, student_view)
-    p_s = out.probs
+    models = (student, teacher) if master is None else (student, teacher, master)
+    out = net.forward_many(models, [student_view] + [guide_view] * (len(models) - 1))
+    p_s, p_t = out.probs[0], out.probs[1]
+    p_m = out.probs[2] if master is not None else None
     log_p_s = np.log(np.maximum(p_s, EPS_LOG))
     labeled = y >= 0
     n_lab = int(labeled.sum())
 
     if n_lab:
         targets = one_hot(y[labeled], class_count)
-        j_class = _mean_ce(targets, log_p_s[labeled])
+        j_class = net.mean_ce(targets, log_p_s[labeled])
     else:
         j_class = 0.0
-    p_t = net.forward(teacher, guide_view).probs
-    p_m = net.forward(master, guide_view).probs if master is not None else None
     # each kind's mean loss, what it reads of the student, and its per-row
     # gradient at the student's logits (for cross-entropy against a fixed
     # target that is p_s - p_g)
-    loss, student_side, dloss = ((_mean_ce, log_p_s, np.subtract) if kind == "ce"
+    loss, student_side, dloss = ((net.mean_ce, log_p_s, np.subtract) if kind == "ce"
                                  else (_mean_mse, p_s, _mse_dlogits))
     j_teacher = loss(p_t, student_side)
     j_master = master_weight * loss(p_m, student_side) if p_m is not None else 0.0
@@ -157,13 +149,14 @@ def _objective(student: ModelParams, teacher: ModelParams, master: ModelParams |
     dlogits += lambda2 * dloss(p_s, p_t) / n
     if p_m is not None:
         dlogits += lambda2 * master_weight * dloss(p_s, p_m) / n
-    return breakdown, net.grad_from_dlogits(student, out, dlogits)
+    trace = net.BatchForward(tuple(a[0] for a in out.activations))
+    return breakdown, net.grad_from_dlogits(student, trace, dlogits)
 
 
 def _mse_dlogits(p_s: np.ndarray, p_g: np.ndarray) -> np.ndarray:
     # d/dz of (1/C)*||softmax(z) - p_g||^2 through the softmax Jacobian
-    d = 2.0 * (p_s - p_g) / p_s.shape[1]
-    return p_s * (d - (d * p_s).sum(axis=1, keepdims=True))
+    d = 2.0 * (p_s - p_g) / p_s.shape[-1]
+    return p_s * (d - net.row_sum(d * p_s)[..., None])
 
 
 def lambda2_schedule(step: int, ramp_len: int, lambda2_max: float) -> float:
@@ -325,7 +318,7 @@ def read_step_metrics(path) -> list[StepMetrics]:
         reader = csv.reader(handle)
         header = tuple(next(reader, ()))
         if header != STEP_CSV_HEADER:
-            raise ConfigError(f"{path}: unexpected step metrics header {header}")
+            raise DataError(f"{path}: unexpected step metrics header {header}")
         rows = []
         for r in reader:
             try:

@@ -1,4 +1,4 @@
-"""Golden artifacts: two small pipelines must keep writing the same bytes.
+"""Golden artifacts: three small pipelines must keep writing the same bytes.
 
 The digests in DIGESTS were recorded before parameters moved into one flat
 buffer and backpropagation started reusing the forward trace, when every
@@ -6,7 +6,10 @@ step still measured its error rates; both changes are meant to leave every
 float bit-identical, and so every checkpoint and step CSV. With the step
 evaluation cadence set back to every step they must all still match. At the
 default cadence only the step CSVs change (their skipped error cells are
-empty); the checkpoints keep the recorded digests. The digests hold for
+empty); the checkpoints keep the recorded digests. The 9-class run was
+recorded while the student, teacher and master still ran as three separate
+forward passes and every class-axis sum was numpy's own; its class axis is
+wider than row_sum's column-by-column width. The digests hold for
 float64 numpy 2.4 with OpenBLAS 0.3 on x86-64; another BLAS build or CPU may
 round matrix products differently.
 """
@@ -33,6 +36,12 @@ RUNS = {
                                        consistency="mse", hidden_dims=(16,), seed=5),
                       DataSpec(dataset="blobs", classes=3, n_per_class=60,
                                labels_per_class=2)),
+    # nine classes, MSE consistency against teacher and a weighted master
+    "wide-mse": ("snowball",
+                 ExperimentConfig(generations=1, iterations=2, steps=40, ramp_len=20,
+                                  discovery_schedule=(18, 36), consistency="mse",
+                                  master_weight=0.7, seed=4),
+                 DataSpec(dataset="blobs", classes=9, n_per_class=30, labels_per_class=2)),
 }
 
 DIGESTS = {
@@ -51,6 +60,13 @@ DIGESTS = {
         "student.ckpt": "603e2129980b95097f7bf7de945611207ae4c11990f87ac3f356a6cdf9a482f2",
         "teacher.ckpt": "df72a3837fad7a3f606b366cea35016e08925b768c04d0871fe0e4583e028494",
     },
+    "wide-mse": {
+        "master.ckpt": "2abe5892227b0c0e6b790d3e8736a53a0b56777a85f57f7e667801a5ca6914f0",
+        "steps-g1-i1.csv": "6039e32fc9a8f3a0f0ef807ad5b8e09b6420cc7dbac994ce7543c8cf403b7ad2",
+        "steps-g1-i2.csv": "b3db009224ea0935280afa4387684636a051208a4534cf995ca84ed7e2aa7537",
+        "student.ckpt": "5d678bd86bcf7dcb95938258e00ce0112c1e3713c955bccc038002886edc5777",
+        "teacher.ckpt": "260b16e2015fe0efb242d986c3265573edf804e4a2de2014724f4a76778d9e5a",
+    },
 }
 
 
@@ -65,6 +81,10 @@ DEFAULT_CADENCE_STEP_CSVS = {
     "self-learning": {
         "steps-g1-i1.csv": "8ca698eb67e5086cddec14fcae5c0e606a8e71ad4cc168bd62812916ea04de68",
         "steps-g1-i2.csv": "257411bc6d9082e9ed9c83935e0994691f93e6d869e1540a6a9476f9b74f7b21",
+    },
+    "wide-mse": {
+        "steps-g1-i1.csv": "982dc90f9a0cbf39bb48708ca932edbaec4eb9514abd916686071bfe065be916",
+        "steps-g1-i2.csv": "e943ba9b37483dff39860f3bea77a6713cd72966e522439c62fe861bd6197efb",
     },
 }
 

@@ -5,21 +5,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from snowball.errors import ConfigError, DataError, NumericsError
 from snowball.network import (
+    BatchForward,
     ModelParams,
     MomentumState,
     batch_loss,
     error_rate,
     forward,
     forward_batch,
+    forward_many,
     grad,
     grad_from_dlogits,
     init_params,
     load_checkpoint,
     params_equal,
     predict_labels,
+    row_max,
+    row_sum,
     save_checkpoint,
     sgd_step,
     softmax,
@@ -164,12 +171,13 @@ class TestGradient:
         p = tiny_net((2, 4, 2), seed=4)
         x = np.random.default_rng(3).normal(size=(2, 2))
         t = one_hot(np.array([0, 1]), 2)
-        # weight (2, 0) == duplicating the first row in a batch of... well,
-        # weighted mean: (2*l0 + 0*l1)/2 == l0
+        # per-sample weights scale the rows of dlogits; the weighted mean
+        # gradient with weights (2, 0) is the first row's: (2*g0 + 0*g1)/2 == g0
         w = np.array([2.0, 0.0])
-        lw = batch_loss(p, x, t, weights=w)
-        l0 = batch_loss(p, x[:1], t[:1])
-        assert lw == pytest.approx(l0, abs=1e-12)
+        trace = forward_batch(p, x)
+        gw = grad_from_dlogits(p, trace, (trace.probs - t) / 2 * w[:, None])
+        g0 = grad(p, x[:1], t[:1])
+        np.testing.assert_allclose(gw.buffer, g0.buffer, atol=1e-12)
 
 
 def probs_net(probs):
@@ -256,6 +264,92 @@ class TestTraceFreeForward:
         dead = init_params((2, 6, 3), seed=1) * 0.0  # all-zero logits: class 0 everywhere
         assert np.array_equal(predict_labels(dead, x), np.zeros(200, dtype=int))
         assert repr(error_rate(dead, x, y)) == repr(float(np.mean(y != 0)))
+
+
+# finite doubles of either sign from 1e-300 to 1e300, and both zeros
+MAGNITUDES = st.floats(min_value=1e-300, max_value=1e300)
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), MAGNITUDES, MAGNITUDES.map(lambda v: -v))
+ROWS = st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 12)).flatmap(
+    lambda kn_c: st.sampled_from([kn_c[1:], kn_c]))  # 2-D (n, C) or 3-D (k, n, C)
+REDUCTIONS = settings(derandomize=True, max_examples=300, database=None, deadline=None)
+
+
+def old_softmax(logits):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestClassAxisReductions:
+    """row_max, row_sum and softmax reduce the last axis column by column and
+    must stay byte-equal to numpy's own reductions: C = 1 to 12 covers both
+    sides of the sequential-sum width, and a numpy that changes its summation
+    order fails here."""
+
+    @REDUCTIONS
+    @given(arrays(np.float64, ROWS, elements=ENTRIES))
+    def test_byte_equal_to_numpy(self, a):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert row_max(a).tobytes() == a.max(axis=-1).tobytes()
+            assert row_sum(a).tobytes() == a.sum(axis=-1).tobytes()
+            assert softmax(a).tobytes() == old_softmax(a).tobytes()
+
+    @pytest.mark.parametrize("row", [[-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0],
+                                     [-0.0] * 9])
+    def test_signed_zeros(self, row):
+        a = np.array([row])
+        assert row_max(a).tobytes() == a.max(axis=-1).tobytes()
+        assert row_sum(a).tobytes() == a.sum(axis=-1).tobytes()
+
+    def test_one_dimensional_input(self):
+        logits = np.array([0.3, -1.2, 2.0])
+        assert softmax(logits).tobytes() == old_softmax(logits).tobytes()
+
+
+class TestStackedForward:
+    """forward_many runs k models through one layer loop; each model's
+    activations are those of its own forward_batch, byte for byte."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-inputs", "shared-input"])
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_each_model_matches_its_own_pass(self, activation, k, shared, n):
+        rng = np.random.default_rng(10 * k + n)
+        dims = (3, 7, 5, 4)
+        models = [(1.0 + s) * init_params(dims, activation, seed=s) for s in range(k)]
+        xs = np.stack([rng.normal(scale=3.0, size=(n, 3))] * k if shared
+                      else [rng.normal(scale=3.0, size=(n, 3)) for _ in range(k)])
+        out = forward_many(models, xs)
+        assert out.logits.shape == (k, n, 4)
+        for i, model in enumerate(models):
+            want = forward_batch(model, xs[i])
+            got = BatchForward(tuple(a[i] for a in out.activations))
+            assert len(got.activations) == len(want.activations)
+            for g, w in zip(got.activations, want.activations):
+                assert g.flags.c_contiguous and g.tobytes() == w.tobytes()
+            assert out.probs[i].tobytes() == want.probs.tobytes()
+
+    @pytest.mark.parametrize("culprit", [0, 1, 2])
+    def test_overflow_in_any_model_raises(self, culprit):
+        models = [init_params((2, 4, 3), seed=s) for s in range(3)]
+        models[culprit] = 1e300 * models[culprit]
+        x = np.full((3, 5, 2), 100.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+            forward_many(models, x)
+
+    @pytest.mark.parametrize("other", [init_params((2, 5, 3), seed=1),
+                                       init_params((2, 4, 3), "tanh", seed=1)],
+                             ids=["layer-dims", "activation"])
+    def test_models_of_different_shape_are_config_error(self, other):
+        with pytest.raises(ConfigError):
+            forward_many([init_params((2, 4, 3), seed=0), other], np.zeros((2, 5, 2)))
+
+    def test_inputs_must_match_the_stack(self):
+        models = [init_params((2, 4, 3), seed=s) for s in range(2)]
+        for xs in (np.zeros((3, 5, 2)), np.zeros((2, 5, 3)), np.zeros((5, 2))):
+            with pytest.raises(ConfigError):
+                forward_many(models, xs)
 
 
 class TestSgd:

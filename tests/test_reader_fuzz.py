@@ -7,13 +7,10 @@ its exit codes; any other exception would surface as a traceback. The runs
 are derandomized and keep no example database, so they are reproducible.
 """
 
-import tempfile
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from snowball.cli import build_configs, parse_config_file
 from snowball.data import load_csv
@@ -21,11 +18,6 @@ from snowball.errors import SnowballError
 from snowball.network import init_params, load_checkpoint, save_checkpoint
 from snowball.records import IterationRow, RunRecord, read_manifest, write_manifest
 from snowball.training import ExperimentConfig, StepMetrics, read_step_metrics, write_step_metrics
-
-# Hypothesis caches what it reads from the source files while collecting;
-# that cache goes to a temporary directory removed at exit, not the repository.
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="snowball-hypothesis-")
-set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 INSERTS = (b"nan", b"1e999", b",", b"\n", b"=", b"\xff")
 FUZZ = settings(derandomize=True, max_examples=150, database=None, deadline=None,

@@ -432,3 +432,9 @@ class TestStepMetricsCsv:
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(DataError, match=rf"steps\.csv: line 3\b"):
             read_step_metrics(path)
+
+    def test_wrong_header_is_data_error(self, tmp_path):
+        path = tmp_path / "steps.csv"
+        path.write_text("step,J_C\n0,1\n")
+        with pytest.raises(DataError, match=r"steps\.csv: unexpected step metrics header"):
+            read_step_metrics(path)
