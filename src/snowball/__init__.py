@@ -1,7 +1,7 @@
 """Semi-supervised learning at desk scale.
 
 A student network learns from a few labels plus consistency with two
-weight-averaged guides (teacher and master); the master repeatedly discovers
+weight-averaged guides (teacher and master); the master repeatedly picks out
 the unlabelled samples nearest its class centers, pseudo-labels them and
 folds them into training, growing the labelled set like a snowball.
 

@@ -52,7 +52,6 @@ class DataSpec:
     test_fraction: float = 1.0 / 3.0
     data_seed: int = -1          # -1: follow the run seed
     csv_path: str = ""
-    csv_classes: int = 0         # 0: infer from the file
 
     def validate(self) -> None:
         if self.dataset not in DATASETS:
@@ -99,7 +98,7 @@ def make_dataset(spec: DataSpec, run_seed: int) -> DatasetSplit:
     elif spec.dataset == "rings":
         raw = gen_rings(spec.classes, spec.n_per_class, spec.data_noise, seed)
     else:
-        raw = load_csv(spec.csv_path, spec.csv_classes or None)
+        raw = load_csv(spec.csv_path)
     return split(raw, spec.labels_per_class, spec.test_fraction, seed)
 
 
@@ -141,9 +140,12 @@ def parse_config_file(path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
+    try:
+        with decoding(path, ConfigError):
+            text = path.read_text()
+    except OSError as err:  # a directory, or a file we may not read
+        raise ConfigError(f"{path}: {err.strerror or err}") from None
     flat: dict[str, str] = {}
-    with decoding(path, ConfigError):
-        text = path.read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -157,7 +159,7 @@ def parse_config_file(path) -> dict[str, str]:
 
 # Keys that older manifests carry, with the only value they were ever
 # written with; a manifest holding exactly that value still loads and verifies.
-_RETIRED = {"ema_every": "1", "ema_warmup": "False"}
+_RETIRED = {"ema_every": "1", "ema_warmup": "False", "csv_classes": "0"}
 
 
 def build_configs(flat: dict[str, object]) -> tuple[ExperimentConfig, DataSpec]:
@@ -331,7 +333,7 @@ def _cmd_train(args) -> int:
     data = make_dataset(spec, config.seed)
     record, run_dir = run_one(args.algo, config, spec, _out_root(args),
                               args.name, args.dump_discovery, data)
-    _print_rows(record.rows, prefix=args.algo)
+    _print_rows(record.rows)
     final = record.rows[-1]
     print(f"final test error {final.test_err:.4f} "
           f"(labelled set {final.labeled_size}, noise {final.noise_rate:.4f})")
@@ -378,33 +380,31 @@ def _write_aggregate_csv(path: Path, summary: list[dict[str, float]]) -> None:
                              for h in header])
 
 
-def _cmd_ablate_selection(args) -> int:
-    """Compare selection strategies: error when training on the selected
-    samples with their true labels, next to the pseudo-label noise each
-    strategy would have introduced."""
-    config, spec = build_configs(_flat_from_args(args))
-    out_root = _out_root(args)
-    print(f"{'strategy':<10} {'err (true labels)':>18} {'sample noise rate':>18}")
-    for strategy in ("min", "random", "max"):
-        cfg = replace(config, strategy=strategy, use_true_labels=True)
-        record, _ = run_one("snowball", cfg, spec, out_root,
-                            name=f"{args.name or 'ablate-selection'}-{strategy}")
-        final = record.rows[-1]
-        print(f"{strategy:<10} {final.test_err:>18.4f} {final.noise_rate:>18.4f}")
-    return 0
+# command: (config key, its values, fixed overrides, key column width, then
+# (title, final-row field, width) per column). Selection trains on the selected
+# samples' true labels, next to the noise their pseudo-labels would have had.
+_ABLATIONS = {
+    "ablate-selection": ("strategy", ("min", "random", "max"), {"use_true_labels": True}, 10,
+                         (("err (true labels)", "test_err", 18),
+                          ("sample noise rate", "noise_rate", 18))),
+    "ablate-fusion": ("fusion", ("average_distance", "feature_cascade", "average_sorting_score"),
+                      {}, 22, (("noise rate", "noise_rate", 12), ("test err", "test_err", 10))),
+}
 
 
-def _cmd_ablate_fusion(args) -> int:
-    """Compare distance fusion methods by their final pseudo-label noise."""
+def _cmd_ablate(args) -> int:
+    """Compare the values of one config key by their final row."""
+    key, values, overrides, width, columns = _ABLATIONS[args.command]
     config, spec = build_configs(_flat_from_args(args))
     out_root = _out_root(args)
-    print(f"{'fusion':<22} {'noise rate':>12} {'test err':>10}")
-    for fusion in ("average_distance", "feature_cascade", "average_sorting_score"):
-        cfg = replace(config, fusion=fusion)
+    print(" ".join([f"{key:<{width}}"] + [f"{title:>{w}}" for title, _, w in columns]))
+    for value in values:
+        cfg = replace(config, **{key: value}, **overrides)
         record, _ = run_one("snowball", cfg, spec, out_root,
-                            name=f"{args.name or 'ablate-fusion'}-{fusion}")
+                            name=f"{args.name or args.command}-{value}")
         final = record.rows[-1]
-        print(f"{fusion:<22} {final.noise_rate:>12.4f} {final.test_err:>10.4f}")
+        print(" ".join([f"{value:<{width}}"]
+                       + [f"{getattr(final, field):>{w}.4f}" for _, field, w in columns]))
     return 0
 
 
@@ -432,7 +432,7 @@ def _cmd_report(args) -> int:
     for key in sorted(raw_config):
         if key != "algo":
             print(f"  {key} = {raw_config[key]}")
-    _print_rows(rows, prefix=raw_config.get("algo", "?"))
+    _print_rows(rows)
     if args.verify:
         ok = verify_manifest(args.manifest)
         print(f"re-run reproduces metrics bit-identically: {'yes' if ok else 'NO'}")
@@ -440,7 +440,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _print_rows(rows, prefix: str = "") -> None:
+def _print_rows(rows) -> None:
     print(f"{'gen':>3} {'iter':>4} {'train_err':>10} {'test_err':>9} "
           f"{'noise':>7} {'labelled':>9} {'wall_s':>7}")
     for r in rows:
@@ -490,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     for command, help_text, func in (
-            ("ablate-selection", "min / random / max selection comparison", _cmd_ablate_selection),
-            ("ablate-fusion", "distance fusion comparison", _cmd_ablate_fusion),
+            ("ablate-selection", "min / random / max selection comparison", _cmd_ablate),
+            ("ablate-fusion", "distance fusion comparison", _cmd_ablate),
             ("ablate-guidance", "snowball vs self-learning", _cmd_ablate_guidance)):
         p_abl = sub.add_parser(command, help=help_text)
         _add_common(p_abl)

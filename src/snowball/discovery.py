@@ -55,16 +55,10 @@ class DiscoveryReport:
     labels: np.ndarray       # (n,) assigned pseudo-labels
     distances: np.ndarray    # (n,) score used for ranking
     selected: np.ndarray     # (n,) bool
-    strategy: str = "min"
-    fusion: str = "single"
     truncated: bool = False
 
     def __len__(self) -> int:
         return len(self.sample_ids)
-
-    @property
-    def ranks(self) -> np.ndarray:
-        return np.arange(len(self.sample_ids))
 
 
 def compute_class_centers(model: ModelParams, x: np.ndarray, y: np.ndarray,
@@ -104,12 +98,12 @@ def _rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.lexsort((ids, scores))
 
 
-def _build_report(ids, inputs, labels, scores, fusion) -> DiscoveryReport:
+def _build_report(ids, inputs, labels, scores) -> DiscoveryReport:
     order = _rank_order(scores, ids)
     return DiscoveryReport(
         sample_ids=np.asarray(ids)[order], inputs=np.asarray(inputs)[order],
         labels=np.asarray(labels)[order], distances=np.asarray(scores)[order],
-        selected=np.zeros(len(order), dtype=bool), fusion=fusion)
+        selected=np.zeros(len(order), dtype=bool))
 
 
 def assign_pseudo_labels(model: ModelParams, pool_x: np.ndarray, pool_ids: np.ndarray,
@@ -119,7 +113,7 @@ def assign_pseudo_labels(model: ModelParams, pool_x: np.ndarray, pool_ids: np.nd
     if len(pool_x) == 0:
         raise DiscoveryError("unlabelled pool is empty")
     labels, dists = _model_nearest(model, pool_x, train_x, train_y, class_count)
-    return _build_report(pool_ids, pool_x, labels, dists, "single")
+    return _build_report(pool_ids, pool_x, labels, dists)
 
 
 def _majority_vote(per_model_labels: tuple[np.ndarray, ...], class_count: int) -> np.ndarray:
@@ -158,7 +152,7 @@ def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.n
                                   for m in models], axis=1)
         feats = np.concatenate([net.forward(m, pool_x).features for m in models], axis=1)
         labels, dists = _nearest_center(feats, centers)
-        return _build_report(pool_ids, pool_x, labels, dists, fusion)
+        return _build_report(pool_ids, pool_x, labels, dists)
     per_labels, per_dists = zip(*(_model_nearest(m, pool_x, train_x, train_y, class_count)
                                   for m in models))
     labels = _majority_vote(per_labels, class_count)
@@ -173,7 +167,7 @@ def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.n
             ranks[order] = np.arange(len(pool_ids))
             rank_sum += ranks
         scores = rank_sum / len(models)
-    return _build_report(pool_ids, pool_x, labels, scores, fusion)
+    return _build_report(pool_ids, pool_x, labels, scores)
 
 
 def select_samples(report: DiscoveryReport, n: int, strategy: str = "min",
@@ -185,10 +179,7 @@ def select_samples(report: DiscoveryReport, n: int, strategy: str = "min",
     All ties break by ascending sample id. Asking for more rows than exist
     selects everything and sets the truncated flag.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown selection strategy {strategy!r}, expected one of {STRATEGIES}")
-    if n <= 0:
-        raise ConfigError(f"selection size must be positive, got {n}")
+    _check_selection(n, strategy)
     size = len(report)
     take = min(n, size)
     if strategy == "min":
@@ -200,7 +191,7 @@ def select_samples(report: DiscoveryReport, n: int, strategy: str = "min",
         picks = rng.choice(size, size=take, replace=False)
     selected = np.zeros(size, dtype=bool)
     selected[picks] = True
-    return replace(report, selected=selected, strategy=strategy, truncated=n > size)
+    return replace(report, selected=selected, truncated=n > size)
 
 
 def select_balanced(report: DiscoveryReport, n: int, class_count: int,
@@ -212,10 +203,7 @@ def select_balanced(report: DiscoveryReport, n: int, class_count: int,
     with that class; unfillable quota falls back to the global strategy
     order over the remaining rows.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown selection strategy {strategy!r}, expected one of {STRATEGIES}")
-    if n <= 0:
-        raise ConfigError(f"selection size must be positive, got {n}")
+    _check_selection(n, strategy)
     size = len(report)
     take = min(n, size)
     if strategy == "max":
@@ -234,7 +222,14 @@ def select_balanced(report: DiscoveryReport, n: int, class_count: int,
     if shortfall > 0:
         rest = order[~selected[order]][:shortfall]
         selected[rest] = True
-    return replace(report, selected=selected, strategy=strategy, truncated=n > size)
+    return replace(report, selected=selected, truncated=n > size)
+
+
+def _check_selection(n: int, strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown selection strategy {strategy!r}, expected one of {STRATEGIES}")
+    if n <= 0:
+        raise ConfigError(f"selection size must be positive, got {n}")
 
 
 def noise_rate(report: DiscoveryReport, true_label_of: dict[int, int]) -> float:

@@ -373,24 +373,16 @@ def grad(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> ModelParams
     return grad_from_dlogits(params, out, dlogits)
 
 
-@dataclass(frozen=True)
-class MomentumState:
-    """Classical momentum: v <- mu*v + g, p <- p - lr*v."""
-
-    momentum: float
-    velocity: ModelParams | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-
-
-def sgd_step(params: ModelParams, gradient: ModelParams, lr: float,
-             state: MomentumState, l2: float = 0.0) -> tuple[ModelParams, MomentumState]:
-    """One momentum SGD update; returns the new parameters and state. l2 > 0
-    adds l2 * w to each weight gradient (biases are not decayed)."""
+def sgd_step(params: ModelParams, gradient: ModelParams, lr: float, momentum: float,
+             velocity: np.ndarray | None = None,
+             l2: float = 0.0) -> tuple[ModelParams, np.ndarray]:
+    """One classical momentum SGD update, v <- mu*v + g, p <- p - lr*v;
+    returns the new parameters and velocity (None: the first step, v = g).
+    l2 > 0 adds l2 * w to each weight gradient (biases are not decayed)."""
     if lr <= 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
+    if not 0.0 <= momentum < 1.0:
+        raise ConfigError(f"momentum must lie in [0, 1), got {momentum}")
     if params.layer_dims != gradient.layer_dims:
         raise ConfigError("gradient shape does not match parameters")
     g = gradient.buffer
@@ -398,9 +390,8 @@ def sgd_step(params: ModelParams, gradient: ModelParams, lr: float,
         g = g.copy()
         for ws, _, _ in _layout(params.layer_dims):
             g[ws] += l2 * params.buffer[ws]
-    velocity = g.copy() if state.velocity is None else state.momentum * state.velocity.buffer + g
-    return (params._derive(params.buffer - lr * velocity),
-            MomentumState(state.momentum, gradient._derive(velocity)))
+    velocity = g.copy() if velocity is None else momentum * velocity + g
+    return params._derive(params.buffer - lr * velocity), velocity
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:

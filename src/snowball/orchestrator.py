@@ -39,43 +39,32 @@ ALGOS = ("snowball", "mean-teacher", "self-learning", "supervised")
 class TrainingSet:
     """The labelled set a training iteration sees: originals plus discoveries.
 
-    Provenance is (generation, iteration) of discovery, (0, 0) for original
-    labels. Sample ids stay unique; a sample can be discovered at most once
-    per generation because discovery always draws from the shrinking pool.
+    Sample ids stay unique; a sample can be discovered at most once per
+    generation because discovery always draws from the shrinking pool.
     """
 
     ids: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    prov_generation: np.ndarray
-    prov_iteration: np.ndarray
-    generation: int
-    iteration: int
 
     def __len__(self) -> int:
         return len(self.ids)
 
     @classmethod
-    def from_split(cls, data: DatasetSplit, generation: int = 1) -> TrainingSet:
-        n = len(data.labeled_ids)
-        return cls(data.labeled_ids.copy(), data.labeled_x.copy(), data.labeled_y.copy(),
-                   np.zeros(n, dtype=int), np.zeros(n, dtype=int), generation, 0)
+    def from_split(cls, data: DatasetSplit) -> TrainingSet:
+        return cls(data.labeled_ids.copy(), data.labeled_x.copy(), data.labeled_y.copy())
 
-    def with_discovered(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray,
-                        generation: int, iteration: int) -> TrainingSet:
+    def with_discovered(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> TrainingSet:
         if np.intersect1d(self.ids, ids).size:
             raise OrchestrationError("discovered samples overlap the training set")
-        n = len(ids)
-        return TrainingSet(
-            np.concatenate([self.ids, ids]), np.concatenate([self.x, x]),
-            np.concatenate([self.y, y]),
-            np.concatenate([self.prov_generation, np.full(n, generation)]),
-            np.concatenate([self.prov_iteration, np.full(n, iteration)]),
-            generation, iteration)
+        return TrainingSet(np.concatenate([self.ids, ids]), np.concatenate([self.x, x]),
+                           np.concatenate([self.y, y]))
 
 
 def _effective(config: ExperimentConfig, algo: str) -> ExperimentConfig:
-    """Coerce a config to the loop an algorithm actually runs (idempotent)."""
+    """Coerce a config to the loop an algorithm actually runs (idempotent).
+    The (0,) schedule keeps mean-teacher and supervised from discovering; only
+    snowball builds a master, so only it has a guide or past masters to fuse."""
     if algo == "snowball":
         return config
     if algo == "mean-teacher":
@@ -130,7 +119,7 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     if steps == 0:
         return prev_master if prev_master is not None else teacher.copy()
     refined = teacher
-    momentum = net.MomentumState(config.momentum)
+    velocity: np.ndarray | None = None
     targets = one_hot(refine_y, teacher.class_count)
     ema: EmaState | None = None if prev_master is None else EmaState(config.beta, prev_master)
     for step in range(steps):
@@ -141,8 +130,8 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
             culprit = max(step - 1, 0)
             raise DivergenceError(f"master refinement diverged at refine step {culprit}",
                                   step=culprit) from None
-        refined, momentum = net.sgd_step(refined, gradient, config.learning_rate, momentum,
-                                         l2=config.l2)
+        refined, velocity = net.sgd_step(refined, gradient, config.learning_rate,
+                                         config.momentum, velocity, l2=config.l2)
         if not refined.all_finite():
             raise DivergenceError(f"master refinement diverged at refine step {step}",
                                   step=step)
@@ -176,19 +165,16 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
     step_metrics: dict[tuple[int, int], list] = {}
     reports: dict[tuple[int, int], DiscoveryReport] = {}
     teacher_is_output = output_role(algo) == "teacher"
-    discovers = algo in ("snowball", "self-learning")
 
     for m in range(1, cfg.generations + 1):
-        training_set = TrainingSet.from_split(data, generation=m)
-        pool_ids = data.unlabeled_ids.copy()
-        pool_x = data.unlabeled_x.copy()
+        training_set = TrainingSet.from_split(data)
+        pool_ids, pool_x = data.unlabeled_ids, data.unlabeled_x  # masking makes new arrays
         for k in range(1, cfg.iterations + 1):
             t0 = time.perf_counter()
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, m, k]))
-            guide = master if algo == "snowball" else None
             try:
                 student, teacher, steps = train_iteration(
-                    student, training_set.x, training_set.y, pool_x, guide,
+                    student, training_set.x, training_set.y, pool_x, master,
                     cfg, rng, eval_x=data.test_x, eval_y=data.test_y)
             except DivergenceError as err:
                 raise DivergenceError(
@@ -199,11 +185,23 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
 
             noise = 0.0
             n_discover = schedule[k - 1]
-            if discovers and n_discover > 0 and len(pool_ids) > 0:
-                report = _discover(algo, cfg, data, student, teacher, master,
-                                   past_masters, pool_x, pool_ids, training_set)
-                report = _select(report, n_discover, cfg, data.class_count,
-                                 np.random.SeedSequence([cfg.seed, m, k, 7]))
+            if n_discover > 0 and len(pool_ids) > 0:
+                if cfg.fusion != "single" and past_masters:
+                    report = fuse_distances(past_masters[-3:], pool_x, pool_ids,
+                                            training_set.x, training_set.y, cfg.fusion,
+                                            data.class_count)
+                else:
+                    model = master if master is not None else teacher
+                    if algo == "self-learning":  # the plain student ranks the pool
+                        model = student
+                    report = assign_pseudo_labels(model, pool_x, pool_ids, training_set.x,
+                                                  training_set.y, data.class_count)
+                seed_seq = np.random.SeedSequence([cfg.seed, m, k, 7])
+                if cfg.balance_classes:
+                    report = select_balanced(report, n_discover, data.class_count,
+                                             cfg.strategy, seed_seq)
+                else:
+                    report = select_samples(report, n_discover, cfg.strategy, seed_seq)
                 reports[(m, k)] = report
                 noise = noise_rate(report, truth)
                 sel_ids = report.sample_ids[report.selected]
@@ -212,7 +210,7 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                 else:
                     sel_y = report.labels[report.selected]
                 training_set = training_set.with_discovered(
-                    sel_ids, report.inputs[report.selected], sel_y, m, k)
+                    sel_ids, report.inputs[report.selected], sel_y)
                 keep = np.isin(pool_ids, sel_ids, invert=True)
                 pool_ids, pool_x = pool_ids[keep], pool_x[keep]
                 if algo == "snowball":
@@ -241,23 +239,3 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
         models["master"] = master
     return RunRecord(algo=algo, config=cfg.to_dict(), rows=rows,
                      models=models, step_metrics=step_metrics, reports=reports)
-
-
-def _discover(algo, cfg, data, student, teacher, master, past_masters,
-              pool_x, pool_ids, training_set) -> DiscoveryReport:
-    if algo == "self-learning":
-        model = student
-    else:
-        model = master if master is not None else teacher
-    if algo == "snowball" and cfg.fusion != "single" and past_masters:
-        return fuse_distances(past_masters[-3:], pool_x, pool_ids,
-                              training_set.x, training_set.y, cfg.fusion,
-                              data.class_count)
-    return assign_pseudo_labels(model, pool_x, pool_ids,
-                                training_set.x, training_set.y, data.class_count)
-
-
-def _select(report, n, cfg, class_count, seed_seq) -> DiscoveryReport:
-    if cfg.balance_classes:
-        return select_balanced(report, n, class_count, cfg.strategy, seed_seq)
-    return select_samples(report, n, cfg.strategy, seed_seq)

@@ -26,7 +26,7 @@ from . import network as net
 from .data import augment
 from .discovery import FUSIONS, STRATEGIES
 from .errors import ConfigError, DataError, DivergenceError, NumericsError, decoding
-from .network import ACTIVATIONS, EPS_LOG, ModelParams, MomentumState
+from .network import ACTIVATIONS, EPS_LOG, ModelParams
 
 CONSISTENCY_KINDS = ("ce", "mse")
 UNLABELED = -1  # label marker for pool rows inside a mixed minibatch
@@ -371,7 +371,7 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
 
     student = student_init
     teacher_ema = EmaState(cfg.alpha, student_init)
-    momentum = MomentumState(cfg.momentum)
+    velocity: np.ndarray | None = None
     metrics: list[StepMetrics] = []
 
     for step in range(cfg.steps):
@@ -396,8 +396,8 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
         except NumericsError:
             raise _diverged(max(step - 1, 0)) from None
         assert gradient is not None
-        student, momentum = net.sgd_step(student, gradient, cfg.learning_rate, momentum,
-                                         l2=cfg.l2)
+        student, velocity = net.sgd_step(student, gradient, cfg.learning_rate, cfg.momentum,
+                                         velocity, l2=cfg.l2)
 
         if not math.isfinite(breakdown.total) or not student.all_finite():
             raise _diverged(step)

@@ -130,7 +130,7 @@ class TestAssignment:
         ids = np.array([42, 7, 1])
         rep = assign_pseudo_labels(m, pool, ids, train_x, train_y, 2)
         assert list(rep.sample_ids) == [7, 42, 1]
-        assert list(rep.ranks) == [0, 1, 2]
+        assert len(rep) == 3
         assert rep.distances[0] == rep.distances[1] == 1.0
 
     def test_empty_pool_rejected(self):

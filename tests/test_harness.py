@@ -241,6 +241,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bad.conf" in err and err.count("\n") == 1
 
+    def test_config_that_is_a_directory_exits_1(self, tmp_path, capsys):
+        assert cli_run(["train", "--config", str(tmp_path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+
     def test_non_utf8_manifest_exits_2(self, tmp_path, capsys):
         assert cli_run(fast_args(tmp_path)) == 0
         manifest = tmp_path / "supervised-two-moons-seed0" / "manifest.txt"
@@ -387,15 +392,52 @@ class TestCliBehaviour:
         assert cli_run(fast_args(tmp_path)) == 0
         assert capsys.readouterr().err == ""
 
-    def test_ablation_commands_run(self, tmp_path):
-        common = ["--dataset", "blobs", "--labels-per-class", "2",
-                  "--seed", "0", "--out-dir", str(tmp_path),
-                  "--set", "steps=25", "--set", "ramp_len=12",
-                  "--set", "generations=1", "--set", "iterations=1",
-                  "--set", "n_per_class=40"]
-        assert cli_run(["ablate-selection"] + common) == 0
-        assert cli_run(["ablate-fusion"] + common) == 0
+    ABLATION_COMMON = ["--dataset", "blobs", "--labels-per-class", "2", "--seed", "0",
+                       "--set", "steps=25", "--set", "ramp_len=12",
+                       "--set", "generations=1", "--set", "iterations=1",
+                       "--set", "n_per_class=40"]
+    # noisier blobs, four iterations of six discoveries and a fast master EMA,
+    # so the three past masters differ and every row of both tables differs
+    ABLATION_DISTINCT = ["--dataset", "blobs", "--labels-per-class", "2", "--seed", "0",
+                         "--set", "steps=40", "--set", "ramp_len=12",
+                         "--set", "generations=1", "--set", "iterations=4",
+                         "--set", "n_per_class=40", "--set", "data_noise=1.5",
+                         "--set", "discovery_schedule=6,6,6,6", "--set", "beta=0.5"]
+    # stdout of both commands, recorded when each still ran its own loop
+    ABLATION_STDOUT = {
+        ("ablate-selection", "common"): (
+            "strategy    err (true labels)  sample noise rate\n"
+            "min                    0.1698             0.0000\n"
+            "random                 0.1698             0.0000\n"
+            "max                    0.1698             0.0000\n"),
+        ("ablate-fusion", "common"): (
+            "fusion                   noise rate   test err\n"
+            "average_distance             0.0000     0.1698\n"
+            "feature_cascade              0.0000     0.1698\n"
+            "average_sorting_score        0.0000     0.1698\n"),
+        ("ablate-selection", "distinct"): (
+            "strategy    err (true labels)  sample noise rate\n"
+            "min                    0.3019             0.1667\n"
+            "random                 0.2830             0.3333\n"
+            "max                    0.2830             0.3333\n"),
+        ("ablate-fusion", "distinct"): (
+            "fusion                   noise rate   test err\n"
+            "average_distance             0.0000     0.3019\n"
+            "feature_cascade              0.0000     0.2830\n"
+            "average_sorting_score        0.1667     0.2830\n"),
+    }
+
+    def test_ablation_commands_run(self, tmp_path, capsys):
+        common = self.ABLATION_COMMON + ["--out-dir", str(tmp_path)]
+        for command in ("ablate-selection", "ablate-fusion"):
+            assert cli_run([command] + common) == 0
+            assert capsys.readouterr().out == self.ABLATION_STDOUT[(command, "common")]
         assert cli_run(["ablate-guidance"] + common) == 0
+
+    @pytest.mark.parametrize("command", ["ablate-selection", "ablate-fusion"])
+    def test_ablation_rows_that_differ_are_pinned(self, tmp_path, capsys, command):
+        assert cli_run([command, *self.ABLATION_DISTINCT, "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == self.ABLATION_STDOUT[(command, "distinct")]
 
     def test_dump_discovery_writes_reports(self, tmp_path):
         argv = fast_args(tmp_path, "--dump-discovery", algo="snowball")
@@ -426,23 +468,32 @@ class TestConfigRoundTrip:
         raw, _ = read_manifest(tmp_path / "manifest.txt")
         assert build_configs(raw) == (config, spec)
 
-    def parent_format_manifest(self, tmp_path, ema_every, ema_warmup):
-        """A manifest as written before the two EMA keys were retired."""
+    def parent_format_manifest(self, tmp_path, **retired):
+        """A manifest as written before the given keys were retired."""
         assert cli_run(fast_args(tmp_path)) == 0
         manifest = tmp_path / "supervised-two-moons-seed0" / "manifest.txt"
-        text = manifest.read_text().replace(
-            "[config]\n", f"[config]\nema_every = {ema_every}\nema_warmup = {ema_warmup}\n")
-        manifest.write_text(text)
+        lines = "".join(f"{key} = {value}\n" for key, value in retired.items())
+        manifest.write_text(manifest.read_text().replace("[config]\n", f"[config]\n{lines}"))
         return manifest
 
     def test_retired_keys_at_their_only_value_verify(self, tmp_path):
-        manifest = self.parent_format_manifest(tmp_path, 1, False)
+        manifest = self.parent_format_manifest(tmp_path, ema_every=1, ema_warmup=False)
         assert cli_run(["report", "--verify", str(manifest)]) == 0
+
+    def test_retired_csv_classes_at_0_verifies(self, tmp_path):
+        manifest = self.parent_format_manifest(tmp_path, csv_classes=0)
+        assert cli_run(["report", "--verify", str(manifest)]) == 0
+
+    def test_csv_classes_set_to_another_value_is_a_usage_error(self, tmp_path, capsys):
+        assert cli_run(fast_args(tmp_path, "--set", "csv_classes=3")) == 1
+        assert capsys.readouterr().err == ("error: config key 'csv_classes' is retired; only "
+                                           "csv_classes = 0 is accepted, got '3'\n")
 
     @pytest.mark.parametrize("ema_every, ema_warmup", [(2, False), (1, True), ("x", False)])
     def test_retired_keys_at_another_value_are_usage_errors(self, tmp_path, capsys,
                                                             ema_every, ema_warmup):
-        manifest = self.parent_format_manifest(tmp_path, ema_every, ema_warmup)
+        manifest = self.parent_format_manifest(tmp_path, ema_every=ema_every,
+                                               ema_warmup=ema_warmup)
         capsys.readouterr()
         assert cli_run(["report", "--verify", str(manifest)]) == 1
         assert "is retired" in capsys.readouterr().err

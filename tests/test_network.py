@@ -13,7 +13,6 @@ from snowball.errors import ConfigError, DataError, NumericsError
 from snowball.network import (
     BatchForward,
     ModelParams,
-    MomentumState,
     batch_loss,
     error_rate,
     forward,
@@ -360,13 +359,13 @@ class TestSgd:
             tuple(np.zeros_like(b) for b in p.biases),
             p.activation,
         )
-        q, _ = sgd_step(p, zero, lr=0.5, state=MomentumState(0.9))
+        q, _ = sgd_step(p, zero, lr=0.5, momentum=0.9)
         assert params_equal(p, q)
 
     def test_plain_step_is_lr_times_grad(self):
         p = tiny_net(seed=2)
         g = init_params(p.layer_dims, seed=3)
-        q, _ = sgd_step(p, g, lr=1.0, state=MomentumState(0.0))
+        q, _ = sgd_step(p, g, lr=1.0, momentum=0.0)
         for pw, gw, qw in zip(p.weights, g.weights, q.weights):
             np.testing.assert_allclose(qw, pw - gw, atol=1e-15)
 
@@ -374,22 +373,29 @@ class TestSgd:
         # v1 = g, v2 = 0.9 g + g = 1.9 g  ->  second delta is 1.9*lr*g
         p = tiny_net(seed=7)
         g = init_params(p.layer_dims, seed=8)
-        st = MomentumState(0.9)
-        q1, st = sgd_step(p, g, lr=1.0, state=st)
-        q2, st = sgd_step(q1, g, lr=1.0, state=st)
+        q1, v1 = sgd_step(p, g, lr=1.0, momentum=0.9)
+        q2, v2 = sgd_step(q1, g, lr=1.0, momentum=0.9, velocity=v1)
         for a, b, gw in zip(q1.weights, q2.weights, g.weights):
             np.testing.assert_allclose(a - b, 1.9 * gw, atol=1e-12)
+        np.testing.assert_array_equal(v1, g.buffer)
+        np.testing.assert_allclose(v2, 1.9 * g.buffer, atol=1e-12)
 
     def test_l2_decays_weights_not_biases(self):
         # with a zero gradient the step is the decay term alone: w - lr*l2*w
         p = tiny_net(seed=2)
         p = ModelParams(p.weights, tuple(b + 1.0 for b in p.biases), p.activation)
         zero = 0.0 * p
-        q, _ = sgd_step(p, zero, lr=0.5, state=MomentumState(0.0), l2=0.1)
+        q, _ = sgd_step(p, zero, lr=0.5, momentum=0.0, l2=0.1)
         for pw, qw in zip(p.weights, q.weights):
             np.testing.assert_array_equal(qw, pw - 0.5 * (0.0 + 0.1 * pw))
         for pb, qb in zip(p.biases, q.biases):
             np.testing.assert_array_equal(qb, pb)
+
+    @pytest.mark.parametrize("momentum", [1.0, -0.1, float("nan")])
+    def test_momentum_outside_unit_interval_rejected(self, momentum):
+        p = tiny_net()
+        with pytest.raises(ConfigError, match="momentum must lie in"):
+            sgd_step(p, p, lr=0.1, momentum=momentum)
 
 
 class TestParamsAlgebra:
@@ -429,15 +435,15 @@ class TestParamsAlgebra:
     def test_derived_values_do_not_alias_their_operands(self):
         a, b = tiny_net(seed=1), tiny_net(seed=2)
         g = init_params(a.layer_dims, seed=3)
-        derived = [a + b, a - b, 0.5 * a, a * 2.0, a.copy(), copy.deepcopy(a)]
+        derived = [m.buffer for m in (a + b, a - b, 0.5 * a, a * 2.0, a.copy(), copy.deepcopy(a))]
         for l2 in (0.0, 0.01):
-            q, st = sgd_step(a, g, lr=0.1, state=MomentumState(0.9), l2=l2)
-            q2, st2 = sgd_step(q, g, lr=0.1, state=st, l2=l2)
-            derived += [q, st.velocity, q2, st2.velocity]
-        operands = [a, b, g]
+            q, v = sgd_step(a, g, lr=0.1, momentum=0.9, l2=l2)
+            q2, v2 = sgd_step(q, g, lr=0.1, momentum=0.9, velocity=v, l2=l2)
+            derived += [q.buffer, v, q2.buffer, v2]
+        operands = [a.buffer, b.buffer, g.buffer]
         for i, r in enumerate(derived):
             for other in operands + derived[:i]:
-                assert not np.shares_memory(r.buffer, other.buffer)
+                assert not np.shares_memory(r, other)
 
     def test_attributes_cannot_be_rebound(self):
         p = tiny_net()

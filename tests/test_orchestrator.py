@@ -65,21 +65,22 @@ class TestExperimentConfig:
 class TestTrainingSet:
     def test_from_split_and_growth(self):
         d = small_data()
-        ts = TrainingSet.from_split(d, generation=1)
+        ts = TrainingSet.from_split(d)
         assert len(ts) == len(d.labeled_ids)
-        assert np.sum(ts.prov_generation != 0) == 0
+        np.testing.assert_array_equal(ts.ids, d.labeled_ids)
         grown = ts.with_discovered(
-            np.array([9991, 9992]), np.zeros((2, 2)), np.array([0, 1]), 1, 1)
+            np.array([9991, 9992]), np.zeros((2, 2)), np.array([0, 1]))
         assert len(grown) == len(ts) + 2
-        assert np.sum(grown.prov_generation != 0) == 2
-        assert np.sum(grown.prov_generation == 0) == len(d.labeled_ids)
+        # discoveries follow the original labels, which keep their place
+        np.testing.assert_array_equal(grown.ids, np.concatenate([d.labeled_ids, [9991, 9992]]))
+        np.testing.assert_array_equal(grown.y[len(ts):], [0, 1])
 
     def test_duplicate_ids_rejected(self):
         d = small_data()
-        ts = TrainingSet.from_split(d, generation=1)
+        ts = TrainingSet.from_split(d)
         dup = int(ts.ids[0])
         with pytest.raises(OrchestrationError):
-            ts.with_discovered(np.array([dup]), np.zeros((1, 2)), np.array([0]), 1, 1)
+            ts.with_discovered(np.array([dup]), np.zeros((1, 2)), np.array([0]))
 
 
 class TestBuildMaster:
@@ -91,7 +92,7 @@ class TestBuildMaster:
     def test_zero_fraction_uses_selected_only(self):
         d = small_data()
         teacher = init_params((2, 8, 2), seed=1)
-        ts = TrainingSet.from_split(d, generation=1)
+        ts = TrainingSet.from_split(d)
         rep = self.make_report(d, teacher)
         cfg = quick_cfg(master_extra_fraction=0.0, master_refine_steps=3)
         m = build_master(teacher, ts, rep, cfg)
@@ -101,7 +102,7 @@ class TestBuildMaster:
         d = small_data()
         teacher = init_params((2, 8, 2), seed=1)
         prev = init_params((2, 8, 2), seed=2)
-        ts = TrainingSet.from_split(d, generation=1)
+        ts = TrainingSet.from_split(d)
         rep = self.make_report(d, teacher)
         cfg = quick_cfg(beta=1.0, master_refine_steps=4)
         m = build_master(teacher, ts, rep, cfg, prev_master=prev)
@@ -111,7 +112,7 @@ class TestBuildMaster:
         d = small_data()
         teacher = init_params((2, 8, 2), seed=1)
         prev = init_params((2, 8, 2), seed=2)
-        ts = TrainingSet.from_split(d, generation=1)
+        ts = TrainingSet.from_split(d)
         rep = self.make_report(d, teacher)
         cfg = quick_cfg(master_refine_steps=0)
         assert params_equal(build_master(teacher, ts, rep, cfg, prev), prev)
@@ -121,7 +122,7 @@ class TestBuildMaster:
         # N=10 selected, fraction 0.5 -> 5 extras: ranks 10..14 of 20
         d = small_data(n=400)
         teacher = init_params((2, 8, 2), seed=1)
-        ts = TrainingSet.from_split(d, generation=1)
+        ts = TrainingSet.from_split(d)
         rep = assign_pseudo_labels(teacher, d.unlabeled_x[:20], d.unlabeled_ids[:20],
                                    d.labeled_x, d.labeled_y, d.class_count)
         rep = select_samples(rep, 10, "min")
@@ -137,7 +138,7 @@ class TestBuildMaster:
         # 1e308 * N overflows int(ceil(...)); it means "all 10 unselected rows"
         d = small_data(n=400)
         teacher = init_params((2, 8, 2), seed=1)
-        ts = TrainingSet.from_split(d, generation=1)
+        ts = TrainingSet.from_split(d)
         rep = assign_pseudo_labels(teacher, d.unlabeled_x[:20], d.unlabeled_ids[:20],
                                    d.labeled_x, d.labeled_y, d.class_count)
         rep = select_samples(rep, 10, "min")
@@ -148,7 +149,7 @@ class TestBuildMaster:
     def test_divergence_names_the_refine_step(self):
         d = small_data()
         teacher = init_params((2, 8, 2), seed=1)
-        ts = TrainingSet.from_split(d, generation=1)
+        ts = TrainingSet.from_split(d)
         rep = self.make_report(d, teacher)
         cfg = quick_cfg(learning_rate=1e200, master_refine_steps=5)
         with np.errstate(over="ignore", invalid="ignore"), \
@@ -159,7 +160,7 @@ class TestBuildMaster:
     def test_empty_selection_rejected(self):
         d = small_data()
         teacher = init_params((2, 8, 2), seed=1)
-        ts = TrainingSet.from_split(d, generation=1)
+        ts = TrainingSet.from_split(d)
         rep = assign_pseudo_labels(teacher, d.unlabeled_x, d.unlabeled_ids,
                                    d.labeled_x, d.labeled_y, d.class_count)
         with pytest.raises(OrchestrationError):

@@ -3,8 +3,9 @@
 Each reader gets a valid seed file, which hypothesis mutates by flipping,
 deleting and inserting bytes and by truncating. Whatever comes out, the
 reader either parses it or raises a SnowballError, which the CLI maps onto
-its exit codes; any other exception would surface as a traceback. The runs
-are derandomized and keep no example database, so they are reproducible.
+its exit codes; any other exception would surface as a traceback. A mutated
+manifest is also fed to ``snowball report`` through the CLI entry point. The
+runs are derandomized and keep no example database, so they are reproducible.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from snowball.cli import build_configs, parse_config_file
+from snowball.cli import build_configs, cli_run, parse_config_file
 from snowball.data import load_csv
 from snowball.errors import SnowballError
 from snowball.network import init_params, load_checkpoint, save_checkpoint
@@ -113,3 +114,19 @@ def test_mutated_file_parses_or_raises_a_snowball_error(tmp_path, kind, edits):
         read(path)
     except SnowballError:
         pass
+
+
+@FUZZ
+@given(edits=mutations())
+def test_report_of_a_mutated_manifest_exits_0_or_2_with_one_line(tmp_path, capsys, edits):
+    seed_path = tmp_path / "manifest.seed"
+    if not seed_path.exists():
+        seed_manifest(seed_path)
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(mutate(seed_path.read_bytes(), edits))
+    code = cli_run(["report", str(path)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2 and err.startswith("data error: ") and err.count("\n") == 1, err
