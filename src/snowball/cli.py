@@ -405,6 +405,10 @@ def _cmd_ablate(args) -> int:
         final = record.rows[-1]
         print(" ".join([f"{value:<{width}}"]
                        + [f"{getattr(final, field):>{w}.4f}" for _, field, w in columns]))
+    # the discovery count does not depend on the fusion: the last run speaks for all
+    if key == "fusion" and len(record.reports) < 3:
+        print(f"note: each run made {len(record.reports)} of the 3 discoveries fusion needs "
+              "to combine two masters, so it played no part in these rows", file=sys.stderr)
     return 0
 
 

@@ -195,12 +195,12 @@ def augment(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray
     return x + rng.normal(0.0, sigma, size=x.shape)
 
 
-def load_csv(path, class_count: int | None = None) -> RawDataset:
+def load_csv(path) -> RawDataset:
     """Load samples from a CSV: real feature columns, last column the label.
 
-    Labels must be integers in [0, class_count); when class_count is None it
-    is inferred as max label + 1. Every malformed row, including one holding
-    a nan or infinite value, produces a DataError naming the line number.
+    Labels must be non-negative integers; the class count is max label + 1.
+    Every malformed row, including one holding a nan or infinite value,
+    produces a DataError naming the line number.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -235,8 +235,8 @@ def load_csv(path, class_count: int | None = None) -> RawDataset:
             if label_raw != int(label_raw):
                 raise DataError(f"{path}: line {lineno}: label {row[-1].strip()!r} is not an integer")
             label = int(label_raw)
-            # an inferred class count, max label + 1, must fit a 64-bit integer
-            limit = class_count if class_count is not None else np.iinfo(np.int64).max
+            # the class count, max label + 1, must fit a 64-bit integer
+            limit = np.iinfo(np.int64).max
             if not 0 <= label < limit:
                 raise DataError(f"{path}: line {lineno}: label {label} outside [0, {limit})")
             rows.append(values)
@@ -244,5 +244,4 @@ def load_csv(path, class_count: int | None = None) -> RawDataset:
     if not rows:
         raise DataError(f"{path}: file contains no samples")
     y = np.asarray(labels, dtype=int)
-    return RawDataset(np.asarray(rows, dtype=float), y,
-                      class_count if class_count is not None else int(y.max()) + 1)
+    return RawDataset(np.asarray(rows, dtype=float), y, int(y.max()) + 1)

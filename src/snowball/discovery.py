@@ -61,14 +61,12 @@ class DiscoveryReport:
         return len(self.sample_ids)
 
 
-def compute_class_centers(model: ModelParams, x: np.ndarray, y: np.ndarray,
-                          class_count: int | None = None) -> np.ndarray:
-    """Per-class mean feature vectors over a labelled set."""
-    class_count = model.class_count if class_count is None else class_count
+def compute_class_centers(model: ModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-class mean feature vectors over a labelled set, one per model class."""
     y = np.asarray(y, dtype=int)
     feats = net.forward(model, x).features
-    centers = np.empty((class_count, feats.shape[1]))
-    for c in range(class_count):
+    centers = np.empty((model.class_count, feats.shape[1]))
+    for c in range(model.class_count):
         mask = y == c
         if not np.any(mask):
             raise DiscoveryError(f"class {c} has no labelled samples, cannot place its center")
@@ -87,9 +85,9 @@ def _nearest_center(feats: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray,
     return labels, dists[np.arange(len(feats)), labels]
 
 
-def _model_nearest(model, pool_x, train_x, train_y, class_count):
+def _model_nearest(model, pool_x, train_x, train_y):
     """Labels and distances of a pool by one model's nearest class center."""
-    centers = compute_class_centers(model, train_x, train_y, class_count)
+    centers = compute_class_centers(model, train_x, train_y)
     return _nearest_center(net.forward(model, pool_x).features, centers)
 
 
@@ -107,12 +105,11 @@ def _build_report(ids, inputs, labels, scores) -> DiscoveryReport:
 
 
 def assign_pseudo_labels(model: ModelParams, pool_x: np.ndarray, pool_ids: np.ndarray,
-                         train_x: np.ndarray, train_y: np.ndarray,
-                         class_count: int | None = None) -> DiscoveryReport:
+                         train_x: np.ndarray, train_y: np.ndarray) -> DiscoveryReport:
     """Pseudo-label a pool by nearest class center of a single model."""
     if len(pool_x) == 0:
         raise DiscoveryError("unlabelled pool is empty")
-    labels, dists = _model_nearest(model, pool_x, train_x, train_y, class_count)
+    labels, dists = _model_nearest(model, pool_x, train_x, train_y)
     return _build_report(pool_ids, pool_x, labels, dists)
 
 
@@ -127,8 +124,7 @@ def _majority_vote(per_model_labels: tuple[np.ndarray, ...], class_count: int) -
 
 
 def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.ndarray,
-                   train_x: np.ndarray, train_y: np.ndarray, fusion: str,
-                   class_count: int | None = None) -> DiscoveryReport:
+                   train_x: np.ndarray, train_y: np.ndarray, fusion: str) -> DiscoveryReport:
     """Pseudo-label a pool using 1-3 model snapshots, oldest first.
 
     single demands exactly one model and matches `assign_pseudo_labels`;
@@ -142,20 +138,18 @@ def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.n
     if fusion == "single":
         if len(models) != 1:
             raise ConfigError(f"fusion 'single' takes exactly 1 model, got {len(models)}")
-        return assign_pseudo_labels(models[0], pool_x, pool_ids, train_x, train_y, class_count)
+        return assign_pseudo_labels(models[0], pool_x, pool_ids, train_x, train_y)
     if len(pool_x) == 0:
         raise DiscoveryError("unlabelled pool is empty")
-    class_count = models[0].class_count if class_count is None else class_count
     if fusion == "feature_cascade":
         # the center of concatenated features is the concatenation of centers
-        centers = np.concatenate([compute_class_centers(m, train_x, train_y, class_count)
-                                  for m in models], axis=1)
+        centers = np.concatenate([compute_class_centers(m, train_x, train_y) for m in models],
+                                 axis=1)
         feats = np.concatenate([net.forward(m, pool_x).features for m in models], axis=1)
         labels, dists = _nearest_center(feats, centers)
         return _build_report(pool_ids, pool_x, labels, dists)
-    per_labels, per_dists = zip(*(_model_nearest(m, pool_x, train_x, train_y, class_count)
-                                  for m in models))
-    labels = _majority_vote(per_labels, class_count)
+    per_labels, per_dists = zip(*(_model_nearest(m, pool_x, train_x, train_y) for m in models))
+    labels = _majority_vote(per_labels, models[0].class_count)
     if fusion == "average_distance":
         scores = np.mean(per_dists, axis=0)
     else:  # average_sorting_score: mean of per-model 0-based ranks

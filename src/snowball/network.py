@@ -59,17 +59,17 @@ class ModelParams:
     directly on models.
     """
 
-    __slots__ = ("buffer", "layer_dims", "activation", "_views")
+    __slots__ = ("buffer", "layer_dims", "activation", "_given")
 
     def __init__(self, weights: tuple[np.ndarray, ...], biases: tuple[np.ndarray, ...],
                  activation: str = "relu"):
-        # the given arrays wait in _views until __post_init__ copies them
-        object.__setattr__(self, "_views", (tuple(weights), tuple(biases)))
+        # the given arrays wait in _given until __post_init__ copies them
+        object.__setattr__(self, "_given", (tuple(weights), tuple(biases)))
         object.__setattr__(self, "activation", activation)
         self.__post_init__()
 
     def __post_init__(self):
-        weights, biases = self._views
+        weights, biases = self._given
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}")
         if not weights or len(weights) != len(biases):
@@ -90,7 +90,7 @@ class ModelParams:
         object.__setattr__(self, "buffer", buffer)
         object.__setattr__(self, "layer_dims", dims)
         object.__setattr__(self, "activation", activation)
-        object.__setattr__(self, "_views", None)
+        object.__setattr__(self, "_given", None)
 
     @classmethod
     def _wrap(cls, buffer: np.ndarray, dims: tuple[int, ...], activation: str) -> ModelParams:
@@ -112,21 +112,13 @@ class ModelParams:
     def __reduce__(self):  # pickle and copy.deepcopy
         return ModelParams._wrap, (self.buffer, self.layer_dims, self.activation)
 
-    def _layer_views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        if self._views is None:
-            layout = _layout(self.layer_dims)
-            views = (tuple(self.buffer[ws].reshape(shape) for ws, _, shape in layout),
-                     tuple(self.buffer[bs] for _, bs, _ in layout))
-            object.__setattr__(self, "_views", views)
-        return self._views
-
     @property
     def weights(self) -> tuple[np.ndarray, ...]:
-        return self._layer_views()[0]
+        return tuple(self.buffer[ws].reshape(shape) for ws, _, shape in _layout(self.layer_dims))
 
     @property
     def biases(self) -> tuple[np.ndarray, ...]:
-        return self._layer_views()[1]
+        return tuple(self.buffer[bs] for _, bs, _ in _layout(self.layer_dims))
 
     @property
     def input_dim(self) -> int:
@@ -348,11 +340,12 @@ def grad_from_dlogits(params: ModelParams, trace: BatchForward,
     out = np.empty_like(params.buffer)
     layout = _layout(params.layer_dims)
     for i in range(len(layout) - 1, -1, -1):
-        ws, bs, _ = layout[i]
+        ws, bs, shape = layout[i]
         out[ws] = (acts[i].T @ delta).ravel()
         out[bs] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ params.weights[i].T) * _activation_grad(acts[i], params.activation)
+            w = params.buffer[ws].reshape(shape)
+            delta = (delta @ w.T) * _activation_grad(acts[i], params.activation)
     return params._derive(out)
 
 

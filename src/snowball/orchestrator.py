@@ -27,7 +27,7 @@ from . import network as net
 from .data import DatasetSplit
 from .discovery import (DiscoveryReport, assign_pseudo_labels, fuse_distances,
                         noise_rate, select_balanced, select_samples)
-from .errors import ConfigError, DivergenceError, NumericsError, OrchestrationError
+from .errors import ConfigError, DataError, DivergenceError, NumericsError, OrchestrationError
 from .network import ModelParams
 from .records import IterationRow, RunRecord
 from .training import EmaState, ExperimentConfig, ema_update, one_hot, train_iteration
@@ -85,14 +85,12 @@ def output_role(algo: str) -> str:
 
 def build_master(teacher: ModelParams, training_set: TrainingSet,
                  report: DiscoveryReport, config: ExperimentConfig,
-                 prev_master: ModelParams | None = None,
-                 label_override: dict[int, int] | None = None) -> ModelParams:
+                 prev_master: ModelParams | None = None) -> ModelParams:
     """Build (or evolve) the master from a refined copy of the teacher.
 
     The refinement set is the current training set plus the next
     ceil(master_extra_fraction * N) unselected report rows in rank order,
-    labelled from the report (or from label_override when the run trains on
-    ground-truth labels). A copy of the teacher takes classification-only
+    labelled from the report. A copy of the teacher takes classification-only
     full-batch SGD steps on that set; the master is an EMA with decay beta
     over the per-step snapshots, continuing from prev_master when given and
     starting at the first snapshot otherwise. Non-finite parameters raise
@@ -106,14 +104,8 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     # clamped before int(): the slice caps there anyway, and a huge product overflows
     n_extra = int(min(np.ceil(config.master_extra_fraction * n_selected), len(unselected)))
     extra_rows = unselected[:n_extra]
-    extra_x = report.inputs[extra_rows]
-    if label_override is not None:
-        extra_y = np.array([label_override[int(i)] for i in report.sample_ids[extra_rows]],
-                           dtype=int)
-    else:
-        extra_y = report.labels[extra_rows]
-    refine_x = np.concatenate([training_set.x, extra_x]) if len(extra_rows) else training_set.x
-    refine_y = np.concatenate([training_set.y, extra_y]) if len(extra_rows) else training_set.y
+    refine_x = np.concatenate([training_set.x, report.inputs[extra_rows]])
+    refine_y = np.concatenate([training_set.y, report.labels[extra_rows]])
 
     steps = config.resolved_refine_steps()
     if steps == 0:
@@ -146,12 +138,15 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
     snowball: the full master-teacher-student evolution with discovery;
     mean-teacher: one training iteration, no discovery; self-learning: the
     discovery loop without guidance, the plain student discovering;
-    supervised: the mean-teacher loop with lambda2 forced to 0.
+    supervised: the mean-teacher loop with lambda2 forced to 0. use_true_labels
+    adopts rows under their truth; kept reports and noise rates read pseudo-labels.
     """
     cfg = _effective(config, algo)
     cfg.validate()
     if len(data.labeled_ids) == 0:
         raise OrchestrationError("run needs at least one labelled sample")
+    if len(data.test_y) == 0:
+        raise DataError("the test set is empty: raise test_fraction to hold out at least one row")
     schedule = cfg.resolved_schedule(len(data.labeled_ids))
     cfg = replace(cfg, discovery_schedule=schedule)
     truth = data.true_label_of()
@@ -164,7 +159,6 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
     rows: list[IterationRow] = []
     step_metrics: dict[tuple[int, int], list] = {}
     reports: dict[tuple[int, int], DiscoveryReport] = {}
-    teacher_is_output = output_role(algo) == "teacher"
 
     for m in range(1, cfg.generations + 1):
         training_set = TrainingSet.from_split(data)
@@ -181,21 +175,20 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                     f"training diverged at generation {m}, iteration {k}, step {err.step}",
                     step=err.step, generation=m, iteration=k) from None
             step_metrics[(m, k)] = steps
-            trained_on = training_set
+            train_err = net.error_rate(student, training_set.x, training_set.y)
 
             noise = 0.0
             n_discover = schedule[k - 1]
             if n_discover > 0 and len(pool_ids) > 0:
                 if cfg.fusion != "single" and past_masters:
                     report = fuse_distances(past_masters[-3:], pool_x, pool_ids,
-                                            training_set.x, training_set.y, cfg.fusion,
-                                            data.class_count)
+                                            training_set.x, training_set.y, cfg.fusion)
                 else:
                     model = master if master is not None else teacher
                     if algo == "self-learning":  # the plain student ranks the pool
                         model = student
                     report = assign_pseudo_labels(model, pool_x, pool_ids, training_set.x,
-                                                  training_set.y, data.class_count)
+                                                  training_set.y)
                 seed_seq = np.random.SeedSequence([cfg.seed, m, k, 7])
                 if cfg.balance_classes:
                     report = select_balanced(report, n_discover, data.class_count,
@@ -204,19 +197,17 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                     report = select_samples(report, n_discover, cfg.strategy, seed_seq)
                 reports[(m, k)] = report
                 noise = noise_rate(report, truth)
+                if cfg.use_true_labels:  # adopted rows, selected or extra, carry their truth
+                    report = replace(report, labels=np.array([truth[int(i)]
+                                                              for i in report.sample_ids]))
                 sel_ids = report.sample_ids[report.selected]
-                if cfg.use_true_labels:
-                    sel_y = np.array([truth[int(i)] for i in sel_ids], dtype=int)
-                else:
-                    sel_y = report.labels[report.selected]
                 training_set = training_set.with_discovered(
-                    sel_ids, report.inputs[report.selected], sel_y)
+                    sel_ids, report.inputs[report.selected], report.labels[report.selected])
                 keep = np.isin(pool_ids, sel_ids, invert=True)
                 pool_ids, pool_x = pool_ids[keep], pool_x[keep]
                 if algo == "snowball":
                     try:
-                        master = build_master(teacher, training_set, report, cfg, master,
-                                              truth if cfg.use_true_labels else None)
+                        master = build_master(teacher, training_set, report, cfg, master)
                     except DivergenceError as err:
                         raise DivergenceError(
                             f"master refinement diverged at generation {m}, iteration {k}, "
@@ -224,15 +215,12 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                             step=err.step, generation=m, iteration=k) from None
                     past_masters.append(master)
 
-            student_test = net.error_rate(student, data.test_x, data.test_y)
-            teacher_test = net.error_rate(teacher, data.test_x, data.test_y)
+            output = teacher if output_role(algo) == "teacher" else student
             rows.append(IterationRow(
-                generation=m, iteration=k,
-                train_err=net.error_rate(student, trained_on.x, trained_on.y),
-                test_err=teacher_test if teacher_is_output else student_test,
+                generation=m, iteration=k, train_err=train_err,
+                test_err=net.error_rate(output, data.test_x, data.test_y),
                 noise_rate=noise, labeled_size=len(training_set),
-                wall_time=time.perf_counter() - t0,
-                student_test_err=student_test, teacher_test_err=teacher_test))
+                wall_time=time.perf_counter() - t0))
 
     models = {"student": student, "teacher": teacher}
     if master is not None:

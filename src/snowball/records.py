@@ -28,12 +28,11 @@ METRIC_HEADER = ("generation", "iteration", "train_err", "test_err",
 
 @dataclass(frozen=True)
 class IterationRow:
-    """Per-(generation, iteration) summary metrics.
+    """Per-(generation, iteration) summary metrics, the manifest's columns.
 
-    The first seven fields are the manifest columns. test_err belongs to the
-    model the pipeline treats as its output (teacher for guided runs,
-    student otherwise); the trailing fields keep both views for analysis and
-    are not serialised.
+    train_err is the student's error on the labelled set it trained on.
+    test_err belongs to the model the pipeline treats as its output (teacher
+    for guided runs, student otherwise); only that model is evaluated.
     """
 
     generation: int
@@ -43,8 +42,6 @@ class IterationRow:
     noise_rate: float
     labeled_size: int
     wall_time: float
-    student_test_err: float = float("nan")
-    teacher_test_err: float = float("nan")
 
     def manifest_values(self) -> tuple:
         return (self.generation, self.iteration, self.train_err, self.test_err,

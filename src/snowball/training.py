@@ -44,13 +44,6 @@ class LossBreakdown:
     lambda2: float
     total: float
 
-    @classmethod
-    def combine(cls, classification: float, consistency_teacher: float,
-                consistency_master: float, lambda1: float, lambda2: float) -> LossBreakdown:
-        total = lambda1 * classification + lambda2 * (consistency_teacher + consistency_master)
-        return cls(classification, consistency_teacher, consistency_master,
-                   lambda1, lambda2, total)
-
 
 @dataclass(frozen=True)
 class EmaState:
@@ -139,7 +132,8 @@ def _objective(student: ModelParams, teacher: ModelParams, master: ModelParams |
                                  else (_mean_mse, p_s, _mse_dlogits))
     j_teacher = loss(p_t, student_side)
     j_master = master_weight * loss(p_m, student_side) if p_m is not None else 0.0
-    breakdown = LossBreakdown.combine(j_class, j_teacher, j_master, lambda1, lambda2)
+    total = lambda1 * j_class + lambda2 * (j_teacher + j_master)
+    breakdown = LossBreakdown(j_class, j_teacher, j_master, lambda1, lambda2, total)
     if not want_grad:
         return breakdown, None
 
@@ -339,7 +333,7 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     """Run one training iteration and return (student, teacher, step metrics).
 
     Each step samples a minibatch with replacement: labeled_batch rows from
-    the labelled set and unlabeled_batch rows from the pool (fewer when the
+    the labelled set and unlabeled_batch rows from the pool (none when the
     pool is empty). Per step the rng is consumed in a fixed order - labelled
     indices, pool indices, student noise, guide noise - so runs are exactly
     reproducible from the seed. The teacher EMA starts at student_init and
@@ -377,13 +371,9 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     for step in range(cfg.steps):
         lam2 = lambda2_schedule(step, cfg.ramp_len, cfg.lambda2_max)
         li = rng.integers(0, len(train_x), size=cfg.labeled_batch)
-        if n_pool > 0 and cfg.unlabeled_batch > 0:
-            ui = rng.integers(0, n_pool, size=cfg.unlabeled_batch)
-            bx = np.concatenate([train_x[li], pool_x[ui]])
-            by = np.concatenate([train_y[li], np.full(len(ui), UNLABELED)])
-        else:
-            bx = train_x[li]
-            by = train_y[li]
+        ui = rng.integers(0, n_pool, size=cfg.unlabeled_batch if n_pool else 0)
+        bx = np.concatenate([train_x[li], pool_x[ui]])
+        by = np.concatenate([train_y[li], np.full(len(ui), UNLABELED)])
         student_view = augment(bx, cfg.sigma_aug, rng)
         guide_view = augment(bx, cfg.sigma_aug, rng)
 

@@ -179,3 +179,42 @@ def discovery_digests(tmp_path, fusion):
 @pytest.mark.parametrize("fusion", sorted(DISCOVERY_RUNS))
 def test_discovery_reports_match_recorded_digests(tmp_path, fusion):
     assert discovery_digests(tmp_path, fusion) == DISCOVERY_DIGESTS[fusion]
+
+
+# A snowball run that trains on the selected rows' true labels. Noisy,
+# overlapping blobs and random selection make many pseudo-labels wrong, so the
+# step CSVs and checkpoints depend on the selected rows and the master's extra
+# rows both being relabelled with the truth; the discovery CSVs keep the
+# pseudo-labels. Two generations, three iterations each, average-distance
+# fusion and class-balanced selection.
+TRUE_LABEL_DIGESTS = {
+    "discovery-g1-i1.csv": "2d68d2b3a8c4499a3e9d14dcb2122ab9a7a2ab4eeba1e424b29dd64b6e37660a",
+    "discovery-g1-i2.csv": "9e25c78fc9f4cd3a4df98ed23e2a72e83a604f4a1a2680cb1b61a38d308593c7",
+    "discovery-g1-i3.csv": "e311afea531404214ff09ea439ea0bf865ccdeab985d7600c60435213a5d93ab",
+    "discovery-g2-i1.csv": "2e7d836b947b357d934138b313c3b02de73e2bcac7ce60bf9d5ed5ce06faa356",
+    "discovery-g2-i2.csv": "0f25ab23895fe14c7fdcb726b16d50cce9eca5f36f86a228febb3479e44a101c",
+    "discovery-g2-i3.csv": "a1fc2c976b68cd97efc45c00fbf26723dfcf280d926b4c415a1a64e5ace84a96",
+    "master.ckpt": "ce2ad6129eb965ee44f2a849e2b26405021b1d47ea272479e8d740a7a4b39cc0",
+    "steps-g1-i1.csv": "483892e8be32fb399bbf496cb34f8a77800294ce74ab41ef7cbb22e7e4e8dbdd",
+    "steps-g1-i2.csv": "903ab44c01f9e464301c4f12d776e54bc7352a9a9640ff3fd3ec5ed8a45ad8ba",
+    "steps-g1-i3.csv": "f46a268eb3a71023122e69fc742508463a3d3ccd751bede34ea79762493ccf0e",
+    "steps-g2-i1.csv": "06e0ef98f61587e1a9404c231cef7b25db8415b3f786d25f40e26df62f89c9f1",
+    "steps-g2-i2.csv": "62a791e0244efd4b2319f60f35052bca9e4e6accfe7583e822d12958f308cb5a",
+    "steps-g2-i3.csv": "2a544d349af19d984efb788248ab62176909b5c507614b2612b9cd84a3d60530",
+    "student.ckpt": "1de8cceb3afa80f89bc76aef8b2d45d4261f0f917cab1d341a570c68743ef996",
+    "teacher.ckpt": "6e8903e5edad514318e0a2ad25345107bc0b01229bd03648dd2debcd022b8cc1",
+}
+
+
+def test_true_label_run_matches_recorded_digests(tmp_path):
+    config = ExperimentConfig(generations=2, iterations=3, steps=20, ramp_len=10,
+                              discovery_schedule=(9, 12, 15), fusion="average_distance",
+                              balance_classes=True, use_true_labels=True,
+                              hidden_dims=(12, 6), strategy="random", seed=6)
+    spec = DataSpec(dataset="blobs", classes=3, n_per_class=40, data_noise=1.6,
+                    separation=2.0, labels_per_class=2)
+    record, run_dir = run_one("snowball", config, spec, tmp_path, name="true-labels",
+                              dump_discovery=True)
+    assert max(row.noise_rate for row in record.rows) > 0.0  # the truth differs
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in run_dir.iterdir() if f.suffix in (".ckpt", ".csv")} == TRUE_LABEL_DIGESTS

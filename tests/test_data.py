@@ -152,10 +152,6 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no samples"):
             load_csv(self.write(tmp_path, ""))
 
-    def test_label_out_of_declared_range(self, tmp_path):
-        with pytest.raises(DataError, match="line 2"):
-            load_csv(self.write(tmp_path, "0,1,0\n1,0,7\n"), class_count=2)
-
     def test_non_numeric_feature(self, tmp_path):
         with pytest.raises(DataError, match="line 1"):
             load_csv(self.write(tmp_path, "a,1.0,0\n"))

@@ -63,17 +63,17 @@ class TestCenters:
         m = feature_identity_net()
         x = np.array([[1.0, 2.0], [0.0, 5.0], [4.0, 5.0]])
         y = np.array([0, 1, 1])
-        centers = compute_class_centers(m, x, y, 2)
+        centers = compute_class_centers(m, x, y)
         np.testing.assert_allclose(centers[0], [1.0, 2.0], atol=1e-15)
 
     def test_two_sample_mean(self):
         m = feature_identity_net()
-        x = np.array([[0.0, 2.0], [2.0, 0.0]])
-        y = np.array([0, 0])
+        x = np.array([[0.0, 2.0], [2.0, 0.0], [5.0, 3.0]])
+        y = np.array([0, 0, 1])
         with pytest.raises(DiscoveryError, match="class 1"):
-            compute_class_centers(m, x, y, 2)
-        centers = compute_class_centers(m, x, y, 1)
-        np.testing.assert_allclose(centers[0], [1.0, 1.0], atol=1e-15)
+            compute_class_centers(m, x[:2], y[:2])
+        centers = compute_class_centers(m, x, y)
+        np.testing.assert_allclose(centers, [[1.0, 1.0], [5.0, 3.0]], atol=1e-15)
 
     def test_matches_brute_force_random_net(self):
         rng = np.random.default_rng(0)
@@ -81,7 +81,7 @@ class TestCenters:
             m = init_params((3, 6, 2), seed=seed)
             x = rng.normal(size=(20, 3))
             y = np.repeat([0, 1], 10)
-            got = compute_class_centers(m, x, y, 2)
+            got = compute_class_centers(m, x, y)
             want = brute_force_centers(m, x, y, 2)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -92,7 +92,7 @@ class TestAssignment:
         train_x = np.array([[0.0, 0.0], [10.0, 10.0]])
         train_y = np.array([0, 1])
         rep = assign_pseudo_labels(m, np.array([[1.0, 1.0]]), np.array([7]),
-                                   train_x, train_y, 2)
+                                   train_x, train_y)
         assert rep.labels[0] == 0
         assert rep.distances[0] == pytest.approx(np.sqrt(2), abs=1e-12)
 
@@ -101,7 +101,7 @@ class TestAssignment:
         train_x = np.array([[0.0], [2.0]])
         train_y = np.array([0, 1])
         rep = assign_pseudo_labels(m, np.array([[1.0]]), np.array([0]),
-                                   train_x, train_y, 2)
+                                   train_x, train_y)
         assert rep.labels[0] == 0
 
     def test_matches_exhaustive_scan(self):
@@ -111,7 +111,7 @@ class TestAssignment:
         train_y = np.repeat([0, 1, 2], 10)
         pool_x = rng.normal(size=(50, 2))
         ids = rng.permutation(1000)[:50]
-        rep = assign_pseudo_labels(m, pool_x, ids, train_x, train_y, 3)
+        rep = assign_pseudo_labels(m, pool_x, ids, train_x, train_y)
         centers = brute_force_centers(m, train_x, train_y, 3)
         want_labels, want_dists = brute_force_assign(m, pool_x, centers)
         # report rows are rank-ordered; compare through the id mapping
@@ -128,7 +128,7 @@ class TestAssignment:
         # two pool points equal distance 1; higher id listed first in input
         pool = np.array([[1.0], [1.0], [3.0]])
         ids = np.array([42, 7, 1])
-        rep = assign_pseudo_labels(m, pool, ids, train_x, train_y, 2)
+        rep = assign_pseudo_labels(m, pool, ids, train_x, train_y)
         assert list(rep.sample_ids) == [7, 42, 1]
         assert len(rep) == 3
         assert rep.distances[0] == rep.distances[1] == 1.0
@@ -137,7 +137,7 @@ class TestAssignment:
         m = feature_identity_net()
         with pytest.raises(DiscoveryError):
             assign_pseudo_labels(m, np.zeros((0, 2)), np.array([]),
-                                 np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), 2)
+                                 np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
 
 
 def report_from_distances(dists, ids=None):
@@ -237,10 +237,10 @@ class TestFusion:
     def test_identical_models_degenerate_to_single(self):
         train_x, train_y, pool_x, ids = self.setup_data()
         models = self.setup_models(identical=True)
-        single = assign_pseudo_labels(models[0], pool_x, ids, train_x, train_y, 2)
+        single = assign_pseudo_labels(models[0], pool_x, ids, train_x, train_y)
         single = select_samples(single, 10, "min")
         for fusion in ("average_distance", "feature_cascade", "average_sorting_score"):
-            rep = fuse_distances(models, pool_x, ids, train_x, train_y, fusion, 2)
+            rep = fuse_distances(models, pool_x, ids, train_x, train_y, fusion)
             rep = select_samples(rep, 10, "min")
             assert sorted(rep.sample_ids[rep.selected]) == \
                 sorted(single.sample_ids[single.selected]), fusion
@@ -256,15 +256,15 @@ class TestFusion:
         ids = np.array([1, 0])
         m = feature_identity_net()
         rep = fuse_distances([m, m], pool_x, ids, train_x, train_y,
-                             "average_distance", 2)
+                             "average_distance")
         # both rows share... no tie here; assert scores are the mean of the
         # two identical models = the single-model distance
-        single = assign_pseudo_labels(m, pool_x, ids, train_x, train_y, 2)
+        single = assign_pseudo_labels(m, pool_x, ids, train_x, train_y)
         np.testing.assert_allclose(rep.distances, single.distances, atol=1e-12)
         # symmetric distances -> tie broken by id: id 0 ranks first
         sym = fuse_distances([m, m], np.array([[1.0, 1.0], [9.0, 9.0]]),
                              np.array([5, 3]), train_x, train_y,
-                             "average_distance", 2)
+                             "average_distance")
         assert abs(sym.distances[0] - sym.distances[1]) < 1e-12
         assert list(sym.sample_ids) == [3, 5]
 
@@ -272,7 +272,7 @@ class TestFusion:
         train_x, train_y, pool_x, ids = self.setup_data(50)
         models = self.setup_models()
         rep = fuse_distances(models, pool_x, ids, train_x, train_y,
-                             "average_distance", 2)
+                             "average_distance")
         per_model = []
         for m in models:
             centers = brute_force_centers(m, train_x, train_y, 2)
@@ -286,7 +286,7 @@ class TestFusion:
         train_x, train_y, pool_x, ids = self.setup_data(30)
         models = self.setup_models()
         rep = fuse_distances(models, pool_x, ids, train_x, train_y,
-                             "feature_cascade", 2)
+                             "feature_cascade")
         # brute force in the concatenated space
         def cat_features(x_rows):
             return np.array([
@@ -305,7 +305,7 @@ class TestFusion:
         train_x, train_y, pool_x, ids = self.setup_data(30)
         models = self.setup_models()
         rep = fuse_distances(models, pool_x, ids, train_x, train_y,
-                             "average_sorting_score", 2)
+                             "average_sorting_score")
         rank_sum = np.zeros(len(ids))
         for m in models:
             centers = brute_force_centers(m, train_x, train_y, 2)
@@ -329,11 +329,11 @@ class TestFusion:
         m_b = ModelParams(weights=(-np.eye(2), np.zeros((2, 2))),
                           biases=(np.zeros(2), np.zeros(2)), activation="tanh")
         rep_ab = fuse_distances([m_a, m_b], pool_x, np.array([0]),
-                                train_x, train_y, "average_distance", 2)
+                                train_x, train_y, "average_distance")
         rep_ba = fuse_distances([m_b, m_a], pool_x, np.array([0]),
-                                train_x, train_y, "average_distance", 2)
-        lab_a = assign_pseudo_labels(m_a, pool_x, np.array([0]), train_x, train_y, 2).labels[0]
-        lab_b = assign_pseudo_labels(m_b, pool_x, np.array([0]), train_x, train_y, 2).labels[0]
+                                train_x, train_y, "average_distance")
+        lab_a = assign_pseudo_labels(m_a, pool_x, np.array([0]), train_x, train_y).labels[0]
+        lab_b = assign_pseudo_labels(m_b, pool_x, np.array([0]), train_x, train_y).labels[0]
         assert lab_a != lab_b  # otherwise the construction is vacuous
         assert rep_ab.labels[0] == lab_b
         assert rep_ba.labels[0] == lab_a
@@ -342,11 +342,11 @@ class TestFusion:
         train_x, train_y, pool_x, ids = self.setup_data(5)
         models = [init_params((2, 6, 2), seed=i) for i in range(4)]
         with pytest.raises(ConfigError):
-            fuse_distances(models, pool_x, ids, train_x, train_y, "average_distance", 2)
+            fuse_distances(models, pool_x, ids, train_x, train_y, "average_distance")
         with pytest.raises(ConfigError):
-            fuse_distances(models[:2], pool_x, ids, train_x, train_y, "single", 2)
+            fuse_distances(models[:2], pool_x, ids, train_x, train_y, "single")
         with pytest.raises(ConfigError):
-            fuse_distances(models[:1], pool_x, ids, train_x, train_y, "stacking", 2)
+            fuse_distances(models[:1], pool_x, ids, train_x, train_y, "stacking")
 
 
 class TestBoundedMemory:
@@ -391,13 +391,13 @@ class TestBoundedMemory:
         # (pool, 4, 96) difference array and its square would add 59 MB
         models, pool_x, ids, train_x, train_y = self.make_pool()
         peak = self.peak_mb(lambda: fuse_distances(models, pool_x, ids, train_x, train_y,
-                                                   "feature_cascade", 4))
+                                                   "feature_cascade"))
         assert peak < 25.0
 
     def test_single_model_peak_is_bounded(self):
         models, pool_x, ids, train_x, train_y = self.make_pool()
         peak = self.peak_mb(lambda: assign_pseudo_labels(models[0], pool_x, ids,
-                                                         train_x, train_y, 4))
+                                                         train_x, train_y))
         assert peak < 16.0
 
     @pytest.mark.parametrize("fusion", ["single", "average_distance", "feature_cascade",
@@ -405,7 +405,7 @@ class TestBoundedMemory:
     def test_report_holds_no_feature_array(self, fusion):
         models, pool_x, ids, train_x, train_y = self.make_pool()
         models = models[:1] if fusion == "single" else models
-        rep = fuse_distances(models, pool_x[:50], ids[:50], train_x, train_y, fusion, 4)
+        rep = fuse_distances(models, pool_x[:50], ids[:50], train_x, train_y, fusion)
         shapes = [getattr(rep, f.name).shape for f in dataclasses.fields(rep)
                   if isinstance(getattr(rep, f.name), np.ndarray)]
         assert (50, 2) in shapes  # the input rows

@@ -268,6 +268,17 @@ class TestExitCodes:
         argv = fast_args(tmp_path, "--set", "master_extra_fraction=1e308", algo="snowball")
         assert cli_run(argv) == 0
 
+    @pytest.mark.parametrize("fraction", ["0", "0.0001"])
+    def test_empty_test_set_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                     fraction):
+        def no_training(*a, **k):
+            raise AssertionError("trained without a test set")
+        monkeypatch.setattr("snowball.orchestrator.train_iteration", no_training)
+        assert cli_run(fast_args(tmp_path, "--set", f"test_fraction={fraction}")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "test_fraction" in err
+        assert err.count("\n") == 1
+
     def test_report_missing_manifest_is_data_error(self, tmp_path):
         assert cli_run(["report", str(tmp_path / "absent.txt")]) == 2
 
@@ -403,6 +414,9 @@ class TestCliBehaviour:
                          "--set", "generations=1", "--set", "iterations=4",
                          "--set", "n_per_class=40", "--set", "data_noise=1.5",
                          "--set", "discovery_schedule=6,6,6,6", "--set", "beta=0.5"]
+    # ablate-fusion's stderr when its runs made fewer than three discoveries
+    FUSION_NOTE = ("note: each run made 1 of the 3 discoveries fusion needs to combine "
+                   "two masters, so it played no part in these rows\n")
     # stdout of both commands, recorded when each still ran its own loop
     ABLATION_STDOUT = {
         ("ablate-selection", "common"): (
@@ -429,15 +443,15 @@ class TestCliBehaviour:
 
     def test_ablation_commands_run(self, tmp_path, capsys):
         common = self.ABLATION_COMMON + ["--out-dir", str(tmp_path)]
-        for command in ("ablate-selection", "ablate-fusion"):
+        for command, err in (("ablate-selection", ""), ("ablate-fusion", self.FUSION_NOTE)):
             assert cli_run([command] + common) == 0
-            assert capsys.readouterr().out == self.ABLATION_STDOUT[(command, "common")]
+            assert capsys.readouterr() == (self.ABLATION_STDOUT[(command, "common")], err)
         assert cli_run(["ablate-guidance"] + common) == 0
 
     @pytest.mark.parametrize("command", ["ablate-selection", "ablate-fusion"])
     def test_ablation_rows_that_differ_are_pinned(self, tmp_path, capsys, command):
         assert cli_run([command, *self.ABLATION_DISTINCT, "--out-dir", str(tmp_path)]) == 0
-        assert capsys.readouterr().out == self.ABLATION_STDOUT[(command, "distinct")]
+        assert capsys.readouterr() == (self.ABLATION_STDOUT[(command, "distinct")], "")
 
     def test_dump_discovery_writes_reports(self, tmp_path):
         argv = fast_args(tmp_path, "--dump-discovery", algo="snowball")

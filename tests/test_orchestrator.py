@@ -6,7 +6,7 @@ import pytest
 from snowball.data import gen_two_moons, split
 from snowball.discovery import assign_pseudo_labels, select_samples
 from snowball.errors import ConfigError, DivergenceError, OrchestrationError
-from snowball.network import init_params, params_equal
+from snowball.network import error_rate, init_params, params_equal
 from snowball.orchestrator import (
     ExperimentConfig,
     TrainingSet,
@@ -86,7 +86,7 @@ class TestTrainingSet:
 class TestBuildMaster:
     def make_report(self, d, model, n_select=4):
         rep = assign_pseudo_labels(model, d.unlabeled_x, d.unlabeled_ids,
-                                   d.labeled_x, d.labeled_y, d.class_count)
+                                   d.labeled_x, d.labeled_y)
         return select_samples(rep, n_select, "min")
 
     def test_zero_fraction_uses_selected_only(self):
@@ -124,7 +124,7 @@ class TestBuildMaster:
         teacher = init_params((2, 8, 2), seed=1)
         ts = TrainingSet.from_split(d)
         rep = assign_pseudo_labels(teacher, d.unlabeled_x[:20], d.unlabeled_ids[:20],
-                                   d.labeled_x, d.labeled_y, d.class_count)
+                                   d.labeled_x, d.labeled_y)
         rep = select_samples(rep, 10, "min")
         # under min-selection the selected rows are ranks 0..9, so the
         # refinement pool is exactly ranks 0..14 plus the training set
@@ -140,7 +140,7 @@ class TestBuildMaster:
         teacher = init_params((2, 8, 2), seed=1)
         ts = TrainingSet.from_split(d)
         rep = assign_pseudo_labels(teacher, d.unlabeled_x[:20], d.unlabeled_ids[:20],
-                                   d.labeled_x, d.labeled_y, d.class_count)
+                                   d.labeled_x, d.labeled_y)
         rep = select_samples(rep, 10, "min")
         every = build_master(teacher, ts, rep, quick_cfg(master_extra_fraction=1.0))
         huge = build_master(teacher, ts, rep, quick_cfg(master_extra_fraction=1e308))
@@ -162,7 +162,7 @@ class TestBuildMaster:
         teacher = init_params((2, 8, 2), seed=1)
         ts = TrainingSet.from_split(d)
         rep = assign_pseudo_labels(teacher, d.unlabeled_x, d.unlabeled_ids,
-                                   d.labeled_x, d.labeled_y, d.class_count)
+                                   d.labeled_x, d.labeled_y)
         with pytest.raises(OrchestrationError):
             build_master(teacher, ts, rep, quick_cfg())
 
@@ -229,12 +229,10 @@ class TestRunStructure:
     def test_output_model_convention(self):
         d = small_data()
         cfg = quick_cfg(generations=1, iterations=1, discovery_schedule=(2,))
-        snow = run_algorithm("snowball", d, cfg)
-        for r in snow.rows:
-            assert r.test_err == r.teacher_test_err
-        sup = run_algorithm("supervised", d, cfg)
-        for r in sup.rows:
-            assert r.test_err == r.student_test_err
+        for algo, role in (("snowball", "teacher"), ("supervised", "student")):
+            rec = run_algorithm(algo, d, cfg)
+            want = error_rate(rec.models[role], d.test_x, d.test_y)
+            assert rec.rows[-1].test_err == want, algo
 
     def test_self_learning_has_no_master(self):
         d = small_data()

@@ -1,7 +1,5 @@
 """Manifest serialisation and run-record equality semantics."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,20 +8,14 @@ from snowball.records import (IterationRow, RunRecord, read_manifest, rows_equal
                               write_manifest)
 
 
-def make_row(g=1, i=1, train=0.25, test=0.125, noise=0.0, size=8, wall=1.5,
-             **extra):
-    return IterationRow(g, i, train, test, noise, size, wall, **extra)
+def make_row(g=1, i=1, train=0.25, test=0.125, noise=0.0, size=8, wall=1.5):
+    return IterationRow(g, i, train, test, noise, size, wall)
 
 
 class TestIterationRow:
     def test_manifest_values_order(self):
         row = make_row(2, 3, 0.1, 0.2, 0.3, 40, 9.9)
         assert row.manifest_values() == (2, 3, 0.1, 0.2, 0.3, 40, 9.9)
-
-    def test_extra_fields_default_nan(self):
-        row = make_row()
-        assert math.isnan(row.student_test_err)
-        assert math.isnan(row.teacher_test_err)
 
     def test_frozen(self):
         row = make_row()
@@ -40,13 +32,6 @@ class TestRowsEqual:
 
     def test_metric_difference_detected(self):
         assert not rows_equal([make_row(test=0.10)], [make_row(test=0.11)])
-
-    def test_untracked_fields_ignored(self):
-        # the analysis-only columns are not part of the reproducibility
-        # contract, so they must not affect equality
-        a = [make_row(student_test_err=0.5)]
-        b = [make_row(student_test_err=0.7)]
-        assert rows_equal(a, b)
 
     def test_nan_matches_nan(self):
         assert rows_equal([make_row(noise=float("nan"))],

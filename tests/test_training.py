@@ -13,7 +13,6 @@ from snowball.training import (
     UNLABELED,
     EmaState,
     ExperimentConfig,
-    LossBreakdown,
     StepMetrics,
     _objective,
     ema_update,
@@ -135,8 +134,13 @@ class TestStudentLoss:
         assert b.consistency_master == pytest.approx(b.consistency_teacher, abs=1e-12)
 
     def test_weighted_sum_identity(self):
-        b = LossBreakdown.combine(0.5, 0.2, 0.3, lambda1=1.0, lambda2=1.0)
-        assert b.total == pytest.approx(1.0, abs=1e-15)
+        s, t, m = tiny(seed=1), tiny(seed=2), tiny(seed=3)
+        x = np.random.default_rng(0).normal(size=(4, 2))
+        y = np.array([0, 1, -1, -1])
+        b = student_loss(s, t, m, x, y, lambda1=0.7, lambda2=0.4,
+                         sigma_aug=0.1, perturb_seed=9, master_weight=0.5)
+        want = 0.7 * b.classification + 0.4 * (b.consistency_teacher + b.consistency_master)
+        assert b.total == want
 
 
 class TestObjectiveGradient:
@@ -281,6 +285,18 @@ class TestTrainIteration:
         assert params_equal(out1[0], out2[0])
         assert params_equal(out1[1], out2[1])
         assert out1[2] == out2[2]
+
+    def test_no_unlabeled_batch_is_the_empty_pool(self):
+        # a size-0 pool draw reads no randomness, so the pool is never seen
+        x, y = small_problem()
+        pool = np.random.default_rng(9).normal(size=(40, 2))
+        cfg = ExperimentConfig(steps=30, unlabeled_batch=0)
+        outs = [train_iteration(tiny(seed=3), x, y, p, tiny(seed=4), cfg,
+                                np.random.default_rng(17), eval_x=x, eval_y=y)
+                for p in (pool, np.zeros((0, 2)))]
+        assert params_equal(outs[0][0], outs[1][0])
+        assert params_equal(outs[0][1], outs[1][1])
+        assert outs[0][2] == outs[1][2]
 
     def test_guide_gets_no_gradient(self):
         x, y = small_problem()
