@@ -65,8 +65,8 @@ class DatasetSplit:
 
     def true_label_of(self) -> dict[int, int]:
         """Ground-truth label lookup by sample id over labelled + unlabelled."""
-        lookup = {int(i): int(c) for i, c in zip(self.labeled_ids, self.labeled_y)}
-        lookup.update({int(i): int(c) for i, c in zip(self.unlabeled_ids, self.unlabeled_true_y)})
+        lookup = dict(zip(self.labeled_ids.tolist(), self.labeled_y.tolist()))
+        lookup.update(zip(self.unlabeled_ids.tolist(), self.unlabeled_true_y.tolist()))
         return lookup
 
 

@@ -12,8 +12,9 @@ averaged directly, computed in a concatenated feature space, or averaged as
 per-model sorting ranks. Pseudo-labels under fusion are majority votes with
 ties going to the most recent model.
 
-Distances are computed NEAREST_BLOCK pool rows at a time and reports keep no
-features, so discovery's memory is linear in the pool.
+Distances are computed NEAREST_BLOCK pool rows at a time in one reused block
+buffer, feature_cascade fills one preallocated feature matrix model by model,
+and reports keep no features, so discovery's memory is linear in the pool.
 """
 
 from __future__ import annotations
@@ -76,11 +77,17 @@ def compute_class_centers(model: ModelParams, x: np.ndarray, y: np.ndarray) -> n
 
 def _nearest_center(feats: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-center label (ties to the lowest class index) and distance,
-    NEAREST_BLOCK rows at a time; each element's arithmetic is unblocked."""
+    NEAREST_BLOCK rows at a time in one reused (rows, classes, features)
+    buffer. Each distance is np.linalg.norm's sqrt of the summed squared
+    differences, element for element, without its per-block copies."""
     dists = np.empty((len(feats), len(centers)))
+    diff = np.empty((min(len(feats), NEAREST_BLOCK), *centers.shape))
     for start in range(0, len(feats), NEAREST_BLOCK):
         rows = slice(start, start + NEAREST_BLOCK)
-        dists[rows] = np.linalg.norm(feats[rows, None, :] - centers[None, :, :], axis=2)
+        block = diff[:len(feats[rows])]
+        np.subtract(feats[rows, None, :], centers[None, :, :], out=block)
+        np.multiply(block, block, out=block)
+        np.sqrt(block.sum(axis=2), out=dists[rows])
     labels = np.argmin(dists, axis=1)
     return labels, dists[np.arange(len(feats)), labels]
 
@@ -145,7 +152,11 @@ def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.n
         # the center of concatenated features is the concatenation of centers
         centers = np.concatenate([compute_class_centers(m, train_x, train_y) for m in models],
                                  axis=1)
-        feats = np.concatenate([net.forward(m, pool_x).features for m in models], axis=1)
+        feats = np.empty((len(pool_x), centers.shape[1]))
+        at = 0
+        for m in models:
+            feats[:, at:at + m.layer_dims[-2]] = net.forward(m, pool_x).features
+            at += m.layer_dims[-2]
         labels, dists = _nearest_center(feats, centers)
         return _build_report(pool_ids, pool_x, labels, dists)
     per_labels, per_dists = zip(*(_model_nearest(m, pool_x, train_x, train_y) for m in models))
@@ -235,7 +246,7 @@ def noise_rate(report: DiscoveryReport, true_label_of: dict[int, int]) -> float:
     ids = report.sample_ids[report.selected]
     if len(ids) == 0:
         return 0.0
-    truth = np.array([true_label_of[int(i)] for i in ids])
+    truth = np.array([true_label_of[i] for i in ids.tolist()])
     return float(np.mean(report.labels[report.selected] != truth))
 
 

@@ -11,8 +11,10 @@ The forward pass exposes the activations entering the final linear layer as
 the sample's feature vector. One layer loop runs a stack of same-shape models
 (a single model is the stack of one), keeping the trace backpropagation reads
 for `forward_batch` and `forward_many` and only features and logits for
-`forward`. Class-axis reductions run column by column. Gradients are exact
-and are checked against central finite differences in the test suite.
+`forward`. Class-axis reductions run column by column. softmax and the
+backward pass write in place into arrays they made themselves, never into
+the logits, trace or gradients a caller passed. Gradients are exact and are
+checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -218,9 +220,11 @@ def row_sum(a: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
-    e = np.exp(logits - row_max(logits)[..., None])
-    return e / row_sum(e)[..., None]
+    """Numerically stable softmax over the last axis, in place on the shifted copy."""
+    e = logits - row_max(logits)[..., None]
+    np.exp(e, out=e)
+    e /= row_sum(e)[..., None]
+    return e
 
 
 def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
@@ -341,11 +345,12 @@ def grad_from_dlogits(params: ModelParams, trace: BatchForward,
     layout = _layout(params.layer_dims)
     for i in range(len(layout) - 1, -1, -1):
         ws, bs, shape = layout[i]
-        out[ws] = (acts[i].T @ delta).ravel()
-        out[bs] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=out[ws].reshape(shape))
+        delta.sum(axis=0, out=out[bs])
         if i > 0:
-            w = params.buffer[ws].reshape(shape)
-            delta = (delta @ w.T) * _activation_grad(acts[i], params.activation)
+            # in place on the fresh product only: delta starts as the caller's dlogits
+            delta = delta @ params.buffer[ws].reshape(shape).T
+            delta *= _activation_grad(acts[i], params.activation)
     return params._derive(out)
 
 
@@ -362,7 +367,8 @@ def grad(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> ModelParams
     if targets.shape != (x.shape[0], params.class_count):
         raise ConfigError(f"targets of shape {targets.shape} do not match batch {x.shape[0]} x {params.class_count}")
     out = forward_batch(params, x)
-    dlogits = (out.probs - targets) / x.shape[0]
+    dlogits = out.probs - targets
+    dlogits /= x.shape[0]
     return grad_from_dlogits(params, out, dlogits)
 
 

@@ -175,7 +175,9 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                     f"training diverged at generation {m}, iteration {k}, step {err.step}",
                     step=err.step, generation=m, iteration=k) from None
             step_metrics[(m, k)] = steps
-            train_err = net.error_rate(student, training_set.x, training_set.y)
+            # the last step is always evaluated, on this student and these rows
+            train_err = (steps[-1].train_err if steps else
+                         net.error_rate(student, training_set.x, training_set.y))
 
             noise = 0.0
             n_discover = schedule[k - 1]
@@ -198,8 +200,8 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                 reports[(m, k)] = report
                 noise = noise_rate(report, truth)
                 if cfg.use_true_labels:  # adopted rows, selected or extra, carry their truth
-                    report = replace(report, labels=np.array([truth[int(i)]
-                                                              for i in report.sample_ids]))
+                    report = replace(report, labels=np.array(
+                        [truth[i] for i in report.sample_ids.tolist()]))
                 sel_ids = report.sample_ids[report.selected]
                 training_set = training_set.with_discovered(
                     sel_ids, report.inputs[report.selected], report.labels[report.selected])

@@ -15,12 +15,14 @@ round matrix products differently.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from snowball import training
-from snowball.cli import DataSpec, run_one
-from snowball.orchestrator import ExperimentConfig
+from snowball.cli import (DataSpec, benchmark_blobs, benchmark_two_moons, make_dataset,
+                          run_one)
+from snowball.orchestrator import ExperimentConfig, run_algorithm
 
 RUNS = {
     # relu, cross-entropy consistency, weight decay, feature-cascade fusion
@@ -218,3 +220,38 @@ def test_true_label_run_matches_recorded_digests(tmp_path):
     assert max(row.noise_rate for row in record.rows) > 0.0  # the truth differs
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in run_dir.iterdir() if f.suffix in (".ckpt", ".csv")} == TRUE_LABEL_DIGESTS
+
+
+# The two benchmark workloads at seed 7, configured as perfbench/workloads.py
+# configures them, pinned by the benchmark's rows digest: sha256 over
+# repr(row.manifest_values()[:6]) of each row, wall time excluded. A speed-up
+# that changes a single float of a row fails here before it reaches the
+# benchmark.
+def _moons_snowball():
+    config, spec = benchmark_two_moons()
+    return replace(config, seed=7), spec
+
+
+def _blobs_bigpool():
+    config, spec = benchmark_blobs()
+    spec = replace(spec, n_per_class=2500, test_fraction=0.05)
+    return replace(config, seed=7, discovery_schedule=(500, 1000, 2000),
+                   fusion="feature_cascade", steps=100, ramp_len=50), spec
+
+
+WORKLOADS = {"moons-snowball": _moons_snowball, "blobs-bigpool": _blobs_bigpool}
+
+WORKLOAD_ROWS_DIGESTS = {
+    "moons-snowball": "a7213e9a36a38a5781d18d3e49c55fc45195d27349c870cacea94e204869ab60",
+    "blobs-bigpool": "13707ad7da0db748e685c40428e08c0d311143339a853d3c71a02d8676af1df2",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_benchmark_workload_rows_match_recorded_digests(workload):
+    config, spec = WORKLOADS[workload]()
+    rows = run_algorithm("snowball", make_dataset(spec, config.seed), config).rows
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(repr(row.manifest_values()[:6]).encode())
+    assert digest.hexdigest() == WORKLOAD_ROWS_DIGESTS[workload]

@@ -386,6 +386,16 @@ class TestBoundedMemory:
         assert np.all(labels[1::2] == 1)
         assert np.array_equal(dists[::6, 0], dists[::6, 3]) and np.all(labels[::6] == 0)
 
+    @pytest.mark.parametrize("n", [5, NEAREST_BLOCK, NEAREST_BLOCK + 1])
+    def test_block_buffer_edges(self, n):
+        # shorter than the reused buffer, exactly one block, one block and a row
+        rng = np.random.default_rng(n)
+        feats, centers = rng.normal(size=(n, 7)), rng.normal(size=(3, 7))
+        dists = np.linalg.norm(feats[:, None, :] - centers[None, :, :], axis=2)
+        labels, got = _nearest_center(feats, centers)
+        assert np.array_equal(labels, np.argmin(dists, axis=1))
+        assert got.tobytes() == dists[np.arange(n), labels].tobytes()
+
     def test_feature_cascade_peak_is_bounded(self):
         # one model's forward trace over the pool is ~10 MB; an unblocked
         # (pool, 4, 96) difference array and its square would add 59 MB
@@ -393,6 +403,11 @@ class TestBoundedMemory:
         peak = self.peak_mb(lambda: fuse_distances(models, pool_x, ids, train_x, train_y,
                                                    "feature_cascade"))
         assert peak < 25.0
+        # the one concatenated feature matrix, one model's hidden activations
+        # while it fills its columns, and 1 MB for blocks, centers and labels
+        feature_mb = self.POOL * sum(m.layer_dims[-2] for m in models) * 8 / 1e6
+        hidden_mb = self.POOL * sum(models[0].layer_dims[1:-1]) * 8 / 1e6
+        assert peak <= feature_mb + hidden_mb + 1.0
 
     def test_single_model_peak_is_bounded(self):
         models, pool_x, ids, train_x, train_y = self.make_pool()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import snowball.network as net
 from snowball.errors import ConfigError, DataError, NumericsError
 from snowball.network import (
     BatchForward,
@@ -177,6 +178,49 @@ class TestGradient:
         gw = grad_from_dlogits(p, trace, (trace.probs - t) / 2 * w[:, None])
         g0 = grad(p, x[:1], t[:1])
         np.testing.assert_allclose(gw.buffer, g0.buffer, atol=1e-12)
+
+
+class TestNoCallerArrayWrites:
+    """softmax, grad and backward compute in place, but only on arrays they
+    made: the caller's dlogits, inputs and targets and the trace stay
+    byte-identical, and a gradient shares no memory with any of them."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_grad_from_dlogits_and_probs(self, activation):
+        p = tiny_net((3, 6, 5, 4), activation=activation, seed=3)
+        rng = np.random.default_rng(5)
+        trace = forward_batch(p, rng.normal(size=(7, 3)))
+        dlogits = rng.normal(size=(7, 4))
+        caller = (dlogits, p.buffer, *trace.activations)
+        before = [a.tobytes() for a in caller]
+        probs = trace.probs
+        g = grad_from_dlogits(p, trace, dlogits)
+        assert [a.tobytes() for a in caller] == before
+        assert not any(np.shares_memory(g.buffer, a) for a in (*caller, probs))
+        assert not np.shares_memory(probs, trace.logits)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_grad(self, activation, monkeypatch):
+        p = tiny_net((3, 6, 5, 4), activation=activation, seed=3)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(7, 3))
+        targets = one_hot(rng.integers(0, 4, size=7), 4)
+        traces = []
+
+        def keep_trace(*args):
+            traces.append(forward_batch(*args))
+            return traces[-1]
+        monkeypatch.setattr(net, "forward_batch", keep_trace)
+        before = [a.tobytes() for a in (x, targets, p.buffer)]
+        g = grad(p, x, targets)
+        (trace,) = traces
+        assert [a.tobytes() for a in (x, targets, p.buffer)] == before
+        fresh = forward_batch(p, x)
+        assert [a.tobytes() for a in trace.activations] == \
+            [a.tobytes() for a in fresh.activations]
+        assert trace.probs.tobytes() == fresh.probs.tobytes()
+        assert not any(np.shares_memory(g.buffer, a)
+                       for a in (x, targets, p.buffer, trace.probs, *trace.activations))
 
 
 def probs_net(probs):

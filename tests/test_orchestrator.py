@@ -220,6 +220,16 @@ class TestRunStructure:
             assert ra.train_err == rb.train_err
             assert ra.noise_rate == rb.noise_rate
 
+    @pytest.mark.parametrize("steps", [0, 7])
+    def test_train_err_is_the_trained_students(self, steps):
+        # one iteration trains on the original labelled rows; the row's
+        # train_err is the final student's error on them, steps=0 included
+        d = small_data()
+        rec = run_algorithm("snowball", d, quick_cfg(generations=1, iterations=1, steps=steps,
+                                                     discovery_schedule=(2,)))
+        want = error_rate(rec.models["student"], d.labeled_x, d.labeled_y)
+        assert rec.rows[0].train_err == want
+
     def test_different_seed_differs(self):
         d = small_data()
         a = run_algorithm("snowball", d, quick_cfg(seed=0, discovery_schedule=(2, 2)))
