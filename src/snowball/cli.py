@@ -58,6 +58,9 @@ class DataSpec:
             raise ConfigError(f"unknown dataset {self.dataset!r}, expected one of {DATASETS}")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigError("dataset 'csv' needs csv_path")
+        if self.data_seed < -1:
+            raise ConfigError(f"config key 'data_seed' must be >= 0, or -1 to follow the "
+                              f"run seed, got {self.data_seed}")
         require_finite(self)
 
 
@@ -312,7 +315,8 @@ def aggregate(records: list[RunRecord]) -> list[dict[str, float]]:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Seed lists: '0..4' (inclusive range) or '0,2,5'."""
+    """Seed lists: '0..4' (inclusive range) or '0,2,5' of non-negative seeds,
+    each at most once (a seed names its run directory)."""
     text = text.strip()
     try:
         if ".." in text:
@@ -320,10 +324,16 @@ def parse_seeds(text: str) -> list[int]:
             lo_i, hi_i = int(lo), int(hi)
             if hi_i < lo_i:
                 raise ValueError
-            return list(range(lo_i, hi_i + 1))
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+            seeds = list(range(lo_i, hi_i + 1))
+        else:
+            seeds = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse seed list {text!r}") from None
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"seed list {text!r} holds a negative seed")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seed list {text!r} repeats a seed")
+    return seeds
 
 
 # --- subcommands ------------------------------------------------------------

@@ -30,7 +30,7 @@ from .discovery import (DiscoveryReport, assign_pseudo_labels, fuse_distances,
 from .errors import ConfigError, DataError, DivergenceError, NumericsError, OrchestrationError
 from .network import ModelParams
 from .records import IterationRow, RunRecord
-from .training import EmaState, ExperimentConfig, ema_update, one_hot, train_iteration
+from .training import ExperimentConfig, ema_update, one_hot, train_iteration
 
 ALGOS = ("snowball", "mean-teacher", "self-learning", "supervised")
 
@@ -107,14 +107,10 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     refine_x = np.concatenate([training_set.x, report.inputs[extra_rows]])
     refine_y = np.concatenate([training_set.y, report.labels[extra_rows]])
 
-    steps = config.resolved_refine_steps()
-    if steps == 0:
-        return prev_master if prev_master is not None else teacher.copy()
-    refined = teacher
+    refined, master = teacher, prev_master
     velocity: np.ndarray | None = None
     targets = one_hot(refine_y, teacher.class_count)
-    ema: EmaState | None = None if prev_master is None else EmaState(config.beta, prev_master)
-    for step in range(steps):
+    for step in range(config.resolved_refine_steps()):
         # finite weights can still overflow the forward pass; both are divergence
         try:
             gradient = net.grad(refined, refine_x, targets)
@@ -127,9 +123,8 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
         if not refined.all_finite():
             raise DivergenceError(f"master refinement diverged at refine step {step}",
                                   step=step)
-        ema = EmaState(config.beta, refined) if ema is None else ema_update(ema, refined)
-    assert ema is not None
-    return ema.averaged
+        master = refined if master is None else ema_update(master, refined, config.beta)
+    return master if master is not None else teacher.copy()  # no refine steps
 
 
 def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> RunRecord:

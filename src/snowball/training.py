@@ -9,8 +9,11 @@ student objective is
     total = lambda1 * classification + lambda2 * (teacher + master consistency)
 
 where classification is averaged over the labelled rows of a minibatch only
-and the consistency terms cover every row. lambda2 follows a normalised
-sigmoid ramp so early, unreliable guidance carries little weight.
+and the consistency terms cover every row. `student_loss` is its one
+implementation: it takes the student's and the guides' perturbed views of a
+minibatch whose labelled rows come first, and returns the per-term values
+with the gradient. lambda2 follows a normalised sigmoid ramp so early,
+unreliable guidance carries little weight.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .errors import ConfigError, DataError, DivergenceError, NumericsError, deco
 from .network import ACTIVATIONS, EPS_LOG, ModelParams
 
 CONSISTENCY_KINDS = ("ce", "mse")
-UNLABELED = -1  # label marker for pool rows inside a mixed minibatch
 EVAL_EVERY = 25  # train_iteration measures error rates every EVAL_EVERY-th step
 
 
@@ -40,28 +42,13 @@ class LossBreakdown:
     classification: float
     consistency_teacher: float
     consistency_master: float
-    lambda1: float
-    lambda2: float
     total: float
 
 
-@dataclass(frozen=True)
-class EmaState:
-    """Exponential moving average over a stream of parameter snapshots."""
-
-    decay: float
-    averaged: ModelParams
-
-    def __post_init__(self):
-        if not 0.0 <= self.decay <= 1.0:
-            raise ConfigError(f"EMA decay must lie in [0, 1], got {self.decay}")
-
-
-def ema_update(state: EmaState, source: ModelParams) -> EmaState:
-    """averaged <- decay * averaged + (1 - decay) * source."""
-    old, decay = state.averaged, state.decay  # the model arithmetic, on the buffers
-    buffer = decay * old.buffer + (1.0 - decay) * old._other_buffer(source)
-    return EmaState(decay, old._derive(buffer))
+def ema_update(averaged: ModelParams, source: ModelParams, decay: float) -> ModelParams:
+    """decay * averaged + (1 - decay) * source, on the buffers."""
+    buffer = decay * averaged.buffer + (1.0 - decay) * averaged._other_buffer(source)
+    return averaged._derive(buffer)
 
 
 def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
@@ -74,55 +61,32 @@ def _mean_mse(targets: np.ndarray, probs: np.ndarray) -> float:
     return float(se.sum() / len(se))
 
 
-def student_loss(student: ModelParams, teacher: ModelParams,
-                 master: ModelParams | None, x: np.ndarray, y: np.ndarray,
-                 lambda1: float, lambda2: float, *, sigma_aug: float = 0.0,
-                 perturb_seed: int = 0, kind: str = "ce",
-                 master_weight: float = 1.0) -> LossBreakdown:
-    """Full objective over one minibatch.
+def student_loss(student: ModelParams, teacher: ModelParams, master: ModelParams | None,
+                 student_view: np.ndarray, guide_view: np.ndarray, labels: np.ndarray,
+                 lambda1: float, lambda2: float, kind: str, master_weight: float
+                 ) -> tuple[LossBreakdown, ModelParams]:
+    """The student objective over one minibatch and its gradient.
 
-    Rows with y == -1 are unlabelled and only enter the consistency terms.
-    Teacher and master share one perturbed guide view (so identical guides
-    yield identical terms); the student sees its own perturbed view, used for
-    both the classification and the consistency terms.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([int(perturb_seed)]))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=int)
-    student_view = augment(x, sigma_aug, rng)
-    guide_view = augment(x, sigma_aug, rng)
-    breakdown, _ = _objective(student, teacher, master, student_view, guide_view, y,
-                              lambda1, lambda2, kind, master_weight, want_grad=False)
-    return breakdown
-
-
-def _objective(student: ModelParams, teacher: ModelParams, master: ModelParams | None,
-               student_view: np.ndarray, guide_view: np.ndarray, y: np.ndarray,
-               lambda1: float, lambda2: float, kind: str, master_weight: float,
-               want_grad: bool) -> tuple[LossBreakdown, ModelParams | None]:
-    """Loss breakdown and (optionally) its gradient in one backward pass.
-
-    The student on student_view and the guides on guide_view run as one
-    stacked forward pass with one softmax. All loss terms share the student's
-    trace, so the combined gradient is a single backpropagation of the summed
-    per-logit gradients through it, and every cross-entropy term reads one log
-    of the student's probabilities: classification over the labelled rows, the
-    ce consistency terms over all rows. Guides are constants to the gradient.
+    The first len(labels) rows of the views are labelled and enter the
+    classification term; every row enters the consistency terms. The student
+    on student_view and the guides on guide_view run as one stacked forward
+    pass with one softmax. All loss terms share the student's trace, so the
+    gradient is a single backpropagation of the summed per-logit gradients
+    through it, and every cross-entropy term reads one log of the student's
+    probabilities. Guides are constants to the gradient.
     """
     if kind not in CONSISTENCY_KINDS:
         raise ConfigError(f"unknown consistency kind {kind!r}")
-    n, class_count = len(y), student.class_count
+    n, n_lab = len(student_view), len(labels)
     models = (student, teacher) if master is None else (student, teacher, master)
     out = net.forward_many(models, [student_view] + [guide_view] * (len(models) - 1))
     p_s, p_t = out.probs[0], out.probs[1]
     p_m = out.probs[2] if master is not None else None
     log_p_s = np.log(np.maximum(p_s, EPS_LOG))
-    labeled = y >= 0
-    n_lab = int(labeled.sum())
 
     if n_lab:
-        targets = one_hot(y[labeled], class_count)
-        j_class = net.mean_ce(targets, log_p_s[labeled])
+        targets = one_hot(labels, student.class_count)
+        j_class = net.mean_ce(targets, log_p_s[:n_lab])
     else:
         j_class = 0.0
     # each kind's mean loss, what it reads of the student, and its per-row
@@ -133,18 +97,16 @@ def _objective(student: ModelParams, teacher: ModelParams, master: ModelParams |
     j_teacher = loss(p_t, student_side)
     j_master = master_weight * loss(p_m, student_side) if p_m is not None else 0.0
     total = lambda1 * j_class + lambda2 * (j_teacher + j_master)
-    breakdown = LossBreakdown(j_class, j_teacher, j_master, lambda1, lambda2, total)
-    if not want_grad:
-        return breakdown, None
 
     dlogits = np.zeros_like(p_s)
     if n_lab:
-        dlogits[labeled] += lambda1 * (p_s[labeled] - targets) / n_lab
+        dlogits[:n_lab] += lambda1 * (p_s[:n_lab] - targets) / n_lab
     dlogits += lambda2 * dloss(p_s, p_t) / n
     if p_m is not None:
         dlogits += lambda2 * master_weight * dloss(p_s, p_m) / n
     trace = net.BatchForward(tuple(a[0] for a in out.activations))
-    return breakdown, net.grad_from_dlogits(student, trace, dlogits)
+    return (LossBreakdown(j_class, j_teacher, j_master, total),
+            net.grad_from_dlogits(student, trace, dlogits))
 
 
 def _mse_dlogits(p_s: np.ndarray, p_g: np.ndarray) -> np.ndarray:
@@ -333,10 +295,10 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     """Run one training iteration and return (student, teacher, step metrics).
 
     Each step samples a minibatch with replacement: labeled_batch rows from
-    the labelled set and unlabeled_batch rows from the pool (none when the
-    pool is empty). Per step the rng is consumed in a fixed order - labelled
-    indices, pool indices, student noise, guide noise - so runs are exactly
-    reproducible from the seed. The teacher EMA starts at student_init and
+    the labelled set, first, then unlabeled_batch rows from the pool (none
+    when the pool is empty). Per step the rng is consumed in a fixed order -
+    labelled indices, pool indices, student noise, guide noise - so runs are
+    exactly reproducible from the seed. The teacher EMA starts at student_init and
     absorbs the student after every step; with steps=0 the inputs come back
     unchanged and the teacher equals student_init. Only the training fields
     of cfg are read.
@@ -364,7 +326,7 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     n_pool = len(pool_x)
 
     student = student_init
-    teacher_ema = EmaState(cfg.alpha, student_init)
+    teacher = student_init
     velocity: np.ndarray | None = None
     metrics: list[StepMetrics] = []
 
@@ -373,19 +335,17 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
         li = rng.integers(0, len(train_x), size=cfg.labeled_batch)
         ui = rng.integers(0, n_pool, size=cfg.unlabeled_batch if n_pool else 0)
         bx = np.concatenate([train_x[li], pool_x[ui]])
-        by = np.concatenate([train_y[li], np.full(len(ui), UNLABELED)])
         student_view = augment(bx, cfg.sigma_aug, rng)
         guide_view = augment(bx, cfg.sigma_aug, rng)
 
         # Finite weights can still overflow the forward pass once they get
         # large enough; that is divergence too, of the update that made them.
         try:
-            breakdown, gradient = _objective(
-                student, teacher_ema.averaged, master, student_view, guide_view, by,
-                cfg.lambda1, lam2, cfg.consistency, cfg.master_weight, want_grad=True)
+            breakdown, gradient = student_loss(
+                student, teacher, master, student_view, guide_view, train_y[li],
+                cfg.lambda1, lam2, cfg.consistency, cfg.master_weight)
         except NumericsError:
             raise _diverged(max(step - 1, 0)) from None
-        assert gradient is not None
         student, velocity = net.sgd_step(student, gradient, cfg.learning_rate, cfg.momentum,
                                          velocity, l2=cfg.l2)
 
@@ -399,12 +359,12 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
                             if eval_x is not None else float("nan"))
             except NumericsError:
                 raise _diverged(step) from None
-        teacher_ema = ema_update(teacher_ema, student)
+        teacher = ema_update(teacher, student, cfg.alpha)
 
         metrics.append(StepMetrics(step, breakdown.classification,
                                    breakdown.consistency_teacher, breakdown.consistency_master,
                                    breakdown.total, lam2, train_err, test_err))
-    return student, teacher_ema.averaged, metrics
+    return student, teacher, metrics
 
 
 def _diverged(step: int) -> DivergenceError:

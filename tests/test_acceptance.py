@@ -26,7 +26,7 @@ from snowball.network import (ModelParams, batch_loss, forward_batch, grad,
                               init_params, load_checkpoint, params_equal,
                               save_checkpoint)
 from snowball.orchestrator import ExperimentConfig, run_algorithm
-from snowball.training import EmaState, ema_update, one_hot
+from snowball.training import ema_update, one_hot
 
 SEEDS = range(5)
 
@@ -86,9 +86,9 @@ def test_criterion_01_gradient_correctness():
 def test_criterion_02_ema_algebra():
     old = init_params((2, 4, 2), seed=1)
     src = init_params((2, 4, 2), seed=2)
-    copy_ok = params_equal(ema_update(EmaState(0.0, old), src).averaged, src)
-    frozen_ok = params_equal(ema_update(EmaState(1.0, old), src).averaged, old)
-    mid = ema_update(EmaState(0.5, old), src).averaged
+    copy_ok = params_equal(ema_update(old, src, 0.0), src)
+    frozen_ok = params_equal(ema_update(old, src, 1.0), old)
+    mid = ema_update(old, src, 0.5)
     mid_ok = params_equal(mid, 0.5 * old + (1.0 - 0.5) * src)
     verdict(2, "EMA decay endpoints and midpoint",
             copy_ok and frozen_ok and mid_ok,

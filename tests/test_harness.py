@@ -263,6 +263,13 @@ class TestExitCodes:
         key = pair.split("=")[0]
         assert err == f"error: config key {key!r} must be finite, got {pair.split('=')[1]}\n"
 
+    def test_data_seed_below_minus_one_exits_1(self, tmp_path, capsys):
+        # only -1 follows the run seed
+        assert cli_run(fast_args(tmp_path, "--set", "data_seed=-7")) == 1
+        err = capsys.readouterr().err
+        assert "'data_seed'" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_huge_finite_master_extra_fraction_runs(self, tmp_path):
         # ceil(1e308 * N) overflows int(); the extra rows stop at the pool's end
         argv = fast_args(tmp_path, "--set", "master_extra_fraction=1e308", algo="snowball")
@@ -321,6 +328,19 @@ class TestExitCodes:
         argv = ["sweep", "--dataset", "two-moons", "--seeds", "x..y",
                 "--out-dir", str(tmp_path)]
         assert cli_run(argv) == 1
+
+    @pytest.mark.parametrize("seeds, message", [
+        ("0,0", "repeats a seed"),  # both runs would write the same ...-seed0 directory
+        ("0,-1", "holds a negative seed"),  # numpy cannot seed -1, so it fails before seed 0
+        ("-1..1", "holds a negative seed")], ids=["repeated", "negative", "negative-range"])
+    def test_bad_seed_fails_before_any_run(self, tmp_path, capsys, seeds, message):
+        argv = ["sweep", "--dataset", "two-moons", f"--seeds={seeds}",
+                "--out-dir", str(tmp_path)]
+        assert cli_run(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliBehaviour:

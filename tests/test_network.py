@@ -435,6 +435,29 @@ class TestSgd:
         for pb, qb in zip(p.biases, q.biases):
             np.testing.assert_array_equal(qb, pb)
 
+    def test_l2_matches_finite_differences_of_the_penalised_loss(self, h=1e-5):
+        # a first step's velocity is the gradient it descends: that of
+        # batch_loss + (l2/2)*||W||^2, with the biases (nonzero here) left out
+        rng = np.random.default_rng(5)
+        p = init_params((3, 5, 4, 2), activation="tanh", seed=6)
+        p = ModelParams(p.weights, tuple(rng.normal(size=b.shape) for b in p.biases), "tanh")
+        x = rng.normal(size=(6, 3))
+        targets = one_hot(rng.integers(0, 2, size=6), 2)
+        l2 = 0.3
+
+        def penalised(q):
+            return batch_loss(q, x, targets) + 0.5 * l2 * sum(float((w * w).sum())
+                                                              for w in q.weights)
+
+        _, velocity = sgd_step(p, grad(p, x, targets), lr=0.1, momentum=0.9, l2=l2)
+        numeric = np.zeros_like(p.buffer)
+        for j in range(len(numeric)):
+            up, down = p.copy(), p.copy()
+            up.buffer[j] += h
+            down.buffer[j] -= h
+            numeric[j] = (penalised(up) - penalised(down)) / (2 * h)
+        np.testing.assert_allclose(velocity, numeric, rtol=1e-5, atol=1e-9)
+
     @pytest.mark.parametrize("momentum", [1.0, -0.1, float("nan")])
     def test_momentum_outside_unit_interval_rejected(self, momentum):
         p = tiny_net()

@@ -10,11 +10,8 @@ from snowball.data import augment, gen_two_moons, split
 from snowball.errors import ConfigError, DataError, DivergenceError
 from snowball.network import ModelParams, error_rate, init_params, params_equal
 from snowball.training import (
-    UNLABELED,
-    EmaState,
     ExperimentConfig,
     StepMetrics,
-    _objective,
     ema_update,
     lambda2_schedule,
     one_hot,
@@ -29,16 +26,25 @@ def tiny(dims=(2, 4, 2), seed=0, activation="relu"):
     return init_params(dims, seed=seed, activation=activation)
 
 
-def classification_loss(p, x, y):
-    """The classification term of the student objective, noise off."""
-    return student_loss(p, p, None, x, y, lambda1=1.0, lambda2=0.0).classification
+NO_LABELS = np.zeros(0, dtype=int)
 
 
-def consistency_loss(student, guide, x, sigma_aug=0.0, kind="ce"):
-    """The teacher consistency term on an all-unlabelled batch."""
-    y = np.full(len(np.atleast_2d(x)), UNLABELED)
-    return student_loss(student, guide, None, x, y, lambda1=0.0, lambda2=1.0,
-                        sigma_aug=sigma_aug, kind=kind).consistency_teacher
+def classification_loss(p, x, labels):
+    """The classification term of the student objective, noise off; the
+    first len(labels) rows of x are labelled."""
+    return student_loss(p, p, None, x, x, labels, 1.0, 0.0, "ce", 1.0)[0].classification
+
+
+def consistency_loss(student, guide, x, kind="ce"):
+    """The teacher consistency term on an all-unlabelled batch, noise off."""
+    return student_loss(student, guide, None, x, x, NO_LABELS, 0.0, 1.0, kind,
+                        1.0)[0].consistency_teacher
+
+
+def perturbed_views(x, seed=9, sigma=0.1):
+    """A student view and a guide view of x, each with its own noise."""
+    rng = np.random.default_rng(seed)
+    return augment(x, sigma, rng), augment(x, sigma, rng)
 
 
 class TestClassificationLoss:
@@ -66,8 +72,9 @@ class TestClassificationLoss:
     def test_unlabeled_rows_left_out(self):
         p = tiny(seed=5)
         x = np.random.default_rng(1).normal(size=(3, 2))
-        assert classification_loss(p, x[:1], np.array([UNLABELED])) == 0.0
-        mixed = classification_loss(p, x, np.array([0, UNLABELED, 1]))
+        assert classification_loss(p, x[:1], NO_LABELS) == 0.0
+        # rows [0, 2] lead with their labels; row 1 follows unlabelled
+        mixed = classification_loss(p, x[[0, 2, 1]], np.array([0, 1]))
         labelled = classification_loss(p, x[[0, 2]], np.array([0, 1]))
         assert mixed == pytest.approx(labelled, abs=1e-12)
 
@@ -77,14 +84,14 @@ class TestConsistencyLoss:
         # guide == student and sigma 0: H(p, p) = H(p); uniform -> ln 2
         p = ModelParams(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
         x = np.array([[0.3, -0.4]])
-        got = consistency_loss(p, p, x, sigma_aug=0.0)
+        got = consistency_loss(p, p, x)
         assert got == pytest.approx(math.log(2), abs=1e-12)
 
     def test_one_hot_guide_uniform_student(self):
         guide = ModelParams(weights=(np.eye(2) * 60,), biases=(np.zeros(2),))
         student = ModelParams(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
         x = np.array([[1.0, 0.0]])
-        got = consistency_loss(student, guide, x, sigma_aug=0.0)
+        got = consistency_loss(student, guide, x)
         assert got == pytest.approx(math.log(2), abs=1e-9)
 
     def test_matches_direct_formula_three_classes(self):
@@ -93,7 +100,7 @@ class TestConsistencyLoss:
             s = init_params((3, 5, 3), seed=int(rng.integers(1000)))
             g = init_params((3, 5, 3), seed=int(rng.integers(1000)))
             x = rng.normal(size=(4, 3))
-            got = consistency_loss(s, g, x, sigma_aug=0.0)
+            got = consistency_loss(s, g, x)
             # independent evaluation straight from the definition
             import snowball.network as net
             ps = net.forward_batch(s, x).probs
@@ -105,7 +112,7 @@ class TestConsistencyLoss:
         s = tiny(seed=1)
         g = tiny(seed=2)
         x = np.random.default_rng(3).normal(size=(5, 2))
-        got = consistency_loss(s, g, x, sigma_aug=0.0, kind="mse")
+        got = consistency_loss(s, g, x, kind="mse")
         import snowball.network as net
         ps = net.forward_batch(s, x).probs
         pg = net.forward_batch(g, x).probs
@@ -122,49 +129,57 @@ class TestStudentLoss:
         s, t = tiny(seed=1), tiny(seed=2)
         x = np.random.default_rng(0).normal(size=(4, 2))
         y = np.array([0, 1, 0, 1])
-        b = student_loss(s, t, None, x, y, lambda1=1.0, lambda2=0.0)
-        assert b.total == pytest.approx(b.lambda1 * b.classification, abs=1e-12)
+        lambda1 = 1.0
+        b, _ = student_loss(s, t, None, x, x, y, lambda1, 0.0, "ce", 1.0)
+        assert b.total == pytest.approx(lambda1 * b.classification, abs=1e-12)
 
     def test_master_equals_teacher_same_terms(self):
         s, t = tiny(seed=1), tiny(seed=2)
         x = np.random.default_rng(0).normal(size=(4, 2))
-        y = np.array([0, 1, -1, -1])
-        b = student_loss(s, t, t, x, y, lambda1=1.0, lambda2=0.5,
-                         sigma_aug=0.1, perturb_seed=9)
+        b, _ = student_loss(s, t, t, *perturbed_views(x), np.array([0, 1]), 1.0, 0.5,
+                            "ce", 1.0)
         assert b.consistency_master == pytest.approx(b.consistency_teacher, abs=1e-12)
 
     def test_weighted_sum_identity(self):
         s, t, m = tiny(seed=1), tiny(seed=2), tiny(seed=3)
         x = np.random.default_rng(0).normal(size=(4, 2))
-        y = np.array([0, 1, -1, -1])
-        b = student_loss(s, t, m, x, y, lambda1=0.7, lambda2=0.4,
-                         sigma_aug=0.1, perturb_seed=9, master_weight=0.5)
+        b, _ = student_loss(s, t, m, *perturbed_views(x), np.array([0, 1]), 0.7, 0.4,
+                            "ce", 0.5)
         want = 0.7 * b.classification + 0.4 * (b.consistency_teacher + b.consistency_master)
         assert b.total == want
 
 
+def relu_margin(params, x):
+    """Smallest |pre-activation| of any hidden unit of a relu net on any row of x."""
+    a, margin = x, np.inf
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = a @ w + b
+        margin = min(margin, float(np.abs(z).min()))
+        a = np.maximum(z, 0.0)
+    return margin
+
+
 class TestObjectiveGradient:
     """The gradient training steps on, against central differences of the
-    objective's own total, on a batch mixing labelled and unlabelled rows."""
+    objective's own total, on a batch whose first three rows are labelled."""
 
-    @pytest.mark.parametrize("kind", ["ce", "mse"])
-    @pytest.mark.parametrize("with_master", [False, True])
-    def test_matches_finite_differences(self, kind, with_master, h=1e-5):
-        rng = np.random.default_rng(3)
-        dims = (3, 5, 3)
-        student = init_params(dims, "tanh", seed=1)
-        teacher = init_params(dims, "tanh", seed=2)
-        master = init_params(dims, "tanh", seed=4) if with_master else None
-        student_view = rng.normal(size=(6, 3))
-        guide_view = student_view + 0.1 * rng.normal(size=(6, 3))
-        y = np.array([0, 2, UNLABELED, 1, UNLABELED, UNLABELED])
+    def check(self, kind, with_master, activation, dims, data_seed, h=1e-5):
+        rng = np.random.default_rng(data_seed)
+        student = init_params(dims, activation, seed=1)
+        teacher = init_params(dims, activation, seed=2)
+        master = init_params(dims, activation, seed=4) if with_master else None
+        student_view = rng.normal(size=(6, dims[0]))
+        guide_view = student_view + 0.1 * rng.normal(size=(6, dims[0]))
+        labels = np.array([0, 2, 1])
+        if activation == "relu":
+            # a step of h moves no hidden unit of the student across relu's kink
+            assert relu_margin(student, student_view) > 1e-3
 
-        def objective(params, want_grad):
-            return _objective(params, teacher, master, student_view, guide_view, y,
-                              lambda1=0.7, lambda2=1.3, kind=kind, master_weight=0.6,
-                              want_grad=want_grad)
+        def objective(params):
+            return student_loss(params, teacher, master, student_view, guide_view, labels,
+                                0.7, 1.3, kind, 0.6)
 
-        _, gradient = objective(student, want_grad=True)
+        _, gradient = objective(student)
         arrays = list(student.weights + student.biases)
         for a, analytic in enumerate(gradient.weights + gradient.biases):
             numeric = np.zeros_like(analytic)
@@ -174,22 +189,33 @@ class TestObjectiveGradient:
                     moved = [arr.copy() for arr in arrays]
                     moved[a][idx] += step
                     params = ModelParams(tuple(moved[:len(dims) - 1]),
-                                         tuple(moved[len(dims) - 1:]), "tanh")
-                    totals.append(objective(params, want_grad=False)[0].total)
+                                         tuple(moved[len(dims) - 1:]), activation)
+                    totals.append(objective(params)[0].total)
                 numeric[idx] = (totals[0] - totals[1]) / (2 * h)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["ce", "mse"])
+    @pytest.mark.parametrize("with_master", [False, True])
+    def test_matches_finite_differences(self, kind, with_master):
+        self.check(kind, with_master, "tanh", (3, 5, 3), data_seed=3)
+
+    @pytest.mark.parametrize("kind", ["ce", "mse"])
+    @pytest.mark.parametrize("with_master", [False, True])
+    @pytest.mark.parametrize("activation, dims", [
+        ("relu", (3, 5, 3)), ("tanh", (3, 5, 4, 4, 3)), ("relu", (3, 5, 4, 4, 3))],
+        ids=["relu", "tanh-three-hidden", "relu-three-hidden"])
+    def test_relu_and_three_hidden_layers(self, kind, with_master, activation, dims):
+        self.check(kind, with_master, activation, dims, data_seed=5)
 
 
 class TestEma:
     def test_decay_zero_copies_source(self):
         a, b = tiny(seed=1), tiny(seed=2)
-        st = ema_update(EmaState(0.0, a), b)
-        assert params_equal(st.averaged, b)
+        assert params_equal(ema_update(a, b, 0.0), b)
 
     def test_decay_one_frozen(self):
         a, b = tiny(seed=1), tiny(seed=2)
-        st = ema_update(EmaState(1.0, a), b)
-        assert params_equal(st.averaged, a)
+        assert params_equal(ema_update(a, b, 1.0), a)
 
     def test_midpoint(self):
         dims = (2, 3, 2)
@@ -201,13 +227,9 @@ class TestEma:
             tuple(np.full((i, o), 4.0) for i, o in zip(dims[:-1], dims[1:])),
             tuple(np.full(o, 4.0) for o in dims[1:]),
         )
-        st = ema_update(EmaState(0.5, twos), fours)
-        for w in st.averaged.weights + st.averaged.biases:
+        averaged = ema_update(twos, fours, 0.5)
+        for w in averaged.weights + averaged.biases:
             assert np.all(w == 3.0)
-
-    def test_decay_out_of_range(self):
-        with pytest.raises(ConfigError):
-            EmaState(1.5, tiny())
 
 
 class TestSchedule:
@@ -232,6 +254,8 @@ class TestTrainConfig:
             ExperimentConfig(steps=-1).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(alpha=1.5).validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(beta=1.5).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(consistency="nope").validate()
         ExperimentConfig().validate()
