@@ -25,14 +25,13 @@ import numpy as np
 from . import network as net
 from .data import (DatasetSplit, gen_gaussian_blobs, gen_rings, gen_two_moons,
                    load_csv, split)
-from .discovery import write_report_csv
-from .errors import (AggregationError, ConfigError, DataError, DiscoveryError,
-                     DivergenceError, NumericsError, OrchestrationError,
-                     SnowballError, decoding)
+from .errors import (AggregationError, ConfigError, DataError, DivergenceError,
+                     NumericsError, reading)
 from .orchestrator import ALGOS, output_role, run_algorithm
 from .records import (IterationRow, RunRecord, read_manifest, rows_equal,
-                      write_manifest)
-from .training import ExperimentConfig, require_finite, write_step_metrics
+                      write_aggregate_csv, write_manifest, write_report_csv,
+                      write_step_metrics)
+from .training import ExperimentConfig, require_finite
 
 OUT_DIR_ENV = "SNOWBALL_OUT_DIR"
 DATASETS = ("two-moons", "blobs", "rings", "csv")
@@ -143,11 +142,8 @@ def parse_config_file(path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    try:
-        with decoding(path, ConfigError):
-            text = path.read_text()
-    except OSError as err:  # a directory, or a file we may not read
-        raise ConfigError(f"{path}: {err.strerror or err}") from None
+    with reading(path, ConfigError):
+        text = path.read_text()
     flat: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -374,20 +370,8 @@ def _cmd_sweep(args) -> int:
         print(f"  g{row['generation']} i{row['iteration']}: "
               f"test {row['test_err_mean']:.4f} +/- {row['test_err_std']:.4f}  "
               f"noise {row['noise_rate_mean']:.4f} +/- {row['noise_rate_std']:.4f}")
-    _write_aggregate_csv(out_root / f"{args.name or args.algo}-aggregate.csv", summary)
+    write_aggregate_csv(out_root / f"{args.name or args.algo}-aggregate.csv", summary)
     return 0
-
-
-def _write_aggregate_csv(path: Path, summary: list[dict[str, float]]) -> None:
-    import csv as _csv
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = _csv.writer(handle)
-        header = list(summary[0].keys())
-        writer.writerow(header)
-        for row in summary:
-            writer.writerow([row[h] if h in ("generation", "iteration") else repr(row[h])
-                             for h in header])
 
 
 # command: (config key, its values, fixed overrides, key column width, then
@@ -527,10 +511,10 @@ def cli_run(argv: list[str] | None = None) -> int:
         # overflow is reported as a numerical error below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (ConfigError, AggregationError, OrchestrationError) as err:
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (DataError, DiscoveryError) as err:
+    except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except (DivergenceError, NumericsError) as err:

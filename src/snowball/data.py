@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, decoding
+from .errors import ConfigError, DataError, reading
 
 
 @dataclass(frozen=True)
@@ -206,11 +206,7 @@ def load_csv(path) -> RawDataset:
     rows: list[list[float]] = []
     labels: list[int] = []
     width: int | None = None
-    try:
-        handle = path.open(newline="")
-    except OSError as err:
-        raise DataError(f"{path}: {err.strerror or err}") from None
-    with handle, decoding(path):
+    with reading(path), path.open(newline="") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not row or all(not cell.strip() for cell in row):
                 raise DataError(f"{path}: line {lineno}: empty row")

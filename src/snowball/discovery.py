@@ -15,13 +15,12 @@ ties going to the most recent model.
 Distances are computed NEAREST_BLOCK pool rows at a time in one reused block
 buffer, feature_cascade fills one preallocated feature matrix model by model,
 and reports keep no features, so discovery's memory is linear in the pool.
+records.write_report_csv dumps a report.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -31,8 +30,6 @@ from .network import ModelParams
 
 STRATEGIES = ("min", "random", "max")
 FUSIONS = ("single", "average_distance", "feature_cascade", "average_sorting_score")
-
-REPORT_CSV_HEADER = ("sample_id", "assigned_label", "true_label", "distance", "rank", "selected")
 
 NEAREST_BLOCK = 1024  # pool rows per (rows, classes, features) difference array
 
@@ -248,14 +245,3 @@ def noise_rate(report: DiscoveryReport, true_label_of: dict[int, int]) -> float:
         return 0.0
     truth = np.array([true_label_of[i] for i in ids.tolist()])
     return float(np.mean(report.labels[report.selected] != truth))
-
-
-def write_report_csv(path, report: DiscoveryReport, true_label_of: dict[int, int]) -> None:
-    """Dump a report: sample_id, assigned_label, true_label, distance, rank, selected."""
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(REPORT_CSV_HEADER)
-        for rank, (sid, label, dist, sel) in enumerate(zip(
-                report.sample_ids, report.labels, report.distances, report.selected)):
-            writer.writerow([int(sid), int(label), true_label_of[int(sid)],
-                             repr(float(dist)), rank, int(sel)])

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto process exit codes: configuration/usage problems
-exit with 1, data problems with 2, numerical failures with 3.
+Three base classes decide the CLI's exit code: a ConfigError (configuration,
+usage, aggregation, orchestration) exits with 1, a DataError (datasets, files,
+discovery) with 2, and a DivergenceError or NumericsError with 3.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ class DataError(SnowballError):
     """Problem with a dataset: parse failures, impossible splits, bad labels."""
 
 
-class DiscoveryError(SnowballError):
+class DiscoveryError(DataError):
     """Discovery cannot proceed, e.g. a class with no labelled representatives."""
 
 
-class OrchestrationError(SnowballError):
+class OrchestrationError(ConfigError):
     """A pipeline step received inputs that violate the run contract."""
 
 
@@ -48,14 +49,17 @@ class DivergenceError(SnowballError):
         self.iteration = iteration
 
 
-class AggregationError(SnowballError):
+class AggregationError(ConfigError):
     """Run records cannot be aggregated (mismatched configs or grids)."""
 
 
 @contextlib.contextmanager
-def decoding(path, error: type[SnowballError] = DataError):
-    """Raise ``error`` naming path for text inside that is not valid UTF-8."""
+def reading(path, error: type[SnowballError] = DataError):
+    """Raise ``error`` naming path for a file that cannot be opened or read
+    (missing, a directory, no permission) or whose text is not valid UTF-8."""
     try:
         yield
     except UnicodeDecodeError as err:
         raise error(f"{path}: {err}") from None
+    except OSError as err:
+        raise error(f"{path}: {err.strerror or err}") from None

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericsError
+from .errors import ConfigError, DataError, NumericsError, reading
 
 ACTIVATIONS = ("relu", "tanh")
 CHECKPOINT_MAGIC = "SNOWBALL-CKPT v1"
@@ -411,7 +411,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint written by `save_checkpoint`."""
-    raw = Path(path).read_bytes()
+    with reading(path):
+        raw = Path(path).read_bytes()
     try:
         magic, dims_line, act_line, rest = raw.split(b"\n", 3)
     except ValueError:

@@ -13,23 +13,23 @@ and the consistency terms cover every row. `student_loss` is its one
 implementation: it takes the student's and the guides' perturbed views of a
 minibatch whose labelled rows come first, and returns the per-term values
 with the gradient. lambda2 follows a normalised sigmoid ramp so early,
-unreliable guidance carries little weight.
+unreliable guidance carries little weight. `train_iteration` returns one
+StepMetrics row per step; records.py defines it with its CSV.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import network as net
 from .data import augment
 from .discovery import FUSIONS, STRATEGIES
-from .errors import ConfigError, DataError, DivergenceError, NumericsError, decoding
+from .errors import ConfigError, DivergenceError, NumericsError
 from .network import ACTIVATIONS, EPS_LOG, ModelParams
+from .records import StepMetrics
 
 CONSISTENCY_KINDS = ("ce", "mse")
 EVAL_EVERY = 25  # train_iteration measures error rates every EVAL_EVERY-th step
@@ -227,64 +227,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict[str, object]:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class StepMetrics:
-    """One row of the per-step metrics CSV.
-
-    train_err and test_err are None on steps that were not evaluated (an
-    empty CSV cell); test_err is nan when no eval set was given.
-    """
-
-    step: int
-    j_c: float
-    j_theta_teacher: float
-    j_theta_master: float
-    j_s: float
-    lambda2: float
-    train_err: float | None
-    test_err: float | None
-
-
-STEP_CSV_HEADER = ("step", "J_C", "J_theta_teacher", "J_theta_master",
-                   "J_S", "lambda2", "train_err", "test_err")
-
-
-def write_step_metrics(path, rows: list[StepMetrics]) -> None:
-    """Write a per-step metrics CSV; floats use repr so the file parses back
-    bit-identically."""
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(STEP_CSV_HEADER)
-        for r in rows:
-            writer.writerow([r.step, repr(r.j_c), repr(r.j_theta_teacher),
-                             repr(r.j_theta_master), repr(r.j_s), repr(r.lambda2),
-                             _cell(r.train_err), _cell(r.test_err)])
-
-
-def _cell(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
-def read_step_metrics(path) -> list[StepMetrics]:
-    """Parse a per-step metrics CSV; an empty error cell reads back as None.
-    A short or unparsable row raises DataError naming the file and line."""
-    with decoding(path), Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader, ()))
-        if header != STEP_CSV_HEADER:
-            raise DataError(f"{path}: unexpected step metrics header {header}")
-        rows = []
-        for r in reader:
-            try:
-                if len(r) != len(STEP_CSV_HEADER):
-                    raise ValueError(f"expected {len(STEP_CSV_HEADER)} values, got {len(r)}")
-                rows.append(StepMetrics(int(r[0]), *(float(v) for v in r[1:6]),
-                                        *(None if v == "" else float(v) for v in r[6:])))
-            except ValueError as err:
-                raise DataError(f"{path}: line {reader.line_num}: {err}") from None
-        return rows
 
 
 def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.ndarray,

@@ -15,13 +15,14 @@ round matrix products differently.
 """
 
 import hashlib
+import re
 from dataclasses import replace
 
 import pytest
 
 from snowball import training
-from snowball.cli import (DataSpec, benchmark_blobs, benchmark_two_moons, make_dataset,
-                          run_one)
+from snowball.cli import (DataSpec, benchmark_blobs, benchmark_two_moons, cli_run,
+                          make_dataset, run_one)
 from snowball.orchestrator import ExperimentConfig, run_algorithm
 
 RUNS = {
@@ -255,3 +256,55 @@ def test_benchmark_workload_rows_match_recorded_digests(workload):
     for row in rows:
         digest.update(repr(row.manifest_values()[:6]).encode())
     assert digest.hexdigest() == WORKLOAD_ROWS_DIGESTS[workload]
+
+
+# What the command line writes beyond the digests above: each manifest, with
+# its wall_time cells cut off (a measurement, not a metric), the sweep's
+# aggregate CSV, and the discovery CSVs of a pseudo-label run (rank-averaged
+# fusion, the selected rows keep their pseudo-labels) dumped by
+# `train --dump-discovery`. The config section pins how the manifest spells
+# floats, tuples and booleans.
+CLI_OPTIONS = ["--dataset", "two-moons", "--set", "n_samples=300", "--set", "generations=1",
+               "--set", "iterations=3", "--set", "steps=30", "--set", "ramp_len=15",
+               "--set", "discovery_schedule=16,32,48", "--set", "hidden_dims=12,6",
+               "--set", "fusion=average_sorting_score", "--set", "balance_classes=true"]
+
+CLI_DIGESTS = {
+    "pin-aggregate.csv":
+        "f6e23f7e474802a0efc6279925414bbf987c2e50866322ba5185eb1dd893bb46",
+    "pin-seed0/manifest.txt":
+        "d6cf917d03319134912cf5cad1a843bc43262be4e0c0585ba7a2be3cdcf46c37",
+    "pin-seed1/manifest.txt":
+        "ee2a3099f5f8f4b8ceb7e6acd4cd887d0326911be34efb0fee89ec44e7549ce7",
+    "dump/discovery-g1-i1.csv":
+        "61abb248d241018da772fa58cefa3f41d66f89857df677b93fa2fc23641bc191",
+    "dump/discovery-g1-i2.csv":
+        "8add0338029e8ea5db305220c4be0d8d2c6fa18e1cd01eaf92ae80df68c77692",
+    "dump/discovery-g1-i3.csv":
+        "702abd887d1e0403808c9fea67c5af29398798a1ef3342bb45e38a9c72bb5218",
+    "dump/manifest.txt":
+        "aa9180969b0614aa98eba86b75815369b4931db91544c459bfe50427c3016949",
+}
+
+
+def without_wall_time(manifest: bytes) -> bytes:
+    """The manifest with the last cell of every metric row cut off; metric
+    rows are its only CRLF-terminated lines."""
+    return re.sub(rb",[^,\r\n]*\r\n", b",\r\n", manifest)
+
+
+def test_cli_artifacts_match_recorded_digests(tmp_path):
+    out = ["--out-dir", str(tmp_path)]
+    assert cli_run(["sweep", "--seeds", "0,1", "--name", "pin", *out, *CLI_OPTIONS]) == 0
+    assert cli_run(["train", "--seed", "2", "--name", "dump", "--dump-discovery",
+                    *out, *CLI_OPTIONS]) == 0
+    digests = {}
+    for path in sorted(tmp_path.rglob("*")):
+        if path.name == "manifest.txt":
+            data = without_wall_time(path.read_bytes())
+        elif path.name.endswith("aggregate.csv") or path.name.startswith("discovery-"):
+            data = path.read_bytes()
+        else:
+            continue
+        digests[path.relative_to(tmp_path).as_posix()] = hashlib.sha256(data).hexdigest()
+    assert digests == CLI_DIGESTS

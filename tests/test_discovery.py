@@ -22,10 +22,10 @@ from snowball.discovery import (
     noise_rate,
     select_balanced,
     select_samples,
-    write_report_csv,
 )
 from snowball.errors import ConfigError, DiscoveryError
 from snowball.network import ModelParams, init_params
+from snowball.records import write_report_csv
 
 
 def feature_identity_net(dim=2, classes=2):

@@ -4,9 +4,12 @@ Each reader gets a valid seed file, which hypothesis mutates by flipping,
 deleting and inserting bytes and by truncating. Whatever comes out, the
 reader either parses it or raises a SnowballError, which the CLI maps onto
 its exit codes; any other exception would surface as a traceback. A mutated
-manifest is also fed to ``snowball report`` through the CLI entry point. The
+manifest is also fed to ``snowball report`` through the CLI entry point. A
+missing path and a directory raise a SnowballError naming the path too. The
 runs are derandomized and keep no example database, so they are reproducible.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +20,9 @@ from snowball.cli import build_configs, cli_run, parse_config_file
 from snowball.data import load_csv
 from snowball.errors import SnowballError
 from snowball.network import init_params, load_checkpoint, save_checkpoint
-from snowball.records import IterationRow, RunRecord, read_manifest, write_manifest
-from snowball.training import ExperimentConfig, StepMetrics, read_step_metrics, write_step_metrics
+from snowball.records import (IterationRow, RunRecord, StepMetrics, read_manifest,
+                              read_step_metrics, write_manifest, write_step_metrics)
+from snowball.training import ExperimentConfig
 
 INSERTS = (b"nan", b"1e999", b",", b"\n", b"=", b"\xff")
 FUZZ = settings(derandomize=True, max_examples=150, database=None, deadline=None,
@@ -98,6 +102,17 @@ def test_seed_file_parses(tmp_path, kind):
     path = tmp_path / kind
     write_seed(path)
     read(path)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("unreadable", ["missing", "directory"])
+def test_unreadable_path_raises_a_snowball_error(tmp_path, kind, unreadable):
+    _, read = READERS[kind]
+    path = tmp_path / kind
+    if unreadable == "directory":
+        path.mkdir()
+    with pytest.raises(SnowballError, match=re.escape(str(path))):
+        read(path)
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))

@@ -9,16 +9,14 @@ from snowball import training
 from snowball.data import augment, gen_two_moons, split
 from snowball.errors import ConfigError, DataError, DivergenceError
 from snowball.network import ModelParams, error_rate, init_params, params_equal
+from snowball.records import StepMetrics, read_step_metrics, write_step_metrics
 from snowball.training import (
     ExperimentConfig,
-    StepMetrics,
     ema_update,
     lambda2_schedule,
     one_hot,
-    read_step_metrics,
     student_loss,
     train_iteration,
-    write_step_metrics,
 )
 
 
@@ -450,6 +448,15 @@ class TestStepMetricsCsv:
                                               float("nan"))])
         (row,) = read_step_metrics(path)
         assert row.train_err == 0.25 and math.isnan(row.test_err)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "steps.csv"
+        rows = [StepMetrics(0, 0.5, 0.0, 0.0, 0.5, 0.0, None, None),
+                StepMetrics(1, 0.5, 0.0, 0.0, 0.5, 0.0, 0.25, 0.5)]
+        write_step_metrics(path, rows)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", lines[1], "", lines[2], ""]) + "\n")
+        assert read_step_metrics(path) == rows
 
     def test_non_utf8_bytes_are_data_error(self, tmp_path):
         path = tmp_path / "steps.csv"
