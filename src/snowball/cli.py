@@ -7,8 +7,9 @@ directory under the output root (``--out-dir``, else $SNOWBALL_OUT_DIR,
 else ./runs) containing a manifest, per-step CSVs and model checkpoints.
 
 Exit codes: 0 success, 1 usage or configuration problems, 2 data problems,
-3 numerical divergence. A run whose output model predicts one class for the
-whole test set exits 0 with a collapse warning on stderr.
+3 numerical divergence. Every command that runs a pipeline prints the
+record's collapse (see orchestrator.PIPELINES for each pipeline's output
+model) as one warning on stderr and still exits 0.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import argparse
 import os
 import sys
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,8 @@ from .data import (DatasetSplit, gen_gaussian_blobs, gen_rings, gen_two_moons,
                    load_csv, split)
 from .errors import (AggregationError, ConfigError, DataError, DivergenceError,
                      NumericsError, reading)
-from .orchestrator import ALGOS, output_role, run_algorithm
-from .records import (IterationRow, RunRecord, read_manifest, rows_equal,
+from .orchestrator import ALGOS, run_algorithm
+from .records import (RunRecord, read_manifest, rows_equal,
                       write_aggregate_csv, write_manifest, write_report_csv,
                       write_step_metrics)
 from .training import ExperimentConfig, require_finite
@@ -212,16 +213,12 @@ def _out_root(args) -> Path:
 # --- running and persisting -------------------------------------------------
 
 def run_one(algo: str, config: ExperimentConfig, spec: DataSpec, out_root: Path,
-            name: str | None = None, dump_discovery: bool = False,
-            data: DatasetSplit | None = None) -> tuple[RunRecord, Path]:
-    """Execute one run and persist manifest, step CSVs and checkpoints.
-
-    data is the split to run on, make_dataset(spec, config.seed) when None.
-    """
-    if data is None:
-        data = make_dataset(spec, config.seed)
+            name: str | None = None, dump_discovery: bool = False) -> tuple[RunRecord, Path]:
+    """Execute one run on make_dataset(spec, config.seed) and persist
+    manifest, step CSVs and checkpoints."""
+    data = make_dataset(spec, config.seed)
     record = run_algorithm(algo, data, config)
-    record.config.update(dataclass_flat(spec))
+    record.config.update(asdict(spec))
     run_dir = out_root / (name or f"{algo}-{spec.dataset}-seed{config.seed}")
     run_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(run_dir / "manifest.txt", record)
@@ -236,38 +233,21 @@ def run_one(algo: str, config: ExperimentConfig, spec: DataSpec, out_root: Path,
     return record, run_dir
 
 
-def warn_if_collapsed(record: RunRecord, data: DatasetSplit) -> None:
-    """Print one stderr warning when the model behind the final test error
-    predicts a single class for every test row of a test set that holds
-    several classes. Nothing of it enters the run's artifacts."""
-    role = output_role(record.algo)
-    predicted = np.unique(net.predict_labels(record.models[role], data.test_x))
-    if len(predicted) == 1 and len(np.unique(data.test_y)) > 1:
-        print(f"warning: training collapsed: the {role} predicts class {predicted[0]} "
-              f"for all {len(data.test_y)} test rows", file=sys.stderr)
-
-
-def dataclass_flat(spec: DataSpec) -> dict[str, object]:
-    return {k: getattr(spec, k) for k in _DATA_TYPES}
-
-
-def rerun_manifest(path) -> tuple[RunRecord, list[IterationRow]]:
-    """Re-execute the run a manifest describes; returns (new record, old rows)."""
-    raw_config, old_rows = read_manifest(path)
-    algo = raw_config.get("algo", "")
-    if algo not in ALGOS:
-        raise ConfigError(f"{path}: manifest has unknown algo {algo!r}")
-    config, spec = build_configs(raw_config)
-    data = make_dataset(spec, config.seed)
-    record = run_algorithm(algo, data, config)
-    record.config.update(dataclass_flat(spec))
-    return record, old_rows
+def warn_if_collapsed(record: RunRecord) -> None:
+    """Print the record's collapse, if any, as one stderr warning."""
+    if record.collapse:
+        print(f"warning: training collapsed: {record.collapse}", file=sys.stderr)
 
 
 def verify_manifest(path) -> bool:
-    """True when a re-run reproduces the manifest's metric rows bit-identically
-    (wall_time excluded)."""
-    record, old_rows = rerun_manifest(path)
+    """True when a re-run of the manifest's config reproduces its metric rows
+    bit-identically (wall_time excluded)."""
+    raw_config, old_rows = read_manifest(path)
+    algo = raw_config.get("algo", "")
+    if algo not in ALGOS:  # before any dataset is built
+        raise ConfigError(f"{path}: manifest has unknown algo {algo!r}")
+    config, spec = build_configs(raw_config)
+    record = run_algorithm(algo, make_dataset(spec, config.seed), config)
     return rows_equal(record.rows, old_rows)
 
 
@@ -336,15 +316,14 @@ def parse_seeds(text: str) -> list[int]:
 
 def _cmd_train(args) -> int:
     config, spec = build_configs(_flat_from_args(args))
-    data = make_dataset(spec, config.seed)
     record, run_dir = run_one(args.algo, config, spec, _out_root(args),
-                              args.name, args.dump_discovery, data)
+                              args.name, args.dump_discovery)
     _print_rows(record.rows)
     final = record.rows[-1]
     print(f"final test error {final.test_err:.4f} "
           f"(labelled set {final.labeled_size}, noise {final.noise_rate:.4f})")
     print(f"run written to {run_dir}")
-    warn_if_collapsed(record, data)
+    warn_if_collapsed(record)
     return 0
 
 
@@ -356,13 +335,11 @@ def _cmd_sweep(args) -> int:
     out_root = _out_root(args)
     records = []
     for seed in seeds:
-        cfg = replace(config, seed=seed)
-        data = make_dataset(spec, seed)
-        record, run_dir = run_one(args.algo, cfg, spec, out_root,
-                                  name=f"{args.name or args.algo}-seed{seed}", data=data)
+        record, run_dir = run_one(args.algo, replace(config, seed=seed), spec, out_root,
+                                  name=f"{args.name or args.algo}-seed{seed}")
         records.append(record)
         print(f"seed {seed}: final test error {record.final_test_err():.4f} ({run_dir})")
-        warn_if_collapsed(record, data)
+        warn_if_collapsed(record)
     summary = aggregate(records)
     print(f"\naggregate over {len(seeds)} seeds "
           f"(mean +/- sample std), algo {args.algo}:")
@@ -399,6 +376,7 @@ def _cmd_ablate(args) -> int:
         final = record.rows[-1]
         print(" ".join([f"{value:<{width}}"]
                        + [f"{getattr(final, field):>{w}.4f}" for _, field, w in columns]))
+        warn_if_collapsed(record)
     # the discovery count does not depend on the fusion: the last run speaks for all
     if key == "fusion" and len(record.reports) < 3:
         print(f"note: each run made {len(record.reports)} of the 3 discoveries fusion needs "
@@ -414,6 +392,7 @@ def _cmd_ablate_guidance(args) -> int:
     for algo in ("snowball", "self-learning"):
         record, _ = run_one(algo, config, spec, out_root,
                             name=f"{args.name or 'ablate-guidance'}-{algo}")
+        warn_if_collapsed(record)
         records[algo] = record
     print(f"{'gen':>3} {'iter':>4} {'snowball err':>13} {'snowball noise':>15} "
           f"{'self-learn err':>15} {'self-learn noise':>17}")

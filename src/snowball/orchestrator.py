@@ -1,4 +1,4 @@
-"""Generation/iteration pipelines: snowball, mean-teacher, self-learning.
+"""Generation/iteration pipelines: one engine, one PIPELINES row per pipeline.
 
 One engine drives all pipelines so their degenerate equivalences are exact:
 a snowball run with one generation, one iteration and nothing to discover
@@ -32,7 +32,19 @@ from .network import ModelParams
 from .records import IterationRow, RunRecord
 from .training import ExperimentConfig, ema_update, one_hot, train_iteration
 
-ALGOS = ("snowball", "mean-teacher", "self-learning", "supervised")
+# name: (config overrides, guided). A guided pipeline reports its teacher,
+# ranks the pool with the master (the teacher until the first master exists)
+# and builds a master after each discovery; an unguided one reports and ranks
+# with its student. The (0,) schedule keeps a pipeline from discovering, so
+# mean-teacher never builds a master.
+_ONE_ROUND = {"generations": 1, "iterations": 1, "discovery_schedule": (0,)}
+PIPELINES = {
+    "snowball": ({}, True),
+    "mean-teacher": (_ONE_ROUND, True),
+    "self-learning": ({"lambda2_max": 0.0}, False),
+    "supervised": ({**_ONE_ROUND, "lambda2_max": 0.0}, False),
+}
+ALGOS = tuple(PIPELINES)
 
 
 @dataclass(frozen=True)
@@ -59,28 +71,6 @@ class TrainingSet:
             raise OrchestrationError("discovered samples overlap the training set")
         return TrainingSet(np.concatenate([self.ids, ids]), np.concatenate([self.x, x]),
                            np.concatenate([self.y, y]))
-
-
-def _effective(config: ExperimentConfig, algo: str) -> ExperimentConfig:
-    """Coerce a config to the loop an algorithm actually runs (idempotent).
-    The (0,) schedule keeps mean-teacher and supervised from discovering; only
-    snowball builds a master, so only it has a guide or past masters to fuse."""
-    if algo == "snowball":
-        return config
-    if algo == "mean-teacher":
-        return replace(config, generations=1, iterations=1, discovery_schedule=(0,))
-    if algo == "supervised":
-        return replace(config, generations=1, iterations=1, discovery_schedule=(0,),
-                       lambda2_max=0.0)
-    if algo == "self-learning":
-        return replace(config, lambda2_max=0.0)
-    raise ConfigError(f"unknown algorithm {algo!r}, expected one of {ALGOS}")
-
-
-def output_role(algo: str) -> str:
-    """The model whose test error a pipeline's rows report: the teacher for
-    teacher-driven pipelines, the student for label-only ones."""
-    return "teacher" if algo in ("snowball", "mean-teacher") else "student"
 
 
 def build_master(teacher: ModelParams, training_set: TrainingSet,
@@ -128,15 +118,17 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
 
 
 def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> RunRecord:
-    """Run one of the ALGOS pipelines on a split and return its record.
+    """Run the PIPELINES row named algo on a split and return its record.
 
-    snowball: the full master-teacher-student evolution with discovery;
-    mean-teacher: one training iteration, no discovery; self-learning: the
-    discovery loop without guidance, the plain student discovering;
-    supervised: the mean-teacher loop with lambda2 forced to 0. use_true_labels
-    adopts rows under their truth; kept reports and noise rates read pseudo-labels.
+    use_true_labels adopts rows under their truth; kept reports and noise
+    rates read pseudo-labels. When the output model ends up predicting one
+    class for every row of a test set that holds several, record.collapse
+    says so.
     """
-    cfg = _effective(config, algo)
+    if algo not in PIPELINES:
+        raise ConfigError(f"unknown algorithm {algo!r}, expected one of {ALGOS}")
+    overrides, guided = PIPELINES[algo]
+    cfg = replace(config, **overrides)
     cfg.validate()
     if len(data.labeled_ids) == 0:
         raise OrchestrationError("run needs at least one labelled sample")
@@ -181,9 +173,7 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                     report = fuse_distances(past_masters[-3:], pool_x, pool_ids,
                                             training_set.x, training_set.y, cfg.fusion)
                 else:
-                    model = master if master is not None else teacher
-                    if algo == "self-learning":  # the plain student ranks the pool
-                        model = student
+                    model = (master if master is not None else teacher) if guided else student
                     report = assign_pseudo_labels(model, pool_x, pool_ids, training_set.x,
                                                   training_set.y)
                 seed_seq = np.random.SeedSequence([cfg.seed, m, k, 7])
@@ -202,7 +192,7 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                     sel_ids, report.inputs[report.selected], report.labels[report.selected])
                 keep = np.isin(pool_ids, sel_ids, invert=True)
                 pool_ids, pool_x = pool_ids[keep], pool_x[keep]
-                if algo == "snowball":
+                if guided:
                     try:
                         master = build_master(teacher, training_set, report, cfg, master)
                     except DivergenceError as err:
@@ -212,15 +202,19 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                             step=err.step, generation=m, iteration=k) from None
                     past_masters.append(master)
 
-            output = teacher if output_role(algo) == "teacher" else student
             rows.append(IterationRow(
                 generation=m, iteration=k, train_err=train_err,
-                test_err=net.error_rate(output, data.test_x, data.test_y),
+                test_err=net.error_rate(teacher if guided else student, data.test_x, data.test_y),
                 noise_rate=noise, labeled_size=len(training_set),
                 wall_time=time.perf_counter() - t0))
 
     models = {"student": student, "teacher": teacher}
     if master is not None:
         models["master"] = master
-    return RunRecord(algo=algo, config=cfg.to_dict(), rows=rows,
-                     models=models, step_metrics=step_metrics, reports=reports)
+    role = "teacher" if guided else "student"
+    predicted = np.unique(net.predict_labels(models[role], data.test_x))
+    collapse = None
+    if len(predicted) == 1 and len(np.unique(data.test_y)) > 1:
+        collapse = f"the {role} predicts class {predicted[0]} for all {len(data.test_y)} test rows"
+    return RunRecord(algo=algo, config=cfg.to_dict(), rows=rows, models=models,
+                     step_metrics=step_metrics, reports=reports, collapse=collapse)

@@ -79,7 +79,12 @@ class StepMetrics(NamedTuple):
 
 @dataclass
 class RunRecord:
-    """Everything one pipeline run produced."""
+    """Everything one pipeline run produced.
+
+    collapse is None unless the output model predicts one class for every
+    row of a test set that holds several; it then names the model and the
+    class. No artifact holds it.
+    """
 
     algo: str
     config: dict[str, object]
@@ -87,6 +92,7 @@ class RunRecord:
     models: dict[str, ModelParams] = field(default_factory=dict)
     step_metrics: dict[tuple[int, int], list[StepMetrics]] = field(default_factory=dict)
     reports: dict[tuple[int, int], DiscoveryReport] = field(default_factory=dict)
+    collapse: str | None = None
 
     def final_test_err(self) -> float:
         return self.rows[-1].test_err

@@ -12,8 +12,8 @@ import pytest
 import snowball
 
 from snowball.cli import (DataSpec, aggregate, build_configs, cli_run,
-                          dataclass_flat, make_dataset, parse_config_file,
-                          parse_seeds, rerun_manifest, run_one, verify_manifest)
+                          make_dataset, parse_config_file, parse_seeds, run_one,
+                          verify_manifest)
 from snowball.errors import (AggregationError, ConfigError, DiscoveryError,
                              DivergenceError, NumericsError, OrchestrationError)
 from snowball.orchestrator import ExperimentConfig
@@ -192,7 +192,7 @@ class TestRunOneVerify:
                             "[metrics]\ngeneration,iteration,train_err,test_err,"
                             "pseudo_label_noise_rate,labeled_set_size,wall_time\n")
         with pytest.raises(ConfigError, match="magic"):
-            rerun_manifest(manifest)
+            verify_manifest(manifest)
 
 
 class TestExitCodes:
@@ -400,24 +400,31 @@ class TestCliBehaviour:
         assert (tmp_path / "supervised-seed0" / "manifest.txt").exists()
         assert (tmp_path / "supervised-seed1" / "manifest.txt").exists()
 
-    # lr = 1e6 pins the losses at the log clamp; every model ends up
+    # lr = 1e6 pins the losses at the log clamp; every snowball model ends up
     # predicting class 0 for the whole two-class test set
-    COLLAPSING = ["--algo", "snowball", "--dataset", "two-moons", "--seed", "0",
+    COLLAPSING = ["--dataset", "two-moons", "--seed", "0",
                   "--set", "learning_rate=1e6", "--set", "steps=60",
                   "--set", "generations=1", "--set", "iterations=2"]
     COLLAPSE_WARNING = ("warning: training collapsed: the teacher predicts class 0 "
                         "for all 500 test rows")
 
-    def test_collapsed_training_warns_and_exits_0(self, tmp_path, capsys):
-        assert cli_run(["train", "--out-dir", str(tmp_path), *self.COLLAPSING]) == 0
-        assert capsys.readouterr().err.splitlines() == [self.COLLAPSE_WARNING]
-        manifest = tmp_path / "snowball-two-moons-seed0" / "manifest.txt"
-        assert "collapse" not in manifest.read_text()
-
-    def test_collapsed_sweep_warns(self, tmp_path, capsys):
-        argv = ["sweep", "--seeds", "0", "--out-dir", str(tmp_path), *self.COLLAPSING]
-        assert cli_run(argv) == 0
-        assert capsys.readouterr().err.splitlines() == [self.COLLAPSE_WARNING]
+    # ablate-guidance warns once: self-learning's student keeps both classes
+    @pytest.mark.parametrize("command, warnings", [
+        pytest.param(["train", "--algo", "snowball"], 1, id="train"),
+        pytest.param(["sweep", "--algo", "snowball", "--seeds", "0"], 1, id="sweep"),
+        pytest.param(["ablate-selection"], 3, id="ablate-selection"),
+        pytest.param(["ablate-fusion"], 3, id="ablate-fusion"),
+        pytest.param(["ablate-guidance"], 1, id="ablate-guidance"),
+    ])
+    def test_collapsed_training_warns_and_exits_0(self, tmp_path, capsys, command, warnings):
+        assert cli_run([*command, "--out-dir", str(tmp_path), *self.COLLAPSING]) == 0
+        expected = [self.COLLAPSE_WARNING] * warnings
+        if command[0] == "ablate-fusion":
+            expected.append("note: each run made 2 of the 3 discoveries fusion needs to "
+                            "combine two masters, so it played no part in these rows")
+        assert capsys.readouterr().err.splitlines() == expected
+        manifests = list(tmp_path.glob("*/manifest.txt"))
+        assert manifests and not any("collapse" in m.read_text() for m in manifests)
 
     def test_healthy_run_does_not_warn(self, tmp_path, capsys):
         assert cli_run(fast_args(tmp_path)) == 0
@@ -496,7 +503,7 @@ class TestConfigRoundTrip:
         for f in dataclasses.fields(ExperimentConfig):
             assert getattr(config, f.name) != f.default, f.name
         spec = DataSpec(dataset="blobs", classes=3, data_noise=0.3)
-        record = RunRecord("snowball", {**config.to_dict(), **dataclass_flat(spec)},
+        record = RunRecord("snowball", {**config.to_dict(), **dataclasses.asdict(spec)},
                            [IterationRow(1, 1, 0.5, 0.25, 0.0, 12, 1.5)])
         write_manifest(tmp_path / "manifest.txt", record)
         raw, _ = read_manifest(tmp_path / "manifest.txt")

@@ -239,10 +239,24 @@ class TestRunStructure:
     def test_output_model_convention(self):
         d = small_data()
         cfg = quick_cfg(generations=1, iterations=1, discovery_schedule=(2,))
-        for algo, role in (("snowball", "teacher"), ("supervised", "student")):
+        for algo, role in (("snowball", "teacher"), ("mean-teacher", "teacher"),
+                           ("self-learning", "student"), ("supervised", "student")):
             rec = run_algorithm(algo, d, cfg)
             want = error_rate(rec.models[role], d.test_x, d.test_y)
             assert rec.rows[-1].test_err == want, algo
+
+    def test_ranking_model_convention(self):
+        # one iteration: the final models are the ones that ranked the pool,
+        # and snowball has no master yet, so its teacher ranks
+        d = small_data()
+        cfg = quick_cfg(generations=1, iterations=1, discovery_schedule=(2,))
+        for algo, role in (("snowball", "teacher"), ("self-learning", "student")):
+            rec = run_algorithm(algo, d, cfg)
+            want = assign_pseudo_labels(rec.models[role], d.unlabeled_x, d.unlabeled_ids,
+                                        d.labeled_x, d.labeled_y)
+            got = rec.reports[(1, 1)]
+            for field in ("sample_ids", "labels", "distances"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (algo, field)
 
     def test_self_learning_has_no_master(self):
         d = small_data()
