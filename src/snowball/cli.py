@@ -40,7 +40,8 @@ DATASETS = ("two-moons", "blobs", "rings", "csv")
 
 @dataclass(frozen=True)
 class DataSpec:
-    """Flat description of how to build the dataset for a run."""
+    """Flat description of how to build the dataset for a run; checked when
+    built, like ExperimentConfig."""
 
     dataset: str = "two-moons"
     n_samples: int = 1500        # two-moons only
@@ -53,7 +54,7 @@ class DataSpec:
     data_seed: int = -1          # -1: follow the run seed
     csv_path: str = ""
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.dataset not in DATASETS:
             raise ConfigError(f"unknown dataset {self.dataset!r}, expected one of {DATASETS}")
         if self.dataset == "csv" and not self.csv_path:
@@ -91,7 +92,6 @@ def benchmark_blobs() -> tuple[ExperimentConfig, DataSpec]:
 
 def make_dataset(spec: DataSpec, run_seed: int) -> DatasetSplit:
     """Generate (or load) and split the dataset a run trains on."""
-    spec.validate()
     seed = spec.data_seed if spec.data_seed >= 0 else run_seed
     if spec.dataset == "two-moons":
         raw = gen_two_moons(spec.n_samples, spec.data_noise, seed)
@@ -163,12 +163,14 @@ _RETIRED = {"ema_every": "1", "ema_warmup": "False", "csv_classes": "0"}
 
 
 def build_configs(flat: dict[str, object]) -> tuple[ExperimentConfig, DataSpec]:
-    """Split a flat mapping into typed configs; unknown keys are errors."""
+    """Split a flat mapping into typed configs, checked as they are built.
+    Unknown keys are errors, and so is algo: only --algo chooses the pipeline."""
     exp_kwargs: dict[str, object] = {}
     data_kwargs: dict[str, object] = {}
     for key, value in flat.items():
         if key == "algo":
-            continue
+            raise ConfigError("config key 'algo' cannot be set in a config file or with "
+                              "--set; train and sweep choose the pipeline with --algo")
         if key in _RETIRED:
             if str(value).strip() != _RETIRED[key]:
                 raise ConfigError(f"config key {key!r} is retired; only {key} = "
@@ -179,11 +181,7 @@ def build_configs(flat: dict[str, object]) -> tuple[ExperimentConfig, DataSpec]:
             data_kwargs[key] = _coerce(key, value, _DATA_TYPES[key])
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    config = ExperimentConfig(**exp_kwargs)
-    spec = DataSpec(**data_kwargs)
-    config.validate()
-    spec.validate()
-    return config, spec
+    return ExperimentConfig(**exp_kwargs), DataSpec(**data_kwargs)
 
 
 def _flat_from_args(args) -> dict[str, object]:
@@ -233,17 +231,18 @@ def run_one(algo: str, config: ExperimentConfig, spec: DataSpec, out_root: Path,
     return record, run_dir
 
 
-def warn_if_collapsed(record: RunRecord) -> None:
-    """Print the record's collapse, if any, as one stderr warning."""
+def warn_if_collapsed(record: RunRecord, run_dir: Path) -> None:
+    """Print the record's collapse, if any, as one stderr warning naming run_dir."""
     if record.collapse:
-        print(f"warning: training collapsed: {record.collapse}", file=sys.stderr)
+        print(f"warning: training collapsed in {run_dir}: {record.collapse}", file=sys.stderr)
 
 
 def verify_manifest(path) -> bool:
     """True when a re-run of the manifest's config reproduces its metric rows
-    bit-identically (wall_time excluded)."""
+    bit-identically (wall_time excluded). The manifest's algo line names the
+    pipeline; the other keys go through build_configs."""
     raw_config, old_rows = read_manifest(path)
-    algo = raw_config.get("algo", "")
+    algo = raw_config.pop("algo", "")
     if algo not in ALGOS:  # before any dataset is built
         raise ConfigError(f"{path}: manifest has unknown algo {algo!r}")
     config, spec = build_configs(raw_config)
@@ -323,7 +322,7 @@ def _cmd_train(args) -> int:
     print(f"final test error {final.test_err:.4f} "
           f"(labelled set {final.labeled_size}, noise {final.noise_rate:.4f})")
     print(f"run written to {run_dir}")
-    warn_if_collapsed(record)
+    warn_if_collapsed(record, run_dir)
     return 0
 
 
@@ -339,7 +338,7 @@ def _cmd_sweep(args) -> int:
                                   name=f"{args.name or args.algo}-seed{seed}")
         records.append(record)
         print(f"seed {seed}: final test error {record.final_test_err():.4f} ({run_dir})")
-        warn_if_collapsed(record)
+        warn_if_collapsed(record, run_dir)
     summary = aggregate(records)
     print(f"\naggregate over {len(seeds)} seeds "
           f"(mean +/- sample std), algo {args.algo}:")
@@ -371,12 +370,12 @@ def _cmd_ablate(args) -> int:
     print(" ".join([f"{key:<{width}}"] + [f"{title:>{w}}" for title, _, w in columns]))
     for value in values:
         cfg = replace(config, **{key: value}, **overrides)
-        record, _ = run_one("snowball", cfg, spec, out_root,
-                            name=f"{args.name or args.command}-{value}")
+        record, run_dir = run_one("snowball", cfg, spec, out_root,
+                                  name=f"{args.name or args.command}-{value}")
         final = record.rows[-1]
         print(" ".join([f"{value:<{width}}"]
                        + [f"{getattr(final, field):>{w}.4f}" for _, field, w in columns]))
-        warn_if_collapsed(record)
+        warn_if_collapsed(record, run_dir)
     # the discovery count does not depend on the fusion: the last run speaks for all
     if key == "fusion" and len(record.reports) < 3:
         print(f"note: each run made {len(record.reports)} of the 3 discoveries fusion needs "
@@ -390,9 +389,9 @@ def _cmd_ablate_guidance(args) -> int:
     out_root = _out_root(args)
     records = {}
     for algo in ("snowball", "self-learning"):
-        record, _ = run_one(algo, config, spec, out_root,
-                            name=f"{args.name or 'ablate-guidance'}-{algo}")
-        warn_if_collapsed(record)
+        record, run_dir = run_one(algo, config, spec, out_root,
+                                  name=f"{args.name or 'ablate-guidance'}-{algo}")
+        warn_if_collapsed(record, run_dir)
         records[algo] = record
     print(f"{'gen':>3} {'iter':>4} {'snowball err':>13} {'snowball noise':>15} "
           f"{'self-learn err':>15} {'self-learn noise':>17}")

@@ -19,7 +19,7 @@ generation boundary.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -129,7 +129,6 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
         raise ConfigError(f"unknown algorithm {algo!r}, expected one of {ALGOS}")
     overrides, guided = PIPELINES[algo]
     cfg = replace(config, **overrides)
-    cfg.validate()
     if len(data.labeled_ids) == 0:
         raise OrchestrationError("run needs at least one labelled sample")
     if len(data.test_y) == 0:
@@ -216,5 +215,5 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
     collapse = None
     if len(predicted) == 1 and len(np.unique(data.test_y)) > 1:
         collapse = f"the {role} predicts class {predicted[0]} for all {len(data.test_y)} test rows"
-    return RunRecord(algo=algo, config=cfg.to_dict(), rows=rows, models=models,
+    return RunRecord(algo=algo, config=asdict(cfg), rows=rows, models=models,
                      step_metrics=step_metrics, reports=reports, collapse=collapse)

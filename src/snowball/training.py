@@ -20,7 +20,7 @@ StepMetrics row per step; records.py defines it with its CSV.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,10 +134,12 @@ def require_finite(config) -> None:
 class ExperimentConfig:
     """Resolved hyperparameters of a full run, training iterations included.
 
-    discovery_schedule lists how many samples to discover at iteration k of
-    every generation; empty means "double the cumulative labelled count each
-    iteration" resolved against the actual labelled-set size.
-    master_refine_steps < 0 resolves to steps // 4.
+    Construction raises ConfigError on an invalid field, so every instance
+    (dataclasses.replace results too) is valid. discovery_schedule lists how
+    many samples to discover at iteration k of every generation; empty means
+    "double the cumulative labelled count each iteration" resolved against
+    the actual labelled-set size. master_refine_steps < 0 resolves to
+    steps // 4.
     """
 
     generations: int = 3
@@ -167,7 +169,7 @@ class ExperimentConfig:
     use_true_labels: bool = False
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(self)
         if self.generations < 1 or self.iterations < 1:
             raise ConfigError("generations and iterations must be >= 1")
@@ -225,9 +227,6 @@ class ExperimentConfig:
     def resolved_refine_steps(self) -> int:
         return self.master_refine_steps if self.master_refine_steps >= 0 else self.steps // 4
 
-    def to_dict(self) -> dict[str, object]:
-        return asdict(self)
-
 
 def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.ndarray,
                     pool_x: np.ndarray, master: ModelParams | None, cfg: ExperimentConfig,
@@ -243,7 +242,7 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     exactly reproducible from the seed. The teacher EMA starts at student_init and
     absorbs the student after every step; with steps=0 the inputs come back
     unchanged and the teacher equals student_init. Only the training fields
-    of cfg are read.
+    of cfg are read; cfg was checked when it was built.
 
     train_err is the student's error on the labelled set, test_err its error
     on the eval set (nan when no eval set is given), both measured after the
@@ -258,7 +257,6 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     overflows inside step t's objective (student, teacher or master) names
     the update that produced those parameters, step max(t - 1, 0).
     """
-    cfg.validate()
     train_x = np.asarray(train_x, dtype=float)
     train_y = np.asarray(train_y, dtype=int)
     if len(train_x) == 0:

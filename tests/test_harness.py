@@ -38,7 +38,7 @@ class TestCoercion:
         cfg, spec = build_configs({"steps": "40", "learning_rate": "0.01",
                                    "balance_classes": "true",
                                    "hidden_dims": "16,8",
-                                   "data_noise": "0.2", "algo": "snowball"})
+                                   "data_noise": "0.2"})
         assert cfg.steps == 40
         assert cfg.learning_rate == 0.01
         assert cfg.balance_classes is True
@@ -68,6 +68,59 @@ class TestCoercion:
         cfg, _ = build_configs({"steps": 40, "sigma_aug": 0.2})
         assert cfg.steps == 40
         assert cfg.sigma_aug == 0.2
+
+
+# one bad value per check of ExperimentConfig and DataSpec, with its message
+BAD_FIELDS = [
+    (ExperimentConfig, {"learning_rate": float("nan")},
+     "config key 'learning_rate' must be finite, got nan"),
+    (ExperimentConfig, {"generations": 0}, "generations and iterations must be >= 1"),
+    (ExperimentConfig, {"iterations": 0}, "generations and iterations must be >= 1"),
+    (ExperimentConfig, {"discovery_schedule": (4, 8)},
+     "discovery_schedule has 2 entries but 3 iterations are configured"),
+    (ExperimentConfig, {"discovery_schedule": (4, -1, 8)},
+     "discovery_schedule entries must be >= 0"),
+    (ExperimentConfig, {"steps": -1}, "steps must be >= 0, got -1"),
+    (ExperimentConfig, {"labeled_batch": 0}, "labeled_batch must be >= 1, got 0"),
+    (ExperimentConfig, {"unlabeled_batch": -1}, "unlabeled_batch must be >= 0, got -1"),
+    (ExperimentConfig, {"learning_rate": 0.0}, "learning_rate must be positive, got 0.0"),
+    (ExperimentConfig, {"momentum": 1.0}, "momentum must lie in [0, 1), got 1.0"),
+    (ExperimentConfig, {"l2": -0.5}, "l2 must be non-negative, got -0.5"),
+    (ExperimentConfig, {"alpha": 1.5}, "alpha must lie in [0, 1], got 1.5"),
+    (ExperimentConfig, {"beta": 3.0}, "beta must lie in [0, 1], got 3.0"),
+    (ExperimentConfig, {"lambda1": -1.0}, "loss weights must be non-negative"),
+    (ExperimentConfig, {"lambda2_max": -1.0}, "loss weights must be non-negative"),
+    (ExperimentConfig, {"ramp_len": -1}, "ramp_len must be >= 0, got -1"),
+    (ExperimentConfig, {"sigma_aug": -0.5}, "sigma_aug must be non-negative, got -0.5"),
+    (ExperimentConfig, {"consistency": "kl"}, "unknown consistency kind 'kl'"),
+    (ExperimentConfig, {"master_weight": -0.5}, "master_weight must be non-negative, got -0.5"),
+    (ExperimentConfig, {"master_extra_fraction": -0.5},
+     "master_extra_fraction must be >= 0, got -0.5"),
+    (ExperimentConfig, {"hidden_dims": (32, 0)},
+     "hidden layer widths must be >= 1, got (32, 0)"),
+    (ExperimentConfig, {"activation": "swish"}, "unknown activation 'swish'"),
+    (ExperimentConfig, {"strategy": "closest"}, "unknown selection strategy 'closest'"),
+    (ExperimentConfig, {"fusion": "blend"}, "unknown fusion 'blend'"),
+    (ExperimentConfig, {"seed": -1}, "seed must be non-negative, got -1"),
+    (DataSpec, {"dataset": "mnist"},
+     "unknown dataset 'mnist', expected one of ('two-moons', 'blobs', 'rings', 'csv')"),
+    (DataSpec, {"dataset": "csv"}, "dataset 'csv' needs csv_path"),
+    (DataSpec, {"data_seed": -2},
+     "config key 'data_seed' must be >= 0, or -1 to follow the run seed, got -2"),
+    (DataSpec, {"data_noise": float("inf")}, "config key 'data_noise' must be finite, got inf"),
+]
+
+
+class TestConfigChecks:
+    """A config is checked when it is built, and dataclasses.replace builds one."""
+
+    @pytest.mark.parametrize("build", ["direct", "replace"])
+    @pytest.mark.parametrize("cls, bad, message", BAD_FIELDS, ids=[
+        f"{c.__name__}-{k}={v}".replace(" ", "") for c, b, _ in BAD_FIELDS for k, v in b.items()])
+    def test_bad_value_raises_its_message(self, cls, bad, message, build):
+        with pytest.raises(ConfigError) as err:
+            cls(**bad) if build == "direct" else dataclasses.replace(cls(), **bad)
+        assert str(err.value) == message
 
 
 class TestConfigFile:
@@ -270,6 +323,18 @@ class TestExitCodes:
         assert "'data_seed'" in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("route", ["config", "set"])
+    def test_algo_key_is_a_usage_error(self, tmp_path, capsys, route):
+        # only --algo chooses the pipeline; the key once ran snowball silently
+        config = tmp_path / "run.cfg"
+        config.write_text("algo = supervised\n")
+        extra = ["--config", str(config)] if route == "config" else ["--set", "algo=supervised"]
+        assert cli_run(fast_args(tmp_path / "runs", *extra, algo="snowball")) == 1
+        assert capsys.readouterr().err == ("error: config key 'algo' cannot be set in a config "
+                                           "file or with --set; train and sweep choose the "
+                                           "pipeline with --algo\n")
+        assert not (tmp_path / "runs").exists()
+
     def test_huge_finite_master_extra_fraction_runs(self, tmp_path):
         # ceil(1e308 * N) overflows int(); the extra rows stop at the pool's end
         argv = fast_args(tmp_path, "--set", "master_extra_fraction=1e308", algo="snowball")
@@ -405,20 +470,26 @@ class TestCliBehaviour:
     COLLAPSING = ["--dataset", "two-moons", "--seed", "0",
                   "--set", "learning_rate=1e6", "--set", "steps=60",
                   "--set", "generations=1", "--set", "iterations=2"]
-    COLLAPSE_WARNING = ("warning: training collapsed: the teacher predicts class 0 "
+    COLLAPSE_WARNING = ("warning: training collapsed in {}: the teacher predicts class 0 "
                         "for all 500 test rows")
 
-    # ablate-guidance warns once: self-learning's student keeps both classes
-    @pytest.mark.parametrize("command, warnings", [
-        pytest.param(["train", "--algo", "snowball"], 1, id="train"),
-        pytest.param(["sweep", "--algo", "snowball", "--seeds", "0"], 1, id="sweep"),
-        pytest.param(["ablate-selection"], 3, id="ablate-selection"),
-        pytest.param(["ablate-fusion"], 3, id="ablate-fusion"),
-        pytest.param(["ablate-guidance"], 1, id="ablate-guidance"),
+    # one warning per collapsed run, naming its directory; ablate-guidance
+    # warns once: self-learning's student keeps both classes
+    @pytest.mark.parametrize("command, run_dirs", [
+        pytest.param(["train", "--algo", "snowball"], ["snowball-two-moons-seed0"], id="train"),
+        pytest.param(["sweep", "--algo", "snowball", "--seeds", "0"], ["snowball-seed0"],
+                     id="sweep"),
+        pytest.param(["ablate-selection"], ["ablate-selection-min", "ablate-selection-random",
+                                            "ablate-selection-max"], id="ablate-selection"),
+        pytest.param(["ablate-fusion"], ["ablate-fusion-average_distance",
+                                         "ablate-fusion-feature_cascade",
+                                         "ablate-fusion-average_sorting_score"],
+                     id="ablate-fusion"),
+        pytest.param(["ablate-guidance"], ["ablate-guidance-snowball"], id="ablate-guidance"),
     ])
-    def test_collapsed_training_warns_and_exits_0(self, tmp_path, capsys, command, warnings):
+    def test_collapsed_training_warns_and_exits_0(self, tmp_path, capsys, command, run_dirs):
         assert cli_run([*command, "--out-dir", str(tmp_path), *self.COLLAPSING]) == 0
-        expected = [self.COLLAPSE_WARNING] * warnings
+        expected = [self.COLLAPSE_WARNING.format(tmp_path / name) for name in run_dirs]
         if command[0] == "ablate-fusion":
             expected.append("note: each run made 2 of the 3 discoveries fusion needs to "
                             "combine two masters, so it played no part in these rows")
@@ -503,10 +574,11 @@ class TestConfigRoundTrip:
         for f in dataclasses.fields(ExperimentConfig):
             assert getattr(config, f.name) != f.default, f.name
         spec = DataSpec(dataset="blobs", classes=3, data_noise=0.3)
-        record = RunRecord("snowball", {**config.to_dict(), **dataclasses.asdict(spec)},
+        record = RunRecord("snowball", {**dataclasses.asdict(config), **dataclasses.asdict(spec)},
                            [IterationRow(1, 1, 0.5, 0.25, 0.0, 12, 1.5)])
         write_manifest(tmp_path / "manifest.txt", record)
         raw, _ = read_manifest(tmp_path / "manifest.txt")
+        assert raw.pop("algo") == "snowball"
         assert build_configs(raw) == (config, spec)
 
     def parent_format_manifest(self, tmp_path, **retired):

@@ -30,14 +30,14 @@ def quick_cfg(**kw):
 class TestExperimentConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(generations=0).validate()
+            ExperimentConfig(generations=0)
         with pytest.raises(ConfigError):
-            ExperimentConfig(beta=2.0).validate()
+            ExperimentConfig(beta=2.0)
         with pytest.raises(ConfigError):
-            ExperimentConfig(strategy="closest").validate()
+            ExperimentConfig(strategy="closest")
         with pytest.raises(ConfigError):
-            ExperimentConfig(fusion="blend").validate()
-        ExperimentConfig().validate()
+            ExperimentConfig(fusion="blend")
+        ExperimentConfig()
 
     @pytest.mark.parametrize("key", ["learning_rate", "momentum", "l2", "alpha", "beta",
                                      "lambda1", "lambda2_max", "sigma_aug",
@@ -45,7 +45,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_fields_are_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"config key '{key}' must be finite"):
-            ExperimentConfig(**{key: value}).validate()
+            ExperimentConfig(**{key: value})
 
     def test_doubling_schedule(self):
         cfg = ExperimentConfig(iterations=3)

@@ -10,6 +10,7 @@ runs are derandomized and keep no example database, so they are reproducible.
 """
 
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def mutate(seed: bytes, edits) -> bytes:
 
 def seed_manifest(path):
     rows = [IterationRow(1, k, 0.25, 0.125 * k, 0.0, 8 * k, 0.5) for k in (1, 2)]
-    write_manifest(path, RunRecord("snowball", ExperimentConfig().to_dict(), rows))
+    write_manifest(path, RunRecord("snowball", asdict(ExperimentConfig()), rows))
 
 
 def seed_checkpoint(path):

@@ -249,14 +249,14 @@ class TestTrainConfig:
     def test_validation(self):
         # the training settings are checked by the one ExperimentConfig
         with pytest.raises(ConfigError):
-            ExperimentConfig(steps=-1).validate()
+            ExperimentConfig(steps=-1)
         with pytest.raises(ConfigError):
-            ExperimentConfig(alpha=1.5).validate()
+            ExperimentConfig(alpha=1.5)
         with pytest.raises(ConfigError):
-            ExperimentConfig(beta=1.5).validate()
+            ExperimentConfig(beta=1.5)
         with pytest.raises(ConfigError):
-            ExperimentConfig(consistency="nope").validate()
-        ExperimentConfig().validate()
+            ExperimentConfig(consistency="nope")
+        ExperimentConfig()
 
 
 def small_problem(seed=0, n=60):
