@@ -225,9 +225,8 @@ def run_one(algo: str, config: ExperimentConfig, spec: DataSpec, out_root: Path,
     for role, params in record.models.items():
         net.save_checkpoint(params, run_dir / f"{role}.ckpt")
     if dump_discovery:
-        truth = data.true_label_of()
         for (m, k), report in record.reports.items():
-            write_report_csv(run_dir / f"discovery-g{m}-i{k}.csv", report, truth)
+            write_report_csv(run_dir / f"discovery-g{m}-i{k}.csv", report, data.true_y)
     return record, run_dir
 
 
@@ -327,7 +326,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config, spec = build_configs(_flat_from_args(args))
+    flat = _flat_from_args(args)
+    if "seed" in flat:  # every run's seed comes from the list
+        raise ConfigError("sweep takes its run seeds from --seeds; config key 'seed' cannot be "
+                          "set in a config file, with --set or with --seed")
+    config, spec = build_configs(flat)
     seeds = parse_seeds(args.seeds)
     if not seeds:
         raise ConfigError("seed list is empty")

@@ -41,33 +41,25 @@ class DatasetSplit:
     """Labelled / unlabelled / test partition of a dataset.
 
     Sample ids index the originating RawDataset; the three id sets are
-    disjoint. Unlabelled samples keep their ground-truth labels in
-    ``unlabeled_true_y`` purely for evaluation (pseudo-label noise rates),
-    never for training.
+    disjoint. ``true_y[i]`` is sample i's ground-truth label, for
+    evaluation only (pseudo-label noise rates, discovery dumps, the
+    use_true_labels ablation), never for training.
     """
 
     labeled_x: np.ndarray
     labeled_y: np.ndarray
     labeled_ids: np.ndarray
     unlabeled_x: np.ndarray
-    unlabeled_true_y: np.ndarray
     unlabeled_ids: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
     test_ids: np.ndarray
+    true_y: np.ndarray
     class_count: int
-    mean: np.ndarray
-    scale: np.ndarray
 
     @property
     def input_dim(self) -> int:
         return self.labeled_x.shape[1]
-
-    def true_label_of(self) -> dict[int, int]:
-        """Ground-truth label lookup by sample id over labelled + unlabelled."""
-        lookup = dict(zip(self.labeled_ids.tolist(), self.labeled_y.tolist()))
-        lookup.update(zip(self.unlabeled_ids.tolist(), self.unlabeled_true_y.tolist()))
-        return lookup
 
 
 def gen_two_moons(n: int, noise: float, seed=0) -> RawDataset:
@@ -176,11 +168,9 @@ def split(raw: RawDataset, labels_per_class: int, test_fraction: float, seed=0) 
 
     return DatasetSplit(
         labeled_x=norm[labeled_ids], labeled_y=raw.y[labeled_ids].copy(),
-        labeled_ids=labeled_ids,
-        unlabeled_x=norm[unlabeled_ids], unlabeled_true_y=raw.y[unlabeled_ids].copy(),
-        unlabeled_ids=unlabeled_ids,
+        labeled_ids=labeled_ids, unlabeled_x=norm[unlabeled_ids], unlabeled_ids=unlabeled_ids,
         test_x=norm[test_ids], test_y=raw.y[test_ids].copy(), test_ids=test_ids,
-        class_count=raw.class_count, mean=mean, scale=scale)
+        true_y=raw.y.copy(), class_count=raw.class_count)
 
 
 def augment(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:

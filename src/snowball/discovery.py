@@ -234,8 +234,9 @@ def _check_selection(n: int, strategy: str) -> None:
         raise ConfigError(f"selection size must be positive, got {n}")
 
 
-def noise_rate(report: DiscoveryReport, true_label_of: dict[int, int]) -> float:
-    """Fraction of selected rows whose pseudo-label disagrees with the truth.
+def noise_rate(report: DiscoveryReport, true_y: np.ndarray) -> float:
+    """Fraction of selected rows whose pseudo-label disagrees with the truth,
+    true_y[i] being sample i's label (DatasetSplit.true_y).
 
     Evaluation-only: ground truth never feeds back into training. An empty
     selection counts as 0.
@@ -243,5 +244,4 @@ def noise_rate(report: DiscoveryReport, true_label_of: dict[int, int]) -> float:
     ids = report.sample_ids[report.selected]
     if len(ids) == 0:
         return 0.0
-    truth = np.array([true_label_of[i] for i in ids.tolist()])
-    return float(np.mean(report.labels[report.selected] != truth))
+    return float(np.mean(report.labels[report.selected] != true_y[ids]))

@@ -135,7 +135,6 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
         raise DataError("the test set is empty: raise test_fraction to hold out at least one row")
     schedule = cfg.resolved_schedule(len(data.labeled_ids))
     cfg = replace(cfg, discovery_schedule=schedule)
-    truth = data.true_label_of()
 
     dims = (data.input_dim, *cfg.hidden_dims, data.class_count)
     student = net.init_params(dims, cfg.activation, np.random.SeedSequence([cfg.seed, 0]))
@@ -182,10 +181,9 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                 else:
                     report = select_samples(report, n_discover, cfg.strategy, seed_seq)
                 reports[(m, k)] = report
-                noise = noise_rate(report, truth)
+                noise = noise_rate(report, data.true_y)
                 if cfg.use_true_labels:  # adopted rows, selected or extra, carry their truth
-                    report = replace(report, labels=np.array(
-                        [truth[i] for i in report.sample_ids.tolist()]))
+                    report = replace(report, labels=data.true_y[report.sample_ids])
                 sel_ids = report.sample_ids[report.selected]
                 training_set = training_set.with_discovered(
                     sel_ids, report.inputs[report.selected], report.labels[report.selected])

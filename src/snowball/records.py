@@ -201,12 +201,13 @@ def read_step_metrics(path) -> list[StepMetrics]:
     return [StepMetrics(*values) for values in rows]
 
 
-def write_report_csv(path, report: DiscoveryReport, true_label_of: dict[int, int]) -> None:
+def write_report_csv(path, report: DiscoveryReport, true_y: np.ndarray) -> None:
     """Dump a report in rank order: sample_id, assigned_label, true_label,
-    distance, rank, selected (1 or 0)."""
-    ids = report.sample_ids.tolist()
+    distance, rank, selected (1 or 0); true_y[i] is sample i's label
+    (DatasetSplit.true_y)."""
+    ids = report.sample_ids
     _write_rows(path, REPORT_CSV_HEADER,
-                zip(ids, report.labels.tolist(), [true_label_of[i] for i in ids],
+                zip(ids.tolist(), report.labels.tolist(), true_y[ids].tolist(),
                     report.distances.tolist(), range(len(ids)),
                     report.selected.astype(int).tolist()))
 

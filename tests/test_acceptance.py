@@ -229,7 +229,7 @@ def test_criterion_05_selection_noise_ordering():
         rep = assign_pseudo_labels(rec.models["teacher"], data.unlabeled_x,
                                    data.unlabeled_ids, data.labeled_x,
                                    data.labeled_y)
-        truth = data.true_label_of()
+        truth = data.true_y
         by_strategy = {
             strat: report_noise_rate(
                 select_samples(rep, 50, strat,

@@ -121,18 +121,17 @@ class TestSplit:
         y = np.repeat([0, 1], 20)
         from snowball.data import RawDataset
         d = split(RawDataset(x, y, 2), labels_per_class=2, test_fraction=0.25, seed=0)
-        assert d.scale[1] == 1.0
         assert np.all(np.isfinite(d.labeled_x))
         np.testing.assert_allclose(
             np.concatenate([d.labeled_x, d.unlabeled_x])[:, 1], 0.0, atol=1e-12)
 
-    def test_true_label_lookup_covers_train_rows(self):
+    def test_true_y_is_the_label_of_every_sample_id(self):
         raw = gen_two_moons(120, 0.1, seed=3)
         d = split(raw, 2, 0.25, seed=3)
-        lookup = d.true_label_of()
-        assert len(lookup) == len(d.labeled_ids) + len(d.unlabeled_ids)
-        i = int(d.unlabeled_ids[7])
-        assert lookup[i] == int(d.unlabeled_true_y[7])
+        np.testing.assert_array_equal(d.true_y, raw.y)
+        assert d.true_y is not raw.y
+        np.testing.assert_array_equal(d.true_y[d.labeled_ids], d.labeled_y)
+        np.testing.assert_array_equal(d.true_y[d.test_ids], d.test_y)
 
 
 class TestLoadCsv:

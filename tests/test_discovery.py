@@ -431,30 +431,31 @@ class TestNoiseRate:
     def test_all_correct(self):
         rep = report_from_distances([1.0, 2.0, 3.0, 4.0])
         rep = select_samples(rep, 4, "min")
-        truth = {i: 0 for i in range(4)}
-        assert noise_rate(rep, truth) == 0.0
+        assert noise_rate(rep, np.zeros(4, dtype=int)) == 0.0
 
     def test_one_wrong_of_four(self):
-        rep = report_from_distances([1.0, 2.0, 3.0, 4.0])
+        rep = report_from_distances([1.0, 2.0, 3.0, 4.0], ids=[6, 2, 9, 4])
         rep = select_samples(rep, 4, "min")
-        truth = {0: 0, 1: 0, 2: 1, 3: 0}  # assigned labels are all 0
+        truth = np.zeros(10, dtype=int)  # assigned labels are all 0
+        truth[9] = 1  # indexed by sample id, not by rank: rank 2 is id 9
         assert noise_rate(rep, truth) == 0.25
 
     def test_empty_selection_zero(self):
         rep = report_from_distances([1.0, 2.0])
-        assert noise_rate(rep, {0: 0, 1: 0}) == 0.0
+        assert noise_rate(rep, np.zeros(2, dtype=int)) == 0.0
 
 
 class TestReportCsv:
     def test_dump_columns(self, tmp_path):
-        rep = report_from_distances([2.0, 1.0])
+        rep = report_from_distances([2.0, 1.0], ids=[4, 1])
         rep = select_samples(rep, 1, "min")
         path = tmp_path / "disc.csv"
-        write_report_csv(path, rep, {0: 0, 1: 1})
+        write_report_csv(path, rep, np.array([0, 1, 0, 0, 3]))
         lines = path.read_text().splitlines()
         assert lines[0] == "sample_id,assigned_label,true_label,distance,rank,selected"
         assert len(lines) == 3
-        first = lines[1].split(",")
+        first, second = lines[1].split(","), lines[2].split(",")
         assert first[0] == "1"          # id 1 has the smaller distance
+        assert first[2] == "1" and second[2] == "3"  # true_y[id]
         assert first[4] == "0"          # rank 0
         assert first[5] == "1"          # selected

@@ -114,6 +114,10 @@ BAD_FIELDS = [
 class TestConfigChecks:
     """A config is checked when it is built, and dataclasses.replace builds one."""
 
+    def test_defaults_build(self):
+        ExperimentConfig()
+        DataSpec()
+
     @pytest.mark.parametrize("build", ["direct", "replace"])
     @pytest.mark.parametrize("cls, bad, message", BAD_FIELDS, ids=[
         f"{c.__name__}-{k}={v}".replace(" ", "") for c, b, _ in BAD_FIELDS for k, v in b.items()])
@@ -408,6 +412,22 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("route", ["flag", "set", "config"])
+    def test_sweep_seed_key_is_a_usage_error(self, tmp_path, capsys, route):
+        # --seeds sets every run's seed; a run seed was once replaced silently
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 9\n")
+        extra = {"flag": ["--seed", "9"], "set": ["--set", "seed=9"],
+                 "config": ["--config", str(config)]}[route]
+        argv = ["sweep", "--dataset", "two-moons", "--seeds", "0..1",
+                "--out-dir", str(tmp_path / "runs"), *extra]
+        assert cli_run(argv) == 1
+        assert capsys.readouterr() == ("", "error: sweep takes its run seeds from --seeds; "
+                                           "config key 'seed' cannot be set in a config file, "
+                                           "with --set or with --seed\n")
+        assert not (tmp_path / "runs").exists()
+
+
 class TestCliBehaviour:
     def test_refinement_overflow_names_the_update_that_made_the_weights(self, tmp_path,
                                                                          capsys):
@@ -467,7 +487,7 @@ class TestCliBehaviour:
 
     # lr = 1e6 pins the losses at the log clamp; every snowball model ends up
     # predicting class 0 for the whole two-class test set
-    COLLAPSING = ["--dataset", "two-moons", "--seed", "0",
+    COLLAPSING = ["--dataset", "two-moons",
                   "--set", "learning_rate=1e6", "--set", "steps=60",
                   "--set", "generations=1", "--set", "iterations=2"]
     COLLAPSE_WARNING = ("warning: training collapsed in {}: the teacher predicts class 0 "
@@ -476,16 +496,19 @@ class TestCliBehaviour:
     # one warning per collapsed run, naming its directory; ablate-guidance
     # warns once: self-learning's student keeps both classes
     @pytest.mark.parametrize("command, run_dirs", [
-        pytest.param(["train", "--algo", "snowball"], ["snowball-two-moons-seed0"], id="train"),
+        pytest.param(["train", "--algo", "snowball", "--seed", "0"], ["snowball-two-moons-seed0"],
+                     id="train"),
         pytest.param(["sweep", "--algo", "snowball", "--seeds", "0"], ["snowball-seed0"],
                      id="sweep"),
-        pytest.param(["ablate-selection"], ["ablate-selection-min", "ablate-selection-random",
-                                            "ablate-selection-max"], id="ablate-selection"),
-        pytest.param(["ablate-fusion"], ["ablate-fusion-average_distance",
-                                         "ablate-fusion-feature_cascade",
-                                         "ablate-fusion-average_sorting_score"],
+        pytest.param(["ablate-selection", "--seed", "0"],
+                     ["ablate-selection-min", "ablate-selection-random", "ablate-selection-max"],
+                     id="ablate-selection"),
+        pytest.param(["ablate-fusion", "--seed", "0"], ["ablate-fusion-average_distance",
+                                                        "ablate-fusion-feature_cascade",
+                                                        "ablate-fusion-average_sorting_score"],
                      id="ablate-fusion"),
-        pytest.param(["ablate-guidance"], ["ablate-guidance-snowball"], id="ablate-guidance"),
+        pytest.param(["ablate-guidance", "--seed", "0"], ["ablate-guidance-snowball"],
+                     id="ablate-guidance"),
     ])
     def test_collapsed_training_warns_and_exits_0(self, tmp_path, capsys, command, run_dirs):
         assert cli_run([*command, "--out-dir", str(tmp_path), *self.COLLAPSING]) == 0
@@ -558,6 +581,22 @@ class TestCliBehaviour:
         assert (run_dir / "discovery-g1-i1.csv").exists()
         header = (run_dir / "discovery-g1-i1.csv").read_text().splitlines()[0]
         assert header == "sample_id,assigned_label,true_label,distance,rank,selected"
+
+    def test_noise_rate_recomputes_from_the_discovery_dump(self, tmp_path):
+        # noisy blobs, so the selected pseudo-labels are not all correct
+        argv = ["train", "--algo", "snowball", "--out-dir", str(tmp_path),
+                "--dump-discovery", *self.ABLATION_DISTINCT, "--set", "generations=2"]
+        assert cli_run(argv) == 0
+        run_dir = tmp_path / "snowball-blobs-seed0"
+        _, rows = read_manifest(run_dir / "manifest.txt")
+        assert len(rows) == 8 and any(row.noise_rate > 0.0 for row in rows)
+        for row in rows:
+            dump = np.loadtxt(run_dir / f"discovery-g{row.generation}-i{row.iteration}.csv",
+                              delimiter=",", skiprows=1, dtype=float, ndmin=2)
+            chosen = dump[dump[:, 5] == 1]
+            assert len(chosen) == 6
+            want = float(np.mean(chosen[:, 1] != chosen[:, 2]))
+            assert repr(row.noise_rate) == repr(want)
 
 
 class TestConfigRoundTrip:

@@ -28,17 +28,6 @@ def quick_cfg(**kw):
 
 
 class TestExperimentConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(generations=0)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(beta=2.0)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(strategy="closest")
-        with pytest.raises(ConfigError):
-            ExperimentConfig(fusion="blend")
-        ExperimentConfig()
-
     @pytest.mark.parametrize("key", ["learning_rate", "momentum", "l2", "alpha", "beta",
                                      "lambda1", "lambda2_max", "sigma_aug",
                                      "master_weight", "master_extra_fraction"])

@@ -245,20 +245,6 @@ class TestSchedule:
         assert lambda2_schedule(0, 0, 3.0) == 3.0
 
 
-class TestTrainConfig:
-    def test_validation(self):
-        # the training settings are checked by the one ExperimentConfig
-        with pytest.raises(ConfigError):
-            ExperimentConfig(steps=-1)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(alpha=1.5)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(beta=1.5)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(consistency="nope")
-        ExperimentConfig()
-
-
 def small_problem(seed=0, n=60):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 2))
