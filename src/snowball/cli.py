@@ -6,10 +6,15 @@ pairs and dedicated flags override file values. Every run writes its own
 directory under the output root (``--out-dir``, else $SNOWBALL_OUT_DIR,
 else ./runs) containing a manifest, per-step CSVs and model checkpoints.
 
+Every run command (train, sweep, ablate-*) is a list of variants, each a run
+name, an algo and config overrides, run in order by one loop (_run_variants).
+A config key that a variant overrides belongs to the command: setting it in
+a config file or with --set is a usage error, never silently replaced.
+
 Exit codes: 0 success, 1 usage or configuration problems, 2 data problems,
-3 numerical divergence. Every command that runs a pipeline prints the
-record's collapse (see orchestrator.PIPELINES for each pipeline's output
-model) as one warning on stderr and still exits 0.
+3 numerical divergence. A run whose record collapsed (see
+orchestrator.PIPELINES for each pipeline's output model) prints one warning
+on stderr and still exits 0.
 """
 
 from __future__ import annotations
@@ -193,12 +198,9 @@ def _flat_from_args(args) -> dict[str, object]:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         flat[key.strip()] = value.strip()
-    if getattr(args, "dataset", None):
-        flat["dataset"] = args.dataset
-    if getattr(args, "labels_per_class", None) is not None:
-        flat["labels_per_class"] = args.labels_per_class
-    if getattr(args, "seed", None) is not None:
-        flat["seed"] = args.seed
+    for key in ("dataset", "labels_per_class", "seed"):  # sweep has no --seed
+        if getattr(args, key, None) is not None:
+            flat[key] = getattr(args, key)
     return flat
 
 
@@ -228,12 +230,6 @@ def run_one(algo: str, config: ExperimentConfig, spec: DataSpec, out_root: Path,
         for (m, k), report in record.reports.items():
             write_report_csv(run_dir / f"discovery-g{m}-i{k}.csv", report, data.true_y)
     return record, run_dir
-
-
-def warn_if_collapsed(record: RunRecord, run_dir: Path) -> None:
-    """Print the record's collapse, if any, as one stderr warning naming run_dir."""
-    if record.collapse:
-        print(f"warning: training collapsed in {run_dir}: {record.collapse}", file=sys.stderr)
 
 
 def verify_manifest(path) -> bool:
@@ -312,44 +308,55 @@ def parse_seeds(text: str) -> list[int]:
 
 # --- subcommands ------------------------------------------------------------
 
+def _run_variants(args, variants) -> list[tuple[RunRecord, Path]]:
+    """Run a command's variants, each (run name, algo, config overrides), in
+    order on the configs the user set; one (record, run_dir) per variant.
+    The keys the variants override are the command's: a user who sets one
+    gets a ConfigError before any run."""
+    flat = _flat_from_args(args)
+    config, spec = build_configs(flat)
+    owned = sorted({key for _, _, overrides in variants for key in overrides} & flat.keys())
+    if owned:
+        raise ConfigError(f"config keys {owned} are set by {args.command} for each run, "
+                          "not by a config file or --set")
+    runs = []
+    for name, algo, overrides in variants:
+        record, run_dir = run_one(algo, replace(config, **overrides), spec, _out_root(args),
+                                  name, getattr(args, "dump_discovery", False))
+        if record.collapse:
+            print(f"warning: training collapsed in {run_dir}: {record.collapse}",
+                  file=sys.stderr)
+        runs.append((record, run_dir))
+    return runs
+
+
 def _cmd_train(args) -> int:
-    config, spec = build_configs(_flat_from_args(args))
-    record, run_dir = run_one(args.algo, config, spec, _out_root(args),
-                              args.name, args.dump_discovery)
+    [(record, run_dir)] = _run_variants(args, [(args.name, args.algo, {})])
     _print_rows(record.rows)
     final = record.rows[-1]
     print(f"final test error {final.test_err:.4f} "
           f"(labelled set {final.labeled_size}, noise {final.noise_rate:.4f})")
     print(f"run written to {run_dir}")
-    warn_if_collapsed(record, run_dir)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    flat = _flat_from_args(args)
-    if "seed" in flat:  # every run's seed comes from the list
-        raise ConfigError("sweep takes its run seeds from --seeds; config key 'seed' cannot be "
-                          "set in a config file, with --set or with --seed")
-    config, spec = build_configs(flat)
     seeds = parse_seeds(args.seeds)
     if not seeds:
         raise ConfigError("seed list is empty")
-    out_root = _out_root(args)
-    records = []
-    for seed in seeds:
-        record, run_dir = run_one(args.algo, replace(config, seed=seed), spec, out_root,
-                                  name=f"{args.name or args.algo}-seed{seed}")
-        records.append(record)
+    name = args.name or args.algo
+    runs = _run_variants(args, [(f"{name}-seed{seed}", args.algo, {"seed": seed})
+                                for seed in seeds])
+    for seed, (record, run_dir) in zip(seeds, runs):
         print(f"seed {seed}: final test error {record.final_test_err():.4f} ({run_dir})")
-        warn_if_collapsed(record, run_dir)
-    summary = aggregate(records)
+    summary = aggregate([record for record, _ in runs])
     print(f"\naggregate over {len(seeds)} seeds "
           f"(mean +/- sample std), algo {args.algo}:")
     for row in summary:
         print(f"  g{row['generation']} i{row['iteration']}: "
               f"test {row['test_err_mean']:.4f} +/- {row['test_err_std']:.4f}  "
               f"noise {row['noise_rate_mean']:.4f} +/- {row['noise_rate_std']:.4f}")
-    write_aggregate_csv(out_root / f"{args.name or args.algo}-aggregate.csv", summary)
+    write_aggregate_csv(_out_root(args) / f"{name}-aggregate.csv", summary)
     return 0
 
 
@@ -368,17 +375,13 @@ _ABLATIONS = {
 def _cmd_ablate(args) -> int:
     """Compare the values of one config key by their final row."""
     key, values, overrides, width, columns = _ABLATIONS[args.command]
-    config, spec = build_configs(_flat_from_args(args))
-    out_root = _out_root(args)
+    runs = _run_variants(args, [(f"{args.name or args.command}-{value}", "snowball",
+                                 {key: value, **overrides}) for value in values])
     print(" ".join([f"{key:<{width}}"] + [f"{title:>{w}}" for title, _, w in columns]))
-    for value in values:
-        cfg = replace(config, **{key: value}, **overrides)
-        record, run_dir = run_one("snowball", cfg, spec, out_root,
-                                  name=f"{args.name or args.command}-{value}")
+    for value, (record, _) in zip(values, runs):
         final = record.rows[-1]
         print(" ".join([f"{value:<{width}}"]
                        + [f"{getattr(final, field):>{w}.4f}" for _, field, w in columns]))
-        warn_if_collapsed(record, run_dir)
     # the discovery count does not depend on the fusion: the last run speaks for all
     if key == "fusion" and len(record.reports) < 3:
         print(f"note: each run made {len(record.reports)} of the 3 discoveries fusion needs "
@@ -388,17 +391,12 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_ablate_guidance(args) -> int:
     """Snowball against self-learning on the same data and seed."""
-    config, spec = build_configs(_flat_from_args(args))
-    out_root = _out_root(args)
-    records = {}
-    for algo in ("snowball", "self-learning"):
-        record, run_dir = run_one(algo, config, spec, out_root,
-                                  name=f"{args.name or 'ablate-guidance'}-{algo}")
-        warn_if_collapsed(record, run_dir)
-        records[algo] = record
+    (snow, _), (selfl, _) = _run_variants(args, [
+        (f"{args.name or 'ablate-guidance'}-{algo}", algo, {})
+        for algo in ("snowball", "self-learning")])
     print(f"{'gen':>3} {'iter':>4} {'snowball err':>13} {'snowball noise':>15} "
           f"{'self-learn err':>15} {'self-learn noise':>17}")
-    for a, b in zip(records["snowball"].rows, records["self-learning"].rows):
+    for a, b in zip(snow.rows, selfl.rows):
         print(f"{a.generation:>3} {a.iteration:>4} {a.test_err:>13.4f} "
               f"{a.noise_rate:>15.4f} {b.test_err:>15.4f} {b.noise_rate:>17.4f}")
     return 0
@@ -435,17 +433,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override one config key (repeatable)")
-    parser.add_argument("--dataset", choices=DATASETS)
-    parser.add_argument("--labels-per-class", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out-dir", help=f"output root (default ${OUT_DIR_ENV} or ./runs)")
-    parser.add_argument("--name", help="run directory name")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="snowball",
                      description="Semi-supervised learning with master-teacher-student "
@@ -453,28 +440,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p_train = sub.add_parser("train",
-                             help="run one pipeline and persist its artifacts")
-    _add_common(p_train)
-    p_train.add_argument("--algo", choices=ALGOS, default="snowball")
-    p_train.add_argument("--dump-discovery", action="store_true",
-                         help="also write per-iteration discovery report CSVs")
-    p_train.set_defaults(func=_cmd_train)
-
-    p_sweep = sub.add_parser("sweep",
-                             help="run several seeds and aggregate")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--algo", choices=ALGOS, default="snowball")
-    p_sweep.add_argument("--seeds", default="0..4", help="'0..4' or '0,1,2'")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
     for command, help_text, func in (
+            ("train", "run one pipeline and persist its artifacts", _cmd_train),
+            ("sweep", "run several seeds and aggregate", _cmd_sweep),
             ("ablate-selection", "min / random / max selection comparison", _cmd_ablate),
             ("ablate-fusion", "distance fusion comparison", _cmd_ablate),
             ("ablate-guidance", "snowball vs self-learning", _cmd_ablate_guidance)):
-        p_abl = sub.add_parser(command, help=help_text)
-        _add_common(p_abl)
-        p_abl.set_defaults(func=func)
+        # no abbreviations: sweep would read '--seed 9' as '--seeds 9'
+        p_run = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        p_run.add_argument("--config", help="flat key = value config file")
+        p_run.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           help="override one config key (repeatable)")
+        p_run.add_argument("--dataset", choices=DATASETS)
+        p_run.add_argument("--labels-per-class", type=int)
+        if command != "sweep":  # sweep's seeds come from --seeds
+            p_run.add_argument("--seed", type=int)
+        p_run.add_argument("--out-dir", help=f"output root (default ${OUT_DIR_ENV} or ./runs)")
+        p_run.add_argument("--name", help="run directory name")
+        if command in ("train", "sweep"):
+            p_run.add_argument("--algo", choices=ALGOS, default="snowball")
+        p_run.set_defaults(func=func)
+    sub.choices["train"].add_argument("--dump-discovery", action="store_true",
+                                      help="also write per-iteration discovery report CSVs")
+    sub.choices["sweep"].add_argument("--seeds", default="0..4", help="'0..4' or '0,1,2'")
 
     p_rep = sub.add_parser("report",
                            help="render a run manifest; --verify re-runs it")

@@ -267,19 +267,32 @@ def test_criterion_06_guidance_beats_self_learning():
             f"error {err_hits}/5, noise {noise_hits}/5, {elapsed:.0f}s")
 
 
+# --- 7 and 8 share the benchmark's snowball runs ---------------------------
+
+@pytest.fixture(scope="module")
+def moons_snowball_runs():
+    """The benchmark_two_moons() snowball run for each seed, with its data,
+    and the seconds the five runs took (criterion 7's bound covers them)."""
+    start = time.perf_counter()
+    cfg, spec = benchmark_two_moons()
+    runs = []
+    for s in SEEDS:
+        data = make_dataset(spec, s)
+        runs.append((data, run_algorithm("snowball", data, replace(cfg, seed=s))))
+    return runs, time.perf_counter() - start
+
+
 # --- 7: convergence across generations -------------------------------------
 
 @pytest.mark.slow
-def test_criterion_07_generations_non_increasing():
+def test_criterion_07_generations_non_increasing(moons_snowball_runs):
+    runs, elapsed = moons_snowball_runs
     start = time.perf_counter()
-    cfg, spec = benchmark_two_moons()
     hits = 0
-    for s in SEEDS:
-        data = make_dataset(spec, s)
-        rec = run_algorithm("snowball", data, replace(cfg, seed=s))
+    for _, rec in runs:
         gens = rec.generation_final_errors()
         hits += all(b <= a + 0.01 + 1e-12 for a, b in zip(gens, gens[1:]))
-    elapsed = time.perf_counter() - start
+    elapsed += time.perf_counter() - start
     verdict(7, "per-generation error non-increasing (+1pp)",
             hits >= 4 and elapsed < 900.0, f"{hits}/5 seeds, {elapsed:.0f}s")
 
@@ -287,18 +300,17 @@ def test_criterion_07_generations_non_increasing():
 # --- 8: semi-supervised gain -----------------------------------------------
 
 @pytest.mark.slow
-def test_criterion_08_semi_supervised_gain():
+def test_criterion_08_semi_supervised_gain(moons_snowball_runs):
+    runs, elapsed = moons_snowball_runs
     start = time.perf_counter()
-    cfg, spec = benchmark_two_moons()
+    cfg, _ = benchmark_two_moons()
     hits, gains = 0, []
-    for s in SEEDS:
-        data = make_dataset(spec, s)
-        snow = run_algorithm("snowball", data, replace(cfg, seed=s))
+    for s, (data, snow) in zip(SEEDS, runs):
         sup = run_algorithm("supervised", data, replace(cfg, seed=s))
         gain = sup.final_test_err() - snow.final_test_err()
         gains.append(gain)
         hits += gain >= 0.05 - 1e-12
-    elapsed = time.perf_counter() - start
+    elapsed += time.perf_counter() - start
     verdict(8, "snowball beats supervised by >= 5pp",
             hits >= 4, f"{hits}/5 seeds, gains "
             + "/".join(f"{g * 100:.1f}pp" for g in gains) + f", {elapsed:.0f}s")

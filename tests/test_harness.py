@@ -411,6 +411,8 @@ class TestExitCodes:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    OWNED_MESSAGE = ("error: config keys {1} are set by {0} for each run, "
+                     "not by a config file or --set\n")
 
     @pytest.mark.parametrize("route", ["flag", "set", "config"])
     def test_sweep_seed_key_is_a_usage_error(self, tmp_path, capsys, route):
@@ -422,9 +424,41 @@ class TestExitCodes:
         argv = ["sweep", "--dataset", "two-moons", "--seeds", "0..1",
                 "--out-dir", str(tmp_path / "runs"), *extra]
         assert cli_run(argv) == 1
-        assert capsys.readouterr() == ("", "error: sweep takes its run seeds from --seeds; "
-                                           "config key 'seed' cannot be set in a config file, "
-                                           "with --set or with --seed\n")
+        assert capsys.readouterr() == ("", "error: unrecognized arguments: --seed 9\n"
+                                       if route == "flag"
+                                       else self.OWNED_MESSAGE.format("sweep", ["seed"]))
+        assert not (tmp_path / "runs").exists()
+
+    # each key is one that the ablation sets in every run it makes; the user's
+    # value was once silently replaced (sweep's seed: test_sweep_seed_key_is_a_usage_error)
+    @pytest.mark.parametrize("command, pairs", [
+        ("ablate-selection", ["strategy=max"]),
+        ("ablate-selection", ["use_true_labels=false"]),
+        ("ablate-selection", ["strategy=max", "use_true_labels=false"]),
+        ("ablate-fusion", ["fusion=feature_cascade"]),
+    ], ids=["strategy", "use_true_labels", "both", "fusion"])
+    @pytest.mark.parametrize("route", ["set", "config"])
+    def test_owned_key_is_a_usage_error(self, tmp_path, capsys, command, pairs, route):
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{pair}\n" for pair in pairs))
+        extra = (["--config", str(config)] if route == "config"
+                 else [arg for pair in pairs for arg in ("--set", pair)])
+        argv = [command, "--dataset", "blobs", "--out-dir", str(tmp_path / "runs"),
+                "--set", "steps=10", "--set", "generations=1", "--set", "iterations=1",
+                "--set", "n_per_class=40", *extra]
+        assert cli_run(argv) == 1
+        owned = sorted(pair.split("=")[0] for pair in pairs)
+        assert capsys.readouterr() == ("", self.OWNED_MESSAGE.format(command, owned))
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "ablate-selection",
+                                         "ablate-fusion", "ablate-guidance"])
+    def test_run_command_options_are_not_abbreviated(self, tmp_path, capsys, command):
+        # an abbreviation once read sweep's '--seed 9' as '--seeds 9'
+        argv = [command, "--dataset", "two-moons", "--labels", "2",
+                "--out-dir", str(tmp_path / "runs")]
+        assert cli_run(argv) == 1
+        assert capsys.readouterr() == ("", "error: unrecognized arguments: --labels 2\n")
         assert not (tmp_path / "runs").exists()
 
 
@@ -480,8 +514,12 @@ class TestCliBehaviour:
         for key, value in FAST.items():
             argv += ["--set", f"{key}={value}"]
         assert cli_run(argv) == 0
-        out = capsys.readouterr().out
-        assert "aggregate over 2 seeds" in out
+        out = capsys.readouterr().out.replace(str(tmp_path), "<out>")
+        assert out == ("seed 0: final test error 0.1560 (<out>/supervised-seed0)\n"
+                       "seed 1: final test error 0.2000 (<out>/supervised-seed1)\n"
+                       "\n"
+                       "aggregate over 2 seeds (mean +/- sample std), algo supervised:\n"
+                       "  g1 i1: test 0.1780 +/- 0.0311  noise 0.0000 +/- 0.0000\n")
         assert (tmp_path / "supervised-seed0" / "manifest.txt").exists()
         assert (tmp_path / "supervised-seed1" / "manifest.txt").exists()
 
@@ -538,7 +576,7 @@ class TestCliBehaviour:
     # ablate-fusion's stderr when its runs made fewer than three discoveries
     FUSION_NOTE = ("note: each run made 1 of the 3 discoveries fusion needs to combine "
                    "two masters, so it played no part in these rows\n")
-    # stdout of both commands, recorded when each still ran its own loop
+    # stdout of the ablations, recorded when each still ran its own loop
     ABLATION_STDOUT = {
         ("ablate-selection", "common"): (
             "strategy    err (true labels)  sample noise rate\n"
@@ -560,14 +598,17 @@ class TestCliBehaviour:
             "average_distance             0.0000     0.3019\n"
             "feature_cascade              0.0000     0.2830\n"
             "average_sorting_score        0.1667     0.2830\n"),
+        ("ablate-guidance", "common"): (
+            "gen iter  snowball err  snowball noise  self-learn err  self-learn noise\n"
+            "  1    1        0.1698          0.0000          0.0000            0.0000\n"),
     }
 
     def test_ablation_commands_run(self, tmp_path, capsys):
         common = self.ABLATION_COMMON + ["--out-dir", str(tmp_path)]
-        for command, err in (("ablate-selection", ""), ("ablate-fusion", self.FUSION_NOTE)):
+        for command, err in (("ablate-selection", ""), ("ablate-fusion", self.FUSION_NOTE),
+                             ("ablate-guidance", "")):
             assert cli_run([command] + common) == 0
             assert capsys.readouterr() == (self.ABLATION_STDOUT[(command, "common")], err)
-        assert cli_run(["ablate-guidance"] + common) == 0
 
     @pytest.mark.parametrize("command", ["ablate-selection", "ablate-fusion"])
     def test_ablation_rows_that_differ_are_pinned(self, tmp_path, capsys, command):
