@@ -12,9 +12,12 @@ the sample's feature vector. One layer loop runs a stack of same-shape models
 (a single model is the stack of one), keeping the trace backpropagation reads
 for `forward_batch` and `forward_many` and only features and logits for
 `forward`. Class-axis reductions run column by column. softmax and the
-backward pass write in place into arrays they made themselves, never into
-the logits, trace or gradients a caller passed. Gradients are exact and are
-checked against central finite differences in the test suite.
+backward pass write in place only into arrays they made themselves or that a
+caller owns and hands them as output, never into the logits, trace or
+dlogits a caller passed: `train_iteration` owns a stack of its models, a
+velocity and a gradient buffer, which `_backward` and `sgd_step(out=...)`
+update, and copies models out. Gradients are exact and are checked against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -47,6 +50,13 @@ def _layout(dims: tuple[int, ...]) -> tuple[tuple[slice, slice, tuple[int, int]]
 
 def _buffer_size(dims: tuple[int, ...]) -> int:
     return _layout(dims)[-1][1].stop
+
+
+def _layer_views(buffers: np.ndarray, dims: tuple[int, ...]) -> tuple:
+    """Each layer's (weights, bias) views of a buffer, or of a (k, P) stack with a model axis."""
+    lead = buffers.shape[:-1]
+    return tuple((buffers[..., ws].reshape(*lead, *shape), buffers[..., bs])
+                 for ws, bs, shape in _layout(dims))
 
 
 class ModelParams:
@@ -116,11 +126,11 @@ class ModelParams:
 
     @property
     def weights(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.buffer[ws].reshape(shape) for ws, _, shape in _layout(self.layer_dims))
+        return tuple(w for w, _ in _layer_views(self.buffer, self.layer_dims))
 
     @property
     def biases(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.buffer[bs] for _, bs, _ in _layout(self.layer_dims))
+        return tuple(b for _, b in _layer_views(self.buffer, self.layer_dims))
 
     @property
     def input_dim(self) -> int:
@@ -237,17 +247,17 @@ def _activation_grad(a: np.ndarray, kind: str) -> np.ndarray:
     return a > 0.0 if kind == "relu" else 1.0 - a * a
 
 
-def _run_layers(buffers: np.ndarray, dims: tuple[int, ...], activation: str,
-                xs: np.ndarray, keep_trace: bool) -> tuple[np.ndarray, ...]:
-    """The one layer loop, over k same-shape models: buffers (k, P), inputs
-    (k, n, d). matmul runs one gemm per model on that model's own operands, so
-    its floats do not depend on the stack. Without keep_trace only the last two
-    activations are kept. NumericsError at the first layer any model overflows."""
+def _run_layers(layers, activation: str, xs: np.ndarray,
+                keep_trace: bool) -> tuple[np.ndarray, ...]:
+    """The one layer loop, over the `_layer_views` of k same-shape models' (k, P)
+    stack, inputs (k, n, d). matmul runs one gemm per model on that model's own
+    operands, so its floats do not depend on the stack. Without keep_trace only
+    the last two activations are kept. NumericsError at the first layer any model overflows."""
     acts = [xs]
-    last = len(dims) - 2
-    for i, (ws, bs, shape) in enumerate(_layout(dims)):
-        z = acts[-1] @ buffers[:, ws].reshape(-1, *shape)
-        z += buffers[:, None, bs]  # in place: no pass keeps z once the activation is applied
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        z = acts[-1] @ w
+        z += b[:, None]  # in place: no pass keeps z once the activation is applied
         if not np.isfinite(z).all():
             raise NumericsError(f"non-finite values in forward pass at layer {i}", layer=i)
         if not keep_trace:
@@ -267,7 +277,7 @@ def _as_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def _run_one(params: ModelParams, x: np.ndarray, keep_trace: bool) -> BatchForward:
     # the stack of one: buffer[None] and x[None] are views, so nothing is copied
-    acts = _run_layers(params.buffer[None], params.layer_dims, params.activation,
+    acts = _run_layers(_layer_views(params.buffer[None], params.layer_dims), params.activation,
                        _as_batch(params, x)[None], keep_trace)
     return BatchForward(tuple(a[0] for a in acts))
 
@@ -283,17 +293,22 @@ def forward_batch(params: ModelParams, x: np.ndarray) -> BatchForward:
     return _run_one(params, x, keep_trace=True)
 
 
+def stack_params(models) -> np.ndarray:
+    """A new (k, P) array whose rows are the buffers of k same-shape models."""
+    if len({(m.layer_dims, m.activation) for m in models}) > 1:
+        raise ConfigError("stacked models must share layer_dims and activation")
+    return np.array([m.buffer for m in models])
+
+
 def forward_many(models, xs) -> BatchForward:
     """Traced passes of k same-shape models, model i on batch xs[i], in one
     layer loop. Every activation gains a leading model axis, and its [i] is
     model i's `forward_batch` trace, byte for byte."""
-    first, xs = models[0], np.asarray(xs, dtype=float)
-    if len({(m.layer_dims, m.activation) for m in models}) > 1:
-        raise ConfigError("stacked models must share layer_dims and activation")
+    first, buffers, xs = models[0], stack_params(models), np.asarray(xs, dtype=float)
     if xs.ndim != 3 or xs.shape[0] != len(models) or xs.shape[2] != first.input_dim:
         raise ConfigError(f"inputs of shape {xs.shape} do not match {len(models)} models")
-    return BatchForward(_run_layers(np.array([m.buffer for m in models]), first.layer_dims,
-                                    first.activation, xs, keep_trace=True))
+    return BatchForward(_run_layers(_layer_views(buffers, first.layer_dims), first.activation,
+                                    xs, keep_trace=True))
 
 
 def predict_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -329,11 +344,8 @@ def grad_from_dlogits(params: ModelParams, trace: BatchForward,
                       dlogits: np.ndarray) -> ModelParams:
     """Backpropagate a given gradient w.r.t. the logits down to every parameter.
 
-    ``trace`` must be ``forward_batch(params, x)`` for the batch the
-    gradient belongs to; it is reused, not recomputed. This is the
-    workhorse the training losses share: each loss term reduces to a
-    per-sample gradient at the logits, and the rest of the chain rule is
-    identical. Returns a gradient with ModelParams shape.
+    ``trace`` must be ``forward_batch(params, x)`` for the batch the gradient
+    belongs to; it is reused, not recomputed. Returns a gradient with ModelParams shape.
     """
     acts = trace.activations
     if len(acts) != len(params.layer_dims):
@@ -342,16 +354,20 @@ def grad_from_dlogits(params: ModelParams, trace: BatchForward,
     if delta.shape != acts[-1].shape:
         raise ConfigError(f"dlogits shape {delta.shape} does not match logits {acts[-1].shape}")
     out = np.empty_like(params.buffer)
-    layout = _layout(params.layer_dims)
-    for i in range(len(layout) - 1, -1, -1):
-        ws, bs, shape = layout[i]
-        np.matmul(acts[i].T, delta, out=out[ws].reshape(shape))
-        delta.sum(axis=0, out=out[bs])
+    _backward(params.weights, acts, delta, _layer_views(out, params.layer_dims), params.activation)
+    return params._derive(out)
+
+
+def _backward(weights, acts, delta: np.ndarray, grads, activation: str) -> None:
+    """The one backward loop: delta, at the logits of the model with these layer
+    weights, through its trace acts into the (weights, bias) gradient views grads."""
+    for i in range(len(weights) - 1, -1, -1):
+        np.matmul(acts[i].T, delta, out=grads[i][0])
+        delta.sum(axis=0, out=grads[i][1])
         if i > 0:
             # in place on the fresh product only: delta starts as the caller's dlogits
-            delta = delta @ params.buffer[ws].reshape(shape).T
-            delta *= _activation_grad(acts[i], params.activation)
-    return params._derive(out)
+            delta = delta @ weights[i].T
+            delta *= _activation_grad(acts[i], activation)
 
 
 def grad(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> ModelParams:
@@ -373,11 +389,12 @@ def grad(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> ModelParams
 
 
 def sgd_step(params: ModelParams, gradient: ModelParams, lr: float, momentum: float,
-             velocity: np.ndarray | None = None,
-             l2: float = 0.0) -> tuple[ModelParams, np.ndarray]:
+             velocity: np.ndarray | None = None, l2: float = 0.0,
+             out: tuple[np.ndarray, np.ndarray] | None = None):
     """One classical momentum SGD update, v <- mu*v + g, p <- p - lr*v;
     returns the new parameters and velocity (None: the first step, v = g).
-    l2 > 0 adds l2 * w to each weight gradient (biases are not decayed)."""
+    l2 > 0 adds l2 * w to each weight gradient (biases are not decayed). out=(p, v)
+    writes the same bytes into p and v, which may be params.buffer and velocity."""
     if lr <= 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     if not 0.0 <= momentum < 1.0:
@@ -389,8 +406,14 @@ def sgd_step(params: ModelParams, gradient: ModelParams, lr: float, momentum: fl
         g = g.copy()
         for ws, _, _ in _layout(params.layer_dims):
             g[ws] += l2 * params.buffer[ws]
-    velocity = g.copy() if velocity is None else momentum * velocity + g
-    return params._derive(params.buffer - lr * velocity), velocity
+    p, v = (np.empty_like(g), np.empty_like(g)) if out is None else out
+    if velocity is None:
+        np.copyto(v, g)  # a copy keeps g's -0.0, which 0 * mu + g would not
+    else:
+        np.multiply(momentum, velocity, out=v)
+        v += g
+    np.subtract(params.buffer, lr * v, out=p)
+    return (params._derive(p), v) if out is None else out
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:

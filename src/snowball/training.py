@@ -10,11 +10,11 @@ student objective is
 
 where classification is averaged over the labelled rows of a minibatch only
 and the consistency terms cover every row. `student_loss` is its one
-implementation: it takes the student's and the guides' perturbed views of a
-minibatch whose labelled rows come first, and returns the per-term values
-with the gradient. lambda2 follows a normalised sigmoid ramp so early,
-unreliable guidance carries little weight. `train_iteration` returns one
-StepMetrics row per step; records.py defines it with its CSV.
+implementation: it takes the stacked pass of the student and its guides over
+a minibatch whose labelled rows come first, and returns the per-term values
+with the gradient at the student's logits. lambda2 follows a normalised
+sigmoid ramp so early, unreliable guidance carries little weight.
+`train_iteration` returns one StepMetrics row per step; records.py defines it.
 """
 
 from __future__ import annotations
@@ -45,10 +45,13 @@ class LossBreakdown:
     total: float
 
 
-def ema_update(averaged: ModelParams, source: ModelParams, decay: float) -> ModelParams:
-    """decay * averaged + (1 - decay) * source, on the buffers."""
-    buffer = decay * averaged.buffer + (1.0 - decay) * averaged._other_buffer(source)
-    return averaged._derive(buffer)
+def ema_update(averaged: ModelParams, source: ModelParams, decay: float, out=None):
+    """decay * averaged + (1 - decay) * source, on the buffers; out, which may be
+    averaged.buffer, gets the same bytes and is returned."""
+    source_buffer = averaged._other_buffer(source)
+    buffer = np.multiply(decay, averaged.buffer, out=out)
+    buffer += (1.0 - decay) * source_buffer
+    return averaged._derive(buffer) if out is None else out
 
 
 def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
@@ -61,31 +64,27 @@ def _mean_mse(targets: np.ndarray, probs: np.ndarray) -> float:
     return float(se.sum() / len(se))
 
 
-def student_loss(student: ModelParams, teacher: ModelParams, master: ModelParams | None,
-                 student_view: np.ndarray, guide_view: np.ndarray, labels: np.ndarray,
-                 lambda1: float, lambda2: float, kind: str, master_weight: float
-                 ) -> tuple[LossBreakdown, ModelParams]:
-    """The student objective over one minibatch and its gradient.
+def student_loss(out: net.BatchForward, targets: np.ndarray, lambda1: float, lambda2: float,
+                 kind: str, master_weight: float) -> tuple[LossBreakdown, np.ndarray]:
+    """The student objective over one minibatch and its gradient at the student's logits.
 
-    The first len(labels) rows of the views are labelled and enter the
-    classification term; every row enters the consistency terms. The student
-    on student_view and the guides on guide_view run as one stacked forward
-    pass with one softmax. All loss terms share the student's trace, so the
-    gradient is a single backpropagation of the summed per-logit gradients
-    through it, and every cross-entropy term reads one log of the student's
-    probabilities. Guides are constants to the gradient.
+    out is the stacked pass (`forward_many`) of the student on its view, then
+    the teacher and master (if any) on the guide view, with one softmax. The
+    labelled rows come first, targets holds their one-hot rows, and they alone
+    enter the classification term; every row enters the consistency terms.
+    All terms share the student's logits, so one backpropagation of the
+    returned sum carries the gradient to the parameters, and every
+    cross-entropy term reads one log of the student's probabilities. Guides
+    are constants to the gradient.
     """
     if kind not in CONSISTENCY_KINDS:
         raise ConfigError(f"unknown consistency kind {kind!r}")
-    n, n_lab = len(student_view), len(labels)
-    models = (student, teacher) if master is None else (student, teacher, master)
-    out = net.forward_many(models, [student_view] + [guide_view] * (len(models) - 1))
     p_s, p_t = out.probs[0], out.probs[1]
-    p_m = out.probs[2] if master is not None else None
+    p_m = out.probs[2] if len(out.probs) > 2 else None
+    n, n_lab = len(p_s), len(targets)
     log_p_s = np.log(np.maximum(p_s, EPS_LOG))
 
     if n_lab:
-        targets = one_hot(labels, student.class_count)
         j_class = net.mean_ce(targets, log_p_s[:n_lab])
     else:
         j_class = 0.0
@@ -104,9 +103,7 @@ def student_loss(student: ModelParams, teacher: ModelParams, master: ModelParams
     dlogits += lambda2 * dloss(p_s, p_t) / n
     if p_m is not None:
         dlogits += lambda2 * master_weight * dloss(p_s, p_m) / n
-    trace = net.BatchForward(tuple(a[0] for a in out.activations))
-    return (LossBreakdown(j_class, j_teacher, j_master, total),
-            net.grad_from_dlogits(student, trace, dlogits))
+    return LossBreakdown(j_class, j_teacher, j_master, total), dlogits
 
 
 def _mse_dlogits(p_s: np.ndarray, p_g: np.ndarray) -> np.ndarray:
@@ -240,9 +237,12 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     when the pool is empty). Per step the rng is consumed in a fixed order -
     labelled indices, pool indices, student noise, guide noise - so runs are
     exactly reproducible from the seed. The teacher EMA starts at student_init and
-    absorbs the student after every step; with steps=0 the inputs come back
-    unchanged and the teacher equals student_init. Only the training fields
-    of cfg are read; cfg was checked when it was built.
+    absorbs the student after every step; with steps=0 both are copies of
+    student_init. Only the training fields of cfg are read; cfg was checked
+    when it was built. Steps write in place only into buffers the iteration
+    owns: a (k, P) stack of the student, teacher and master (a master of
+    another shape is a ConfigError), velocity, gradient and the (k, n, d)
+    input; the student and teacher leave as copies.
 
     train_err is the student's error on the labelled set, test_err its error
     on the eval set (nan when no eval set is given), both measured after the
@@ -264,10 +264,21 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     if np.any(train_y < 0):
         raise ConfigError("training set rows must all carry labels")
     n_pool = len(pool_x)
+    dims, activation = student_init.layer_dims, student_init.activation
+    if train_x.shape[1:] != dims[:1]:
+        raise ConfigError(f"training set of shape {train_x.shape} does not match {dims[0]} inputs")
 
-    student = student_init
-    teacher = student_init
-    velocity: np.ndarray | None = None
+    state = net.stack_params((student_init, student_init) + (() if master is None else (master,)))
+    layers = net._layer_views(state, dims)
+    student_weights = tuple(w[0] for w, _ in layers)
+    gradient, velocity = np.empty(state.shape[1]), np.empty(state.shape[1])
+    gradient_layers = net._layer_views(gradient, dims)
+    # models over the owned buffers for the update and evaluation calls; they change in place
+    student, teacher, gradient_params = (ModelParams._wrap(buffer, dims, activation)
+                                         for buffer in (state[0], state[1], gradient))
+    xs = np.empty((len(state), cfg.labeled_batch + (cfg.unlabeled_batch if n_pool else 0),
+                   dims[0]))
+    eye = np.eye(dims[-1])
     metrics: list[StepMetrics] = []
 
     for step in range(cfg.steps):
@@ -275,19 +286,21 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
         li = rng.integers(0, len(train_x), size=cfg.labeled_batch)
         ui = rng.integers(0, n_pool, size=cfg.unlabeled_batch if n_pool else 0)
         bx = np.concatenate([train_x[li], pool_x[ui]])
-        student_view = augment(bx, cfg.sigma_aug, rng)
-        guide_view = augment(bx, cfg.sigma_aug, rng)
+        xs[0] = augment(bx, cfg.sigma_aug, rng)   # the student's view
+        xs[1:] = augment(bx, cfg.sigma_aug, rng)  # the guides' view
 
         # Finite weights can still overflow the forward pass once they get
         # large enough; that is divergence too, of the update that made them.
         try:
-            breakdown, gradient = student_loss(
-                student, teacher, master, student_view, guide_view, train_y[li],
-                cfg.lambda1, lam2, cfg.consistency, cfg.master_weight)
+            out = net.BatchForward(net._run_layers(layers, activation, xs, keep_trace=True))
         except NumericsError:
             raise _diverged(max(step - 1, 0)) from None
-        student, velocity = net.sgd_step(student, gradient, cfg.learning_rate, cfg.momentum,
-                                         velocity, l2=cfg.l2)
+        breakdown, dlogits = student_loss(out, eye[train_y[li]], cfg.lambda1, lam2,
+                                          cfg.consistency, cfg.master_weight)
+        net._backward(student_weights, tuple(a[0] for a in out.activations), dlogits,
+                      gradient_layers, activation)
+        net.sgd_step(student, gradient_params, cfg.learning_rate, cfg.momentum,
+                     velocity if step else None, l2=cfg.l2, out=(state[0], velocity))
 
         if not math.isfinite(breakdown.total) or not student.all_finite():
             raise _diverged(step)
@@ -299,12 +312,12 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
                             if eval_x is not None else float("nan"))
             except NumericsError:
                 raise _diverged(step) from None
-        teacher = ema_update(teacher, student, cfg.alpha)
+        ema_update(teacher, student, cfg.alpha, out=state[1])
 
         metrics.append(StepMetrics(step, breakdown.classification,
                                    breakdown.consistency_teacher, breakdown.consistency_master,
                                    breakdown.total, lam2, train_err, test_err))
-    return student, teacher, metrics
+    return student.copy(), teacher.copy(), metrics
 
 
 def _diverged(step: int) -> DivergenceError:

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import snowball.network as net
 from snowball import training
 from snowball.data import augment, gen_two_moons, split
 from snowball.errors import ConfigError, DataError, DivergenceError
-from snowball.network import ModelParams, error_rate, init_params, params_equal
+from snowball.network import ModelParams, error_rate, init_params, params_equal, sgd_step
 from snowball.records import StepMetrics, read_step_metrics, write_step_metrics
 from snowball.training import (
     ExperimentConfig,
@@ -27,16 +31,29 @@ def tiny(dims=(2, 4, 2), seed=0, activation="relu"):
 NO_LABELS = np.zeros(0, dtype=int)
 
 
+def objective(student, teacher, master, student_view, guide_view, labels, lambda1, lambda2,
+              kind, master_weight):
+    """student_loss on the stacked pass of the student on its view and its
+    guides on theirs, and its gradient, backpropagated through the student's
+    trace: what a training step computes."""
+    models = (student, teacher) if master is None else (student, teacher, master)
+    out = net.forward_many(models, [student_view] + [guide_view] * (len(models) - 1))
+    breakdown, dlogits = student_loss(out, one_hot(labels, student.class_count), lambda1,
+                                      lambda2, kind, master_weight)
+    trace = net.BatchForward(tuple(a[0] for a in out.activations))
+    return breakdown, net.grad_from_dlogits(student, trace, dlogits)
+
+
 def classification_loss(p, x, labels):
     """The classification term of the student objective, noise off; the
     first len(labels) rows of x are labelled."""
-    return student_loss(p, p, None, x, x, labels, 1.0, 0.0, "ce", 1.0)[0].classification
+    return objective(p, p, None, x, x, labels, 1.0, 0.0, "ce", 1.0)[0].classification
 
 
 def consistency_loss(student, guide, x, kind="ce"):
     """The teacher consistency term on an all-unlabelled batch, noise off."""
-    return student_loss(student, guide, None, x, x, NO_LABELS, 0.0, 1.0, kind,
-                        1.0)[0].consistency_teacher
+    return objective(student, guide, None, x, x, NO_LABELS, 0.0, 1.0, kind,
+                     1.0)[0].consistency_teacher
 
 
 def perturbed_views(x, seed=9, sigma=0.1):
@@ -100,7 +117,6 @@ class TestConsistencyLoss:
             x = rng.normal(size=(4, 3))
             got = consistency_loss(s, g, x)
             # independent evaluation straight from the definition
-            import snowball.network as net
             ps = net.forward_batch(s, x).probs
             pg = net.forward_batch(g, x).probs
             want = np.mean([-np.sum(pg[i] * np.log(ps[i])) for i in range(4)])
@@ -111,7 +127,6 @@ class TestConsistencyLoss:
         g = tiny(seed=2)
         x = np.random.default_rng(3).normal(size=(5, 2))
         got = consistency_loss(s, g, x, kind="mse")
-        import snowball.network as net
         ps = net.forward_batch(s, x).probs
         pg = net.forward_batch(g, x).probs
         want = np.mean(np.sum((ps - pg) ** 2, axis=1) / 2)
@@ -128,21 +143,21 @@ class TestStudentLoss:
         x = np.random.default_rng(0).normal(size=(4, 2))
         y = np.array([0, 1, 0, 1])
         lambda1 = 1.0
-        b, _ = student_loss(s, t, None, x, x, y, lambda1, 0.0, "ce", 1.0)
+        b, _ = objective(s, t, None, x, x, y, lambda1, 0.0, "ce", 1.0)
         assert b.total == pytest.approx(lambda1 * b.classification, abs=1e-12)
 
     def test_master_equals_teacher_same_terms(self):
         s, t = tiny(seed=1), tiny(seed=2)
         x = np.random.default_rng(0).normal(size=(4, 2))
-        b, _ = student_loss(s, t, t, *perturbed_views(x), np.array([0, 1]), 1.0, 0.5,
-                            "ce", 1.0)
+        b, _ = objective(s, t, t, *perturbed_views(x), np.array([0, 1]), 1.0, 0.5,
+                         "ce", 1.0)
         assert b.consistency_master == pytest.approx(b.consistency_teacher, abs=1e-12)
 
     def test_weighted_sum_identity(self):
         s, t, m = tiny(seed=1), tiny(seed=2), tiny(seed=3)
         x = np.random.default_rng(0).normal(size=(4, 2))
-        b, _ = student_loss(s, t, m, *perturbed_views(x), np.array([0, 1]), 0.7, 0.4,
-                            "ce", 0.5)
+        b, _ = objective(s, t, m, *perturbed_views(x), np.array([0, 1]), 0.7, 0.4,
+                         "ce", 0.5)
         want = 0.7 * b.classification + 0.4 * (b.consistency_teacher + b.consistency_master)
         assert b.total == want
 
@@ -173,11 +188,11 @@ class TestObjectiveGradient:
             # a step of h moves no hidden unit of the student across relu's kink
             assert relu_margin(student, student_view) > 1e-3
 
-        def objective(params):
-            return student_loss(params, teacher, master, student_view, guide_view, labels,
-                                0.7, 1.3, kind, 0.6)
+        def loss_at(params):
+            return objective(params, teacher, master, student_view, guide_view, labels,
+                             0.7, 1.3, kind, 0.6)
 
-        _, gradient = objective(student)
+        _, gradient = loss_at(student)
         arrays = list(student.weights + student.biases)
         for a, analytic in enumerate(gradient.weights + gradient.biases):
             numeric = np.zeros_like(analytic)
@@ -188,7 +203,7 @@ class TestObjectiveGradient:
                     moved[a][idx] += step
                     params = ModelParams(tuple(moved[:len(dims) - 1]),
                                          tuple(moved[len(dims) - 1:]), activation)
-                    totals.append(objective(params)[0].total)
+                    totals.append(loss_at(params)[0].total)
                 numeric[idx] = (totals[0] - totals[1]) / (2 * h)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
 
@@ -228,6 +243,61 @@ class TestEma:
         averaged = ema_update(twos, fours, 0.5)
         for w in averaged.weights + averaged.biases:
             assert np.all(w == 3.0)
+
+
+UPDATES = settings(derandomize=True, max_examples=100, database=None, deadline=None)
+UPDATE_DIMS = (2, 3, 2)  # 17 parameters
+# finite entries of either sign, both zeros drawn often
+BUFFERS = arrays(np.float64, 17, elements=st.one_of(st.sampled_from([0.0, -0.0]),
+                                                     st.floats(-1e3, 1e3)))
+
+
+def as_model(buffer):
+    """A net of UPDATE_DIMS whose parameter buffer holds these values."""
+    model = init_params(UPDATE_DIMS)
+    np.copyto(model.buffer, buffer)
+    return model
+
+
+class TestInPlaceUpdates:
+    """The out= forms of sgd_step and ema_update, which a training step calls
+    on buffers it owns, write exactly the bytes the value forms return, and
+    both are the bytes of the update's plain expressions."""
+
+    @UPDATES
+    @given(p=BUFFERS, g=BUFFERS, v=st.none() | BUFFERS, lr=st.floats(1e-6, 10.0),
+           momentum=st.sampled_from([0.0, 0.5, 0.9]), l2=st.sampled_from([0.0, 1e-4, 0.5]))
+    @example(p=np.ones(17), g=np.full(17, -0.0), v=None, lr=0.05, momentum=0.9, l2=0.0)
+    def test_sgd_step(self, p, g, v, lr, momentum, l2):
+        decayed = as_model(g)  # the gradient plus l2 * weights, biases left out
+        if l2 > 0.0:
+            for w, pw in zip(decayed.weights, as_model(p).weights):
+                w += l2 * pw
+        want_v = decayed.buffer.copy() if v is None else momentum * v + decayed.buffer
+        params, gradient = as_model(p), as_model(g)
+        want_params, want_velocity = sgd_step(params, gradient, lr, momentum, v, l2=l2)
+        assert want_velocity.tobytes() == want_v.tobytes()
+        assert want_params.buffer.tobytes() == (p - lr * want_v).tobytes()
+        # the first step must not read the velocity buffer: it starts as nan
+        velocity = np.full(17, np.nan) if v is None else v.copy()
+        out = (params.buffer, velocity)
+        got = sgd_step(params, gradient, lr, momentum, None if v is None else velocity,
+                       l2=l2, out=out)
+        assert got is out
+        assert params.buffer.tobytes() == want_params.buffer.tobytes()
+        assert velocity.tobytes() == want_velocity.tobytes()
+        assert gradient.buffer.tobytes() == g.tobytes()
+
+    @UPDATES
+    @given(a=BUFFERS, s=BUFFERS, decay=st.sampled_from([0.0, 1.0, 0.99]))
+    @example(a=np.full(17, -0.0), s=np.full(17, -1.0), decay=1.0)
+    def test_ema_update(self, a, s, decay):
+        averaged, source = as_model(a), as_model(s)
+        want = ema_update(averaged, source, decay)
+        assert want.buffer.tobytes() == (decay * a + (1.0 - decay) * s).tobytes()
+        got = ema_update(averaged, source, decay, out=averaged.buffer)
+        assert got is averaged.buffer and got.tobytes() == want.buffer.tobytes()
+        assert source.buffer.tobytes() == s.tobytes()
 
 
 class TestSchedule:
@@ -311,9 +381,29 @@ class TestTrainIteration:
         pool = np.random.default_rng(9).normal(size=(40, 2))
         p = tiny(seed=3)
         master = tiny(seed=4)
+        inputs = p.buffer.tobytes(), master.buffer.tobytes()
         cfg = ExperimentConfig(steps=30)
-        train_iteration(p, x, y, pool, master, cfg, np.random.default_rng(0))
+        student, teacher, _ = train_iteration(p, x, y, pool, master, cfg,
+                                              np.random.default_rng(0))
         assert params_equal(master, tiny(seed=4))
+        assert (p.buffer.tobytes(), master.buffer.tobytes()) == inputs
+        # the returned models alias nothing: not each other, the inputs, nor
+        # the models of a second call
+        again = train_iteration(p, x, y, pool, master, cfg, np.random.default_rng(0))[:2]
+        models = (student, teacher, p, master, *again)
+        for i, returned in enumerate(models[:2]):
+            for other in models[i + 1:]:
+                assert not np.shares_memory(returned.buffer, other.buffer)
+
+    @pytest.mark.parametrize("student, master", [
+        (tiny((2, 3, 2), seed=3), tiny((2, 1, 3, 2), seed=4)),  # 17 parameters each
+        (tiny(seed=3), tiny(seed=4, activation="tanh"))], ids=["layer-dims", "activation"])
+    def test_master_of_another_shape_is_config_error(self, student, master):
+        x, y = small_problem()
+        assert master.buffer.size == student.buffer.size
+        with pytest.raises(ConfigError, match="stacked models must share"):
+            train_iteration(student, x, y, np.zeros((0, 2)), master, ExperimentConfig(steps=2),
+                            np.random.default_rng(0))
 
     def test_divergence_raises(self):
         x, y = small_problem()
