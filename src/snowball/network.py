@@ -14,10 +14,10 @@ for `forward_batch` and `forward_many` and only features and logits for
 `forward`. Class-axis reductions run column by column. softmax and the
 backward pass write in place only into arrays they made themselves or that a
 caller owns and hands them as output, never into the logits, trace or
-dlogits a caller passed: `train_iteration` owns a stack of its models, a
-velocity and a gradient buffer, which `_backward` and `sgd_step(out=...)`
-update, and copies models out. Gradients are exact and are checked against
-central finite differences in the test suite.
+dlogits a caller passed: `train_iteration` and `build_master` own a stack of
+their models, a velocity and a gradient buffer, which `_backward` and
+`sgd_step(out=...)` update, and copy models out. Gradients are exact and are
+checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ of the student, master guiding the consistency loss once it exists),
 discover the most confident pool samples by nearest class center (using the
 master, or the teacher before the first master exists), move them into the
 training set under their pseudo-labels, and rebuild the master as an EMA
-over snapshots of a teacher copy refined on the enlarged set. Models carry
-across iterations and generations; discovered labels do not survive a
-generation boundary.
+over snapshots of a teacher copy refined on the enlarged set. Training and
+refinement both step in place on buffers they own and copy models out.
+Models carry across iterations and generations; discovered labels do not
+survive a generation boundary.
 """
 
 from __future__ import annotations
@@ -83,9 +84,15 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     labelled from the report. A copy of the teacher takes classification-only
     full-batch SGD steps on that set; the master is an EMA with decay beta
     over the per-step snapshots, continuing from prev_master when given and
-    starting at the first snapshot otherwise. Non-finite parameters raise
-    DivergenceError with their refine step; a forward pass that overflows at
-    step t names the update that made its weights, max(t - 1, 0).
+    starting at the first snapshot otherwise. The steps write in place only
+    into buffers this call owns: a (2, P) stack of the refined copy and the
+    master, velocity and gradient, with one forward trace alive at a time;
+    the master leaves as a copy, so teacher and prev_master are never
+    written. A prev_master of another shape or activation, or a refinement
+    set of another input width, is a ConfigError before any step. Non-finite
+    parameters raise DivergenceError with their refine step; a forward pass
+    that overflows at step t names the update that made its weights,
+    max(t - 1, 0).
     """
     n_selected = int(report.selected.sum())
     if len(report) == 0 or n_selected == 0:
@@ -97,24 +104,44 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     refine_x = np.concatenate([training_set.x, report.inputs[extra_rows]])
     refine_y = np.concatenate([training_set.y, report.labels[extra_rows]])
 
-    refined, master = teacher, prev_master
-    velocity: np.ndarray | None = None
-    targets = one_hot(refine_y, teacher.class_count)
+    dims, activation = teacher.layer_dims, teacher.activation
+    if refine_x.shape[1:] != dims[:1]:
+        raise ConfigError(f"refinement set of shape {refine_x.shape} does not match "
+                          f"{dims[0]} inputs")
+    # row 0 is the refined copy, row 1 the master; stack_params rejects a
+    # prev_master of another shape or activation before any step
+    state = net.stack_params((teacher, teacher if prev_master is None else prev_master))
+    refined_layers = net._layer_views(state[:1], dims)
+    refined_weights = tuple(w[0] for w, _ in refined_layers)
+    gradient, velocity = np.empty(state.shape[1]), np.empty(state.shape[1])
+    gradient_layers = net._layer_views(gradient, dims)
+    refined, master, gradient_params = (ModelParams._wrap(buffer, dims, activation)
+                                        for buffer in (state[0], state[1], gradient))
+    xs, targets = refine_x[None], one_hot(refine_y, dims[-1])
     for step in range(config.resolved_refine_steps()):
         # finite weights can still overflow the forward pass; both are divergence
         try:
-            gradient = net.grad(refined, refine_x, targets)
+            acts = net._run_layers(refined_layers, activation, xs, keep_trace=True)
         except NumericsError:
             culprit = max(step - 1, 0)
             raise DivergenceError(f"master refinement diverged at refine step {culprit}",
                                   step=culprit) from None
-        refined, velocity = net.sgd_step(refined, gradient, config.learning_rate,
-                                         config.momentum, velocity, l2=config.l2)
+        dlogits = net.softmax(acts[-1][0])
+        dlogits -= targets
+        dlogits /= len(refine_x)
+        net._backward(refined_weights, tuple(a[0] for a in acts), dlogits, gradient_layers,
+                      activation)
+        del acts  # the next forward pass builds its trace without this one alive
+        net.sgd_step(refined, gradient_params, config.learning_rate, config.momentum,
+                     velocity if step else None, l2=config.l2, out=(state[0], velocity))
         if not refined.all_finite():
             raise DivergenceError(f"master refinement diverged at refine step {step}",
                                   step=step)
-        master = refined if master is None else ema_update(master, refined, config.beta)
-    return master if master is not None else teacher.copy()  # no refine steps
+        if step == 0 and prev_master is None:
+            np.copyto(state[1], state[0])  # the master starts at the first snapshot
+        else:
+            ema_update(master, refined, config.beta, out=state[1])
+    return master.copy()
 
 
 def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> RunRecord:

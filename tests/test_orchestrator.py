@@ -1,23 +1,44 @@
 """Pipelines: master building, the four algorithms, degenerate equality."""
 
+import math
+
 import numpy as np
 import pytest
 
+import snowball.network as net
 from snowball.data import gen_two_moons, split
 from snowball.discovery import assign_pseudo_labels, select_samples
 from snowball.errors import ConfigError, DivergenceError, OrchestrationError
-from snowball.network import error_rate, init_params, params_equal
+from snowball.network import error_rate, init_params, params_equal, sgd_step
 from snowball.orchestrator import (
     ExperimentConfig,
     TrainingSet,
     build_master,
     run_algorithm,
 )
+from snowball.training import ema_update, one_hot
 
 
 def small_data(seed=0, n=240, lpc=2, noise=0.1):
     raw = gen_two_moons(n, noise, seed=seed)
     return split(raw, labels_per_class=lpc, test_fraction=0.25, seed=seed)
+
+
+def refined_master(teacher, training_set, report, cfg, prev_master):
+    """build_master in the value forms of net.grad, sgd_step and ema_update:
+    every step makes new models, and the master starts at the first snapshot
+    when there is no previous one."""
+    extra = np.flatnonzero(~report.selected)[:math.ceil(cfg.master_extra_fraction
+                                                         * report.selected.sum())]
+    x = np.concatenate([training_set.x, report.inputs[extra]])
+    targets = one_hot(np.concatenate([training_set.y, report.labels[extra]]),
+                      teacher.class_count)
+    refined, master, velocity = teacher, prev_master, None
+    for _ in range(cfg.resolved_refine_steps()):
+        refined, velocity = sgd_step(refined, net.grad(refined, x, targets), cfg.learning_rate,
+                                     cfg.momentum, velocity, l2=cfg.l2)
+        master = refined if master is None else ema_update(master, refined, cfg.beta)
+    return teacher if master is None else master
 
 
 def quick_cfg(**kw):
@@ -106,6 +127,47 @@ class TestBuildMaster:
         cfg = quick_cfg(master_refine_steps=0)
         assert params_equal(build_master(teacher, ts, rep, cfg, prev), prev)
         assert params_equal(build_master(teacher, ts, rep, cfg), teacher)
+
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    @pytest.mark.parametrize("with_prev", [False, True], ids=["no-prev", "prev"])
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_in_place_refinement_matches_the_value_forms(self, activation, l2, with_prev, steps):
+        d = small_data()
+        teacher = init_params((2, 8, 2), activation, seed=1)
+        prev = init_params((2, 8, 2), activation, seed=2) if with_prev else None
+        given = [model for model in (teacher, prev) if model is not None]
+        inputs = [model.buffer.tobytes() for model in given]
+        ts = TrainingSet.from_split(d)
+        rep = self.make_report(d, teacher)
+        cfg = quick_cfg(l2=l2, master_refine_steps=steps)
+        m = build_master(teacher, ts, rep, cfg, prev)
+        want = refined_master(teacher, ts, rep, cfg, prev)
+        assert (m.layer_dims, m.activation) == (want.layer_dims, want.activation)
+        assert m.buffer.tobytes() == want.buffer.tobytes()
+        if steps:
+            assert [model.buffer.tobytes() for model in given] == inputs
+            assert not any(np.shares_memory(m.buffer, model.buffer) for model in given)
+
+    @pytest.mark.parametrize("prev", [
+        init_params((2, 1, 3, 2), seed=2),  # 17 parameters, as the teacher
+        init_params((2, 3, 2), "tanh", seed=2)], ids=["layer-dims", "activation"])
+    def test_prev_master_of_another_shape_is_config_error(self, prev):
+        d = small_data()
+        teacher = init_params((2, 3, 2), seed=1)
+        assert prev.buffer.size == teacher.buffer.size
+        ts = TrainingSet.from_split(d)
+        rep = self.make_report(d, teacher)
+        for steps in (0, 5):
+            with pytest.raises(ConfigError, match="stacked models must share"):
+                build_master(teacher, ts, rep, quick_cfg(master_refine_steps=steps), prev)
+
+    def test_refinement_set_of_another_width_is_config_error(self):
+        d = small_data()
+        ts = TrainingSet.from_split(d)
+        rep = self.make_report(d, init_params((2, 8, 2), seed=1))
+        with pytest.raises(ConfigError, match="does not match 3 inputs"):
+            build_master(init_params((3, 8, 2), seed=1), ts, rep, quick_cfg())
 
     def test_extra_candidates_are_next_ranked(self):
         # N=10 selected, fraction 0.5 -> 5 extras: ranks 10..14 of 20
