@@ -88,11 +88,11 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     into buffers this call owns: a (2, P) stack of the refined copy and the
     master, velocity and gradient, with one forward trace alive at a time;
     the master leaves as a copy, so teacher and prev_master are never
-    written. A prev_master of another shape or activation, or a refinement
-    set of another input width, is a ConfigError before any step. Non-finite
-    parameters raise DivergenceError with their refine step; a forward pass
-    that overflows at step t names the update that made its weights,
-    max(t - 1, 0).
+    written. A prev_master of another shape or activation, a refinement set
+    of another input width or a label that is not a class is a ConfigError
+    before any step. Non-finite parameters raise DivergenceError with their
+    refine step; a forward pass that overflows at step t names the update
+    that made its weights, max(t - 1, 0).
     """
     n_selected = int(report.selected.sum())
     if len(report) == 0 or n_selected == 0:

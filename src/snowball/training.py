@@ -9,12 +9,14 @@ student objective is
     total = lambda1 * classification + lambda2 * (teacher + master consistency)
 
 where classification is averaged over the labelled rows of a minibatch only
-and the consistency terms cover every row. `student_loss` is its one
-implementation: it takes the stacked pass of the student and its guides over
-a minibatch whose labelled rows come first, and returns the per-term values
-with the gradient at the student's logits. lambda2 follows a normalised
-sigmoid ramp so early, unreliable guidance carries little weight.
+and the consistency terms cover every row. `objective_terms` gives its terms
+and `objective_dlogits` its gradient at the student's logits. lambda2 follows
+a normalised sigmoid ramp so early, unreliable guidance carries little weight.
 `train_iteration` returns one StepMetrics row per step; records.py defines it.
+Its master is fixed and its terms are only written out, so the iteration runs
+in windows of EVAL_EVERY steps: one master pass over a window's guide views,
+one pass for its terms, in buffers of about EVAL_EVERY x batch rows x widest
+layer floats, whatever the number of steps.
 """
 
 from __future__ import annotations
@@ -35,16 +37,6 @@ CONSISTENCY_KINDS = ("ce", "mse")
 EVAL_EVERY = 25  # train_iteration measures error rates every EVAL_EVERY-th step
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Per-term values of the student objective for one batch."""
-
-    classification: float
-    consistency_teacher: float
-    consistency_master: float
-    total: float
-
-
 def ema_update(averaged: ModelParams, source: ModelParams, decay: float, out=None):
     """decay * averaged + (1 - decay) * source, on the buffers; out, which may be
     averaged.buffer, gets the same bytes and is returned."""
@@ -55,61 +47,67 @@ def ema_update(averaged: ModelParams, source: ModelParams, decay: float, out=Non
 
 
 def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
-    return np.eye(class_count)[np.asarray(y, dtype=int)]
+    """The one-hot rows of labels y; ConfigError naming a label that is not a class."""
+    y = np.asarray(y, dtype=int)
+    if np.any(outside := (y < 0) | (y >= class_count)):
+        raise ConfigError(f"label {y[outside][0]} is not a class of a {class_count}-class net")
+    return np.eye(class_count)[y]
 
 
-# a row mean is x.sum() / len(x), as in net.mean_ce
-def _mean_mse(targets: np.ndarray, probs: np.ndarray) -> float:
-    se = net.row_sum((probs - targets) ** 2) / probs.shape[-1]
-    return float(se.sum() / len(se))
+# np.mean's sum and division over the last axis, each step's bits in a window; no rows, 0.0
+def _mean(rows: np.ndarray) -> np.ndarray:
+    return rows.sum(axis=-1) / max(rows.shape[-1], 1)
 
 
-def student_loss(out: net.BatchForward, targets: np.ndarray, lambda1: float, lambda2: float,
-                 kind: str, master_weight: float) -> tuple[LossBreakdown, np.ndarray]:
-    """The student objective over one minibatch and its gradient at the student's logits.
+def _ce_rows(targets: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
+    return -net.row_sum(targets * log_probs)
 
-    out is the stacked pass (`forward_many`) of the student on its view, then
-    the teacher and master (if any) on the guide view, with one softmax. The
-    labelled rows come first, targets holds their one-hot rows, and they alone
-    enter the classification term; every row enters the consistency terms.
-    All terms share the student's logits, so one backpropagation of the
-    returned sum carries the gradient to the parameters, and every
-    cross-entropy term reads one log of the student's probabilities. Guides
-    are constants to the gradient.
-    """
-    if kind not in CONSISTENCY_KINDS:
-        raise ConfigError(f"unknown consistency kind {kind!r}")
-    p_s, p_t = out.probs[0], out.probs[1]
-    p_m = out.probs[2] if len(out.probs) > 2 else None
-    n, n_lab = len(p_s), len(targets)
-    log_p_s = np.log(np.maximum(p_s, EPS_LOG))
 
-    if n_lab:
-        j_class = net.mean_ce(targets, log_p_s[:n_lab])
-    else:
-        j_class = 0.0
-    # each kind's mean loss, what it reads of the student, and its per-row
-    # gradient at the student's logits (for cross-entropy against a fixed
-    # target that is p_s - p_g)
-    loss, student_side, dloss = ((net.mean_ce, log_p_s, np.subtract) if kind == "ce"
-                                 else (_mean_mse, p_s, _mse_dlogits))
-    j_teacher = loss(p_t, student_side)
-    j_master = master_weight * loss(p_m, student_side) if p_m is not None else 0.0
-    total = lambda1 * j_class + lambda2 * (j_teacher + j_master)
-
-    dlogits = np.zeros_like(p_s)
-    if n_lab:
-        dlogits[:n_lab] += lambda1 * (p_s[:n_lab] - targets) / n_lab
-    dlogits += lambda2 * dloss(p_s, p_t) / n
-    if p_m is not None:
-        dlogits += lambda2 * master_weight * dloss(p_s, p_m) / n
-    return LossBreakdown(j_class, j_teacher, j_master, total), dlogits
+def _mse_rows(targets: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    return net.row_sum((probs - targets) ** 2) / probs.shape[-1]
 
 
 def _mse_dlogits(p_s: np.ndarray, p_g: np.ndarray) -> np.ndarray:
     # d/dz of (1/C)*||softmax(z) - p_g||^2 through the softmax Jacobian
     d = 2.0 * (p_s - p_g) / p_s.shape[-1]
     return p_s * (d - net.row_sum(d * p_s)[..., None])
+
+
+def objective_terms(probs: np.ndarray, targets: np.ndarray, lambda1: float, lambda2,
+                    kind: str, master_weight: float) -> tuple[np.ndarray, ...]:
+    """The classification, teacher and master consistency terms of the student
+    objective and their weighted total, from the stacked softmax rows of the
+    student on its view and the teacher and master (if any) on the guides'.
+    The labelled rows come first and alone enter classification, against
+    their one-hot targets. A leading step axis on all, lambda2 too, gives each
+    step's own bits."""
+    if kind not in CONSISTENCY_KINDS:
+        raise ConfigError(f"unknown consistency kind {kind!r}")
+    p_s, p_t, *p_m = np.moveaxis(probs, -3, 0)  # p_m: [the master's rows] or []
+    log_p_s = np.log(np.maximum(p_s, EPS_LOG))
+    loss, student_side = (_ce_rows, log_p_s) if kind == "ce" else (_mse_rows, p_s)
+    j_class = _mean(_ce_rows(targets, log_p_s[..., :targets.shape[-2], :]))
+    j_teacher = _mean(loss(p_t, student_side))
+    j_master = (master_weight * _mean(loss(p_m[0], student_side)) if p_m
+                else np.zeros_like(j_teacher))
+    return j_class, j_teacher, j_master, lambda1 * j_class + lambda2 * (j_teacher + j_master)
+
+
+def objective_dlogits(probs: np.ndarray, targets: np.ndarray, lambda1: float, lambda2: float,
+                      kind: str, master_weight: float) -> np.ndarray:
+    """The gradient of one step's `objective_terms` total at the student's
+    logits; the guides are constants to it. All terms share those logits, so
+    one backpropagation carries the whole objective to the parameters."""
+    p_s, p_t, *p_m = probs
+    n, n_lab = len(p_s), len(targets)
+    # for cross-entropy against a fixed target the per-row gradient is p_s - p_g
+    dloss = {"ce": np.subtract, "mse": _mse_dlogits}[kind]
+    dlogits = np.zeros_like(p_s)
+    dlogits[:n_lab] += lambda1 * (p_s[:n_lab] - targets) / n_lab
+    dlogits += lambda2 * dloss(p_s, p_t) / n
+    if p_m:
+        dlogits += lambda2 * master_weight * dloss(p_s, p_m[0]) / n
+    return dlogits
 
 
 def lambda2_schedule(step: int, ramp_len: int, lambda2_max: float) -> float:
@@ -239,10 +237,16 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     exactly reproducible from the seed. The teacher EMA starts at student_init and
     absorbs the student after every step; with steps=0 both are copies of
     student_init. Only the training fields of cfg are read; cfg was checked
-    when it was built. Steps write in place only into buffers the iteration
-    owns: a (k, P) stack of the student, teacher and master (a master of
-    another shape is a ConfigError), velocity, gradient and the (k, n, d)
-    input; the student and teacher leave as copies.
+    when it was built, and a training label that is not a class of the net
+    is a ConfigError before any step. Steps write in place only into buffers
+    the iteration owns: a (k, P) stack of the student, teacher and master (a
+    master of another shape is a ConfigError), velocity, gradient and the
+    window buffers; the student and teacher leave as copies.
+
+    Steps run in windows that end at each evaluated step: a window draws its
+    minibatches and runs the master over all its guide views first, and its
+    terms in one pass last. Its buffers hold about EVAL_EVERY x batch rows x
+    widest layer floats, never more as steps grow.
 
     train_err is the student's error on the labelled set, test_err its error
     on the eval set (nan when no eval set is given), both measured after the
@@ -251,11 +255,11 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     are None. Evaluation reads no randomness, so the cadence leaves the
     parameters and loss columns unchanged.
 
-    Divergence raises DivergenceError carrying the step index: a non-finite
-    loss or parameters after step t's update, or an error-rate forward pass
-    that overflows on an evaluated step t, name step t. A forward pass that
-    overflows inside step t's objective (student, teacher or master) names
-    the update that produced those parameters, step max(t - 1, 0).
+    Divergence raises DivergenceError at the first failing step, as one step
+    at a time: a non-finite loss or parameters after step t's update, or an
+    error-rate forward pass that overflows on an evaluated step t, name step
+    t. A forward pass (student, teacher or master) that overflows inside step
+    t's objective names the update that made its weights, max(t - 1, 0).
     """
     train_x = np.asarray(train_x, dtype=float)
     train_y = np.asarray(train_y, dtype=int)
@@ -267,57 +271,93 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     dims, activation = student_init.layer_dims, student_init.activation
     if train_x.shape[1:] != dims[:1]:
         raise ConfigError(f"training set of shape {train_x.shape} does not match {dims[0]} inputs")
+    labels = one_hot(train_y, dims[-1])
 
     state = net.stack_params((student_init, student_init) + (() if master is None else (master,)))
-    layers = net._layer_views(state, dims)
+    # one stacked pass of the student and teacher per step; the master's
+    # layers keep a model axis of one, which broadcasts over a window's views
+    layers, master_layers = net._layer_views(state[:2], dims), net._layer_views(state[2:], dims)
     student_weights = tuple(w[0] for w, _ in layers)
     gradient, velocity = np.empty(state.shape[1]), np.empty(state.shape[1])
     gradient_layers = net._layer_views(gradient, dims)
     # models over the owned buffers for the update and evaluation calls; they change in place
     student, teacher, gradient_params = (ModelParams._wrap(buffer, dims, activation)
                                          for buffer in (state[0], state[1], gradient))
-    xs = np.empty((len(state), cfg.labeled_batch + (cfg.unlabeled_batch if n_pool else 0),
-                   dims[0]))
-    eye = np.eye(dims[-1])
+    n_lab, n = cfg.labeled_batch, cfg.labeled_batch + (cfg.unlabeled_batch if n_pool else 0)
+    window = min(EVAL_EVERY, cfg.steps)
+    # per step of a window: student and guide views, labelled targets, stacked softmax rows
+    views, targets = np.empty((window, 2, n, dims[0])), np.empty((window, n_lab, dims[-1]))
+    probs = np.empty((window, len(state), n, dims[-1]))
     metrics: list[StepMetrics] = []
 
-    for step in range(cfg.steps):
-        lam2 = lambda2_schedule(step, cfg.ramp_len, cfg.lambda2_max)
-        li = rng.integers(0, len(train_x), size=cfg.labeled_batch)
-        ui = rng.integers(0, n_pool, size=cfg.unlabeled_batch if n_pool else 0)
-        bx = np.concatenate([train_x[li], pool_x[ui]])
-        xs[0] = augment(bx, cfg.sigma_aug, rng)   # the student's view
-        xs[1:] = augment(bx, cfg.sigma_aug, rng)  # the guides' view
+    for start in range(0, cfg.steps, EVAL_EVERY):
+        steps = range(start, min(start + EVAL_EVERY, cfg.steps))
+        lam2 = [lambda2_schedule(step, cfg.ramp_len, cfg.lambda2_max) for step in steps]
+        for i in range(len(steps)):
+            li = rng.integers(0, len(train_x), size=n_lab)
+            ui = rng.integers(0, n_pool, size=n - n_lab)
+            bx = np.concatenate([train_x[li], pool_x[ui]])
+            views[i, 0] = augment(bx, cfg.sigma_aug, rng)
+            views[i, 1] = augment(bx, cfg.sigma_aug, rng)
+            targets[i] = labels[li]
+        cut = (len(steps) if master is None else
+               _guidance(master_layers, activation, views[:len(steps), 1], probs[:len(steps), 2]))
 
-        # Finite weights can still overflow the forward pass once they get
-        # large enough; that is divergence too, of the update that made them.
-        try:
-            out = net.BatchForward(net._run_layers(layers, activation, xs, keep_trace=True))
-        except NumericsError:
-            raise _diverged(max(step - 1, 0)) from None
-        breakdown, dlogits = student_loss(out, eye[train_y[li]], cfg.lambda1, lam2,
-                                          cfg.consistency, cfg.master_weight)
-        net._backward(student_weights, tuple(a[0] for a in out.activations), dlogits,
-                      gradient_layers, activation)
-        net.sgd_step(student, gradient_params, cfg.learning_rate, cfg.momentum,
-                     velocity if step else None, l2=cfg.l2, out=(state[0], velocity))
+        def terms(ran: int) -> tuple[np.ndarray, ...]:  # of the window's first ran steps
+            return objective_terms(probs[:ran], targets[:ran], cfg.lambda1, np.array(lam2[:ran]),
+                                   cfg.consistency, cfg.master_weight)
 
-        if not math.isfinite(breakdown.total) or not student.all_finite():
-            raise _diverged(step)
-        train_err = test_err = None
-        if (step + 1) % EVAL_EVERY == 0 or step == cfg.steps - 1:
+        def diverged(step: int, ran: int) -> DivergenceError:
+            # one step at a time, a total that is not finite stops the run first
+            bad = np.flatnonzero(~np.isfinite(terms(ran)[3]))
+            return _diverged(start + int(bad[0]) if len(bad) else step)
+
+        for i, step in enumerate(steps):
+            # Finite weights can still overflow the forward pass (the master's
+            # at view cut) once they get large enough; that is divergence too,
+            # of the update that made them.
             try:
-                train_err = net.error_rate(student, train_x, train_y)
-                test_err = (net.error_rate(student, eval_x, eval_y)
-                            if eval_x is not None else float("nan"))
+                if i == cut:
+                    raise NumericsError("non-finite values in the master's forward pass")
+                acts = net._run_layers(layers, activation, views[i], keep_trace=True)
             except NumericsError:
-                raise _diverged(step) from None
-        ema_update(teacher, student, cfg.alpha, out=state[1])
+                raise diverged(max(step - 1, 0), i) from None
+            probs[i, :2] = net.softmax(acts[-1])
+            dlogits = objective_dlogits(probs[i], targets[i], cfg.lambda1, lam2[i],
+                                        cfg.consistency, cfg.master_weight)
+            net._backward(student_weights, tuple(a[0] for a in acts), dlogits,
+                          gradient_layers, activation)
+            net.sgd_step(student, gradient_params, cfg.learning_rate, cfg.momentum,
+                         velocity if step else None, l2=cfg.l2, out=(state[0], velocity))
+            if not student.all_finite():
+                raise diverged(step, i + 1)
+            ema_update(teacher, student, cfg.alpha, out=state[1])
 
-        metrics.append(StepMetrics(step, breakdown.classification,
-                                   breakdown.consistency_teacher, breakdown.consistency_master,
-                                   breakdown.total, lam2, train_err, test_err))
+        values = [a.tolist() for a in terms(len(steps))]
+        if not all(map(math.isfinite, values[3])):
+            raise diverged(steps[-1], len(steps))
+        try:
+            train_err = net.error_rate(student, train_x, train_y)
+            test_err = (net.error_rate(student, eval_x, eval_y)
+                        if eval_x is not None else float("nan"))
+        except NumericsError:
+            raise _diverged(steps[-1]) from None
+        metrics += [StepMetrics(*row, None, None) for row in zip(steps, *values, lam2)]
+        metrics[-1] = metrics[-1]._replace(train_err=train_err, test_err=test_err)
     return student.copy(), teacher.copy(), metrics
+
+
+def _guidance(layers, activation: str, views: np.ndarray, out: np.ndarray) -> int:
+    """Write the master's softmax rows on a window's guide views into out, in one
+    pass, and return len(views); or, view by view, those before the first that
+    overflows, and its index."""
+    try:
+        out[...] = net.softmax(net._run_layers(layers, activation, views, keep_trace=False)[-1])
+    except NumericsError:
+        return 0 if len(views) == 1 else next(
+            i for i in range(len(views))
+            if not _guidance(layers, activation, views[i:i + 1], out[i:i + 1]))
+    return len(views)
 
 
 def _diverged(step: int) -> DivergenceError:

@@ -169,6 +169,15 @@ class TestBuildMaster:
         with pytest.raises(ConfigError, match="does not match 3 inputs"):
             build_master(init_params((3, 8, 2), seed=1), ts, rep, quick_cfg())
 
+    def test_label_outside_the_classes_is_config_error(self):
+        d = small_data()
+        ts = TrainingSet(d.labeled_ids, d.labeled_x, np.array([0, 1, 2, 5]))
+        teacher = init_params((2, 8, 2), seed=1)
+        rep = self.make_report(d, teacher)
+        for steps in (0, 5):
+            with pytest.raises(ConfigError, match="label 2 is not a class of a 2-class net"):
+                build_master(teacher, ts, rep, quick_cfg(master_refine_steps=steps))
+
     def test_extra_candidates_are_next_ranked(self):
         # N=10 selected, fraction 0.5 -> 5 extras: ranks 10..14 of 20
         d = small_data(n=400)

@@ -1,6 +1,7 @@
 """Loss terms, EMA, the ramp schedule, and the training loop."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,15 +12,17 @@ from hypothesis.extra.numpy import arrays
 import snowball.network as net
 from snowball import training
 from snowball.data import augment, gen_two_moons, split
-from snowball.errors import ConfigError, DataError, DivergenceError
-from snowball.network import ModelParams, error_rate, init_params, params_equal, sgd_step
+from snowball.errors import ConfigError, DataError, DivergenceError, NumericsError
+from snowball.network import (EPS_LOG, ModelParams, error_rate, init_params, params_equal,
+                              sgd_step)
 from snowball.records import StepMetrics, read_step_metrics, write_step_metrics
 from snowball.training import (
     ExperimentConfig,
     ema_update,
     lambda2_schedule,
+    objective_dlogits,
+    objective_terms,
     one_hot,
-    student_loss,
     train_iteration,
 )
 
@@ -31,17 +34,27 @@ def tiny(dims=(2, 4, 2), seed=0, activation="relu"):
 NO_LABELS = np.zeros(0, dtype=int)
 
 
+class LossBreakdown(NamedTuple):
+    """Per-term values of the student objective for one batch."""
+
+    classification: float
+    consistency_teacher: float
+    consistency_master: float
+    total: float
+
+
 def objective(student, teacher, master, student_view, guide_view, labels, lambda1, lambda2,
               kind, master_weight):
-    """student_loss on the stacked pass of the student on its view and its
-    guides on theirs, and its gradient, backpropagated through the student's
-    trace: what a training step computes."""
+    """objective_terms on the stacked pass of the student on its view and its
+    guides on theirs, and objective_dlogits backpropagated through the
+    student's trace: what a training step computes."""
     models = (student, teacher) if master is None else (student, teacher, master)
     out = net.forward_many(models, [student_view] + [guide_view] * (len(models) - 1))
-    breakdown, dlogits = student_loss(out, one_hot(labels, student.class_count), lambda1,
-                                      lambda2, kind, master_weight)
+    args = (out.probs, one_hot(labels, student.class_count), lambda1, lambda2, kind,
+            master_weight)
+    breakdown = LossBreakdown(*map(float, objective_terms(*args)))
     trace = net.BatchForward(tuple(a[0] for a in out.activations))
-    return breakdown, net.grad_from_dlogits(student, trace, dlogits)
+    return breakdown, net.grad_from_dlogits(student, trace, objective_dlogits(*args))
 
 
 def classification_loss(p, x, labels):
@@ -405,6 +418,13 @@ class TestTrainIteration:
             train_iteration(student, x, y, np.zeros((0, 2)), master, ExperimentConfig(steps=2),
                             np.random.default_rng(0))
 
+    @pytest.mark.parametrize("steps", [0, 5])
+    def test_label_outside_the_classes_is_config_error(self, steps):
+        x, y = small_problem(n=4)
+        with pytest.raises(ConfigError, match="label 2 is not a class of a 2-class net"):
+            train_iteration(tiny(seed=3), x, np.array([0, 1, 2, 5]), np.zeros((0, 2)), None,
+                            ExperimentConfig(steps=steps), np.random.default_rng(0))
+
     def test_divergence_raises(self):
         x, y = small_problem()
         p = tiny(seed=3)
@@ -475,6 +495,201 @@ class TestTrainIteration:
             np.random.default_rng(0))
         assert error_rate(student, d.labeled_x, d.labeled_y) == 0.0
         assert metrics[-1].train_err == 0.0
+
+
+def student_loss(out, targets, lambda1, lambda2, kind, master_weight):
+    """The student objective of one step as a training step computed it
+    before steps ran in windows: its terms and its gradient at the student's
+    logits, from the stacked pass of the student and its guides."""
+    p_s, p_t = out.probs[0], out.probs[1]
+    p_m = out.probs[2] if len(out.probs) > 2 else None
+    n, n_lab = len(p_s), len(targets)
+    log_p_s = np.log(np.maximum(p_s, EPS_LOG))
+
+    def mean_mse(targets, probs):
+        se = net.row_sum((probs - targets) ** 2) / probs.shape[-1]
+        return float(se.sum() / len(se))
+
+    def mse_dlogits(p_s, p_g):
+        d = 2.0 * (p_s - p_g) / p_s.shape[-1]
+        return p_s * (d - net.row_sum(d * p_s)[..., None])
+
+    j_class = net.mean_ce(targets, log_p_s[:n_lab]) if n_lab else 0.0
+    loss, student_side, dloss = ((net.mean_ce, log_p_s, np.subtract) if kind == "ce"
+                                 else (mean_mse, p_s, mse_dlogits))
+    j_teacher = loss(p_t, student_side)
+    j_master = master_weight * loss(p_m, student_side) if p_m is not None else 0.0
+    total = lambda1 * j_class + lambda2 * (j_teacher + j_master)
+
+    dlogits = np.zeros_like(p_s)
+    if n_lab:
+        dlogits[:n_lab] += lambda1 * (p_s[:n_lab] - targets) / n_lab
+    dlogits += lambda2 * dloss(p_s, p_t) / n
+    if p_m is not None:
+        dlogits += lambda2 * master_weight * dloss(p_s, p_m) / n
+    return LossBreakdown(j_class, j_teacher, j_master, total), dlogits
+
+
+def per_step_iteration(student, train_x, train_y, pool_x, master, cfg, rng, eval_x=None,
+                       eval_y=None):
+    """train_iteration one step at a time, in the value forms: each step's
+    stacked pass of the student, teacher and master, its terms and gradient,
+    a new student from sgd_step and a new teacher from ema_update."""
+    teacher, velocity, metrics = student, None, []
+    eye = np.eye(student.class_count)
+    for step in range(cfg.steps):
+        lam2 = lambda2_schedule(step, cfg.ramp_len, cfg.lambda2_max)
+        li = rng.integers(0, len(train_x), size=cfg.labeled_batch)
+        ui = rng.integers(0, len(pool_x), size=cfg.unlabeled_batch if len(pool_x) else 0)
+        bx = np.concatenate([train_x[li], pool_x[ui]])
+        student_view = augment(bx, cfg.sigma_aug, rng)
+        guide_view = augment(bx, cfg.sigma_aug, rng)
+        models = (student, teacher) + (() if master is None else (master,))
+        try:
+            out = net.forward_many(models, [student_view] + [guide_view] * (len(models) - 1))
+        except NumericsError:
+            raise DivergenceError("", step=max(step - 1, 0)) from None
+        breakdown, dlogits = student_loss(out, eye[train_y[li]], cfg.lambda1, lam2,
+                                          cfg.consistency, cfg.master_weight)
+        trace = net.BatchForward(tuple(a[0] for a in out.activations))
+        student, velocity = sgd_step(student, net.grad_from_dlogits(student, trace, dlogits),
+                                     cfg.learning_rate, cfg.momentum, velocity, l2=cfg.l2)
+        if not math.isfinite(breakdown.total) or not student.all_finite():
+            raise DivergenceError("", step=step)
+        train_err = test_err = None
+        if (step + 1) % training.EVAL_EVERY == 0 or step == cfg.steps - 1:
+            try:
+                train_err = error_rate(student, train_x, train_y)
+                test_err = (error_rate(student, eval_x, eval_y) if eval_x is not None
+                            else float("nan"))
+            except NumericsError:
+                raise DivergenceError("", step=step) from None
+        teacher = ema_update(teacher, student, cfg.alpha)
+        metrics.append(StepMetrics(step, *breakdown, lam2, train_err, test_err))
+    return student, teacher, metrics
+
+
+def problem(classes, seed=0, n=60, width=3):
+    """Rows of `width` inputs labelled by the largest of `classes` random projections."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, width))
+    return x, (x @ rng.normal(size=(width, classes))).argmax(axis=1)
+
+
+def as_bytes(student, teacher, metrics):
+    """Every byte a training iteration returns, None cells as None."""
+    return (student.buffer.tobytes(), teacher.buffer.tobytes(),
+            [tuple(None if v is None else np.float64(v).tobytes() for v in m)
+             for m in metrics])
+
+
+class TestWindows:
+    """train_iteration runs in windows of EVAL_EVERY steps; it must return
+    exactly what the loop one step at a time returns."""
+
+    def both(self, cfg, classes=2, activation="relu", with_master=True, pool_rows=40,
+             eval_set=True):
+        x, y = problem(classes)
+        ex, ey = problem(classes, seed=1, n=30)
+        pool = np.random.default_rng(9).normal(size=(pool_rows, 3))
+        dims = (3, 6, 5, classes)
+        student = init_params(dims, activation, seed=3)
+        master = init_params(dims, activation, seed=4) if with_master else None
+        evaluation = dict(eval_x=ex, eval_y=ey) if eval_set else {}
+        return [as_bytes(*run(student, x, y, pool, master, cfg, np.random.default_rng(17),
+                              **evaluation))
+                for run in (train_iteration, per_step_iteration)]
+
+    @pytest.mark.parametrize("steps", [0, 1, 24, 25, 26, 37, 60])
+    @pytest.mark.parametrize("eval_every", [1, 7, 25])
+    @pytest.mark.parametrize("with_master", [False, True], ids=["no-master", "master"])
+    def test_matches_the_per_step_loop(self, monkeypatch, steps, eval_every, with_master):
+        monkeypatch.setattr(training, "EVAL_EVERY", eval_every)
+        got, want = self.both(ExperimentConfig(steps=steps, ramp_len=20),
+                              with_master=with_master)
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["ce", "mse"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("classes", [2, 10])  # 10 is past _SEQUENTIAL_SUM_WIDTH
+    @pytest.mark.parametrize("with_master", [False, True], ids=["no-master", "master"])
+    @pytest.mark.parametrize("pool_rows", [0, 40], ids=["empty-pool", "pool"])
+    def test_objective_variants_match(self, monkeypatch, kind, activation, classes,
+                                      with_master, pool_rows):
+        assert classes > net._SEQUENTIAL_SUM_WIDTH or classes == 2
+        monkeypatch.setattr(training, "EVAL_EVERY", 7)
+        cfg = ExperimentConfig(steps=37, ramp_len=20, consistency=kind, l2=0.01,
+                               master_weight=0.7)
+        got, want = self.both(cfg, classes, activation, with_master, pool_rows,
+                              eval_set=pool_rows > 0)
+        assert got == want
+
+    def test_wrapped_names_are_called_once_per_step(self, monkeypatch):
+        # a loop that bypassed these names (an import-time alias, say) would
+        # hide its steps from anything that wraps them where they are looked up
+        calls = {"augment": 0, "sgd_step": 0, "ema_update": 0}
+        for module, name in ((training, "augment"), (net, "sgd_step"),
+                             (training, "ema_update")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        x, y = small_problem()
+        pool = np.random.default_rng(9).normal(size=(40, 2))
+        train_iteration(tiny(seed=3), x, y, pool, tiny(seed=4), ExperimentConfig(steps=37),
+                        np.random.default_rng(0))
+        assert calls == {"augment": 74, "sgd_step": 37, "ema_update": 37}
+
+
+# (config keys, student scale, master scale, rng seed, eval inputs scale) -> the
+# step the loop one step at a time names; each diverges another way
+DIVERGENCE = {
+    "weights-1e308": (dict(lambda1=1e308, lambda2_max=1e308), 1.0, 1.0, 0, 1.0, 0),
+    "lambda2-1e308-no-master": (dict(lambda2_max=1e308), 1.0, None, 0, 1.0, 1),
+    "master-weight-1e308": (dict(master_weight=1e308), 1.0, 1.0, 0, 1.0, 1),
+    "learning-rate-1e6": (dict(learning_rate=1e6, lambda2_max=0.0), 1.0, None, 0, 1.0, 29),
+    "mse-learning-rate-1e100": (dict(consistency="mse", learning_rate=1e100), 1.0, None, 0,
+                                1.0, 1),
+    # the master's pass overflows first on the view of step 3, then 22, then 38
+    "master-overflow-step-3": (dict(sigma_aug=1.0), 1.0, 6.22e153, 4, 1.0, 2),
+    "master-overflow-step-22": (dict(sigma_aug=1.0), 1.0, 6.1289e153, 3, 1.0, 21),
+    "master-overflow-step-38": (dict(sigma_aug=1.0), 1.0, 5.7816e153, 1, 1.0, 37),
+    "evaluation-overflow": ({}, 1.0, 1.0, 0, 3e307, 49),
+    # a total that is not finite at step 0 comes before step 1's non-finite parameters
+    "total-before-parameters": (dict(lambda1=3e307, learning_rate=1e-3, lambda2_max=0.0),
+                                30.0, None, 0, 1.0, 0),
+    # parameters stay finite; the window's totals are checked at its end
+    "total-inside-a-window": (dict(lambda1=3e307, learning_rate=1e-320, momentum=0.0,
+                                   lambda2_max=0.0), 10.0, None, 0, 1.0, 42),
+}
+
+
+class TestDivergenceStep:
+    def run(self, iteration, keys, student_scale, master_scale, seed, eval_scale):
+        x, y = small_problem()
+        pool = np.random.default_rng(9).normal(size=(40, 2))
+        master = None if master_scale is None else master_scale * tiny(seed=4)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as exc:
+            iteration(student_scale * tiny(seed=3), x, y, pool, master,
+                      ExperimentConfig(steps=60, **keys), np.random.default_rng(seed),
+                      eval_x=eval_scale * x, eval_y=y)
+        return exc.value.step
+
+    @pytest.mark.parametrize("case", DIVERGENCE)
+    def test_names_the_step(self, case):
+        *args, step = DIVERGENCE[case]
+        assert self.run(train_iteration, *args) == step
+
+    @pytest.mark.parametrize("case", DIVERGENCE)
+    @pytest.mark.parametrize("eval_every", [1, 7, 25])
+    def test_names_the_per_step_loops_step(self, monkeypatch, case, eval_every):
+        monkeypatch.setattr(training, "EVAL_EVERY", eval_every)
+        *args, _ = DIVERGENCE[case]
+        assert self.run(train_iteration, *args) == self.run(per_step_iteration, *args)
 
 
 class TestAugment:
