@@ -45,8 +45,8 @@ DATASETS = ("two-moons", "blobs", "rings", "csv")
 
 @dataclass(frozen=True)
 class DataSpec:
-    """Flat description of how to build the dataset for a run; checked when
-    built, like ExperimentConfig."""
+    """Flat description of how to build the dataset for a run; every field is
+    checked when built, like ExperimentConfig's, whichever dataset it serves."""
 
     dataset: str = "two-moons"
     n_samples: int = 1500        # two-moons only
@@ -64,10 +64,22 @@ class DataSpec:
             raise ConfigError(f"unknown dataset {self.dataset!r}, expected one of {DATASETS}")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigError("dataset 'csv' needs csv_path")
+        require_finite(self)
+        if self.n_samples < 2:
+            raise ConfigError(f"n_samples must be >= 2, got {self.n_samples}")
+        if self.classes < 2:
+            raise ConfigError(f"classes must be >= 2, got {self.classes}")
+        if self.n_per_class < 1:
+            raise ConfigError(f"n_per_class must be >= 1, got {self.n_per_class}")
+        if self.data_noise < 0.0:
+            raise ConfigError(f"data_noise must be non-negative, got {self.data_noise}")
+        if self.labels_per_class < 1:
+            raise ConfigError(f"labels_per_class must be >= 1, got {self.labels_per_class}")
+        if not 0.0 <= self.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must lie in [0, 1), got {self.test_fraction}")
         if self.data_seed < -1:
             raise ConfigError(f"config key 'data_seed' must be >= 0, or -1 to follow the "
                               f"run seed, got {self.data_seed}")
-        require_finite(self)
 
 
 def benchmark_two_moons() -> tuple[ExperimentConfig, DataSpec]:
@@ -220,15 +232,16 @@ def run_one(algo: str, config: ExperimentConfig, spec: DataSpec, out_root: Path,
     record = run_algorithm(algo, data, config)
     record.config.update(asdict(spec))
     run_dir = out_root / (name or f"{algo}-{spec.dataset}-seed{config.seed}")
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(run_dir / "manifest.txt", record)
-    for (m, k), steps in record.step_metrics.items():
-        write_step_metrics(run_dir / f"steps-g{m}-i{k}.csv", steps)
-    for role, params in record.models.items():
-        net.save_checkpoint(params, run_dir / f"{role}.ckpt")
-    if dump_discovery:
-        for (m, k), report in record.reports.items():
-            write_report_csv(run_dir / f"discovery-g{m}-i{k}.csv", report, data.true_y)
+    with reading(run_dir):  # a directory or file that cannot be written is a DataError
+        run_dir.mkdir(parents=True, exist_ok=True)
+        write_manifest(run_dir / "manifest.txt", record)
+        for (m, k), steps in record.step_metrics.items():
+            write_step_metrics(run_dir / f"steps-g{m}-i{k}.csv", steps)
+        for role, params in record.models.items():
+            net.save_checkpoint(params, run_dir / f"{role}.ckpt")
+        if dump_discovery:
+            for (m, k), report in record.reports.items():
+                write_report_csv(run_dir / f"discovery-g{m}-i{k}.csv", report, data.true_y)
     return record, run_dir
 
 
@@ -312,16 +325,20 @@ def _run_variants(args, variants) -> list[tuple[RunRecord, Path]]:
     """Run a command's variants, each (run name, algo, config overrides), in
     order on the configs the user set; one (record, run_dir) per variant.
     The keys the variants override are the command's: a user who sets one
-    gets a ConfigError before any run."""
+    gets a ConfigError before any run. The output root is made once the
+    configs are checked, before any run; a DataError when it cannot be."""
     flat = _flat_from_args(args)
     config, spec = build_configs(flat)
     owned = sorted({key for _, _, overrides in variants for key in overrides} & flat.keys())
     if owned:
         raise ConfigError(f"config keys {owned} are set by {args.command} for each run, "
                           "not by a config file or --set")
+    out_root = _out_root(args)
+    with reading(out_root):
+        out_root.mkdir(parents=True, exist_ok=True)
     runs = []
     for name, algo, overrides in variants:
-        record, run_dir = run_one(algo, replace(config, **overrides), spec, _out_root(args),
+        record, run_dir = run_one(algo, replace(config, **overrides), spec, out_root,
                                   name, getattr(args, "dump_discovery", False))
         if record.collapse:
             print(f"warning: training collapsed in {run_dir}: {record.collapse}",
@@ -356,7 +373,9 @@ def _cmd_sweep(args) -> int:
         print(f"  g{row['generation']} i{row['iteration']}: "
               f"test {row['test_err_mean']:.4f} +/- {row['test_err_std']:.4f}  "
               f"noise {row['noise_rate_mean']:.4f} +/- {row['noise_rate_std']:.4f}")
-    write_aggregate_csv(_out_root(args) / f"{name}-aggregate.csv", summary)
+    path = _out_root(args) / f"{name}-aggregate.csv"
+    with reading(path):
+        write_aggregate_csv(path, summary)
     return 0
 
 

@@ -55,8 +55,9 @@ class AggregationError(ConfigError):
 
 @contextlib.contextmanager
 def reading(path, error: type[SnowballError] = DataError):
-    """Raise ``error`` naming path for a file that cannot be opened or read
-    (missing, a directory, no permission) or whose text is not valid UTF-8."""
+    """Raise ``error`` naming path for a file or directory that cannot be
+    opened, read, made or written (missing, a directory or a file where the
+    other is needed, no permission) or whose text is not valid UTF-8."""
     try:
         yield
     except UnicodeDecodeError as err:

@@ -8,9 +8,9 @@ is one array operation on the buffer, which is what makes weight averaging
 (and therefore the whole teacher/master machinery) a one-liner, and a
 checkpoint is the buffer's bytes behind a short header.
 The forward pass exposes the activations entering the final linear layer as
-the sample's feature vector. One layer loop runs a stack of same-shape models
-(a single model is the stack of one), keeping the trace backpropagation reads
-for `forward_batch` and `forward_many` and only features and logits for
+the sample's feature vector. One layer loop runs either one model's layer
+views on a batch or a (k, P) stack's on k batches, keeping the trace
+backpropagation reads for `forward_batch` and only features and logits for
 `forward`. Class-axis reductions run column by column. softmax and the
 backward pass write in place only into arrays they made themselves or that a
 caller owns and hands them as output, never into the logits, trace or
@@ -169,22 +169,22 @@ class BatchForward:
 
     ``activations`` ends with the logits. `forward_batch` keeps every layer's,
     from the input on: the trace that `grad_from_dlogits` backpropagates
-    through; `forward` keeps features and logits; `forward_many`'s carry a
-    leading model axis. The softmax is only computed when ``probs`` is read.
+    through; `forward` keeps features and logits. The softmax is only
+    computed when ``probs`` is read.
     """
 
     activations: tuple[np.ndarray, ...]
 
     @property
-    def features(self) -> np.ndarray:  # ([k,] n, feature_dim)
+    def features(self) -> np.ndarray:  # (n, feature_dim)
         return self.activations[-2]
 
     @property
-    def logits(self) -> np.ndarray:    # ([k,] n, classes)
+    def logits(self) -> np.ndarray:    # (n, classes)
         return self.activations[-1]
 
     @functools.cached_property
-    def probs(self) -> np.ndarray:     # ([k,] n, classes)
+    def probs(self) -> np.ndarray:     # (n, classes)
         return softmax(self.logits)
 
 
@@ -249,15 +249,16 @@ def _activation_grad(a: np.ndarray, kind: str) -> np.ndarray:
 
 def _run_layers(layers, activation: str, xs: np.ndarray,
                 keep_trace: bool) -> tuple[np.ndarray, ...]:
-    """The one layer loop, over the `_layer_views` of k same-shape models' (k, P)
-    stack, inputs (k, n, d). matmul runs one gemm per model on that model's own
-    operands, so its floats do not depend on the stack. Without keep_trace only
-    the last two activations are kept. NumericsError at the first layer any model overflows."""
+    """The one layer loop, over one model's `_layer_views` with inputs (n, d),
+    or a (k, P) stack's with inputs (k, n, d). On a stack matmul runs one gemm
+    per model on that model's own operands, so its floats are the single
+    model's. Without keep_trace only the last two activations are kept.
+    NumericsError at the first layer any model overflows."""
     acts = [xs]
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         z = acts[-1] @ w
-        z += b[:, None]  # in place: no pass keeps z once the activation is applied
+        z += b[..., None, :]  # in place: no pass keeps z once the activation is applied
         if not np.isfinite(z).all():
             raise NumericsError(f"non-finite values in forward pass at layer {i}", layer=i)
         if not keep_trace:
@@ -276,10 +277,8 @@ def _as_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def _run_one(params: ModelParams, x: np.ndarray, keep_trace: bool) -> BatchForward:
-    # the stack of one: buffer[None] and x[None] are views, so nothing is copied
-    acts = _run_layers(_layer_views(params.buffer[None], params.layer_dims), params.activation,
-                       _as_batch(params, x)[None], keep_trace)
-    return BatchForward(tuple(a[0] for a in acts))
+    return BatchForward(_run_layers(_layer_views(params.buffer, params.layer_dims),
+                                    params.activation, _as_batch(params, x), keep_trace))
 
 
 def forward(params: ModelParams, x: np.ndarray) -> BatchForward:
@@ -298,17 +297,6 @@ def stack_params(models) -> np.ndarray:
     if len({(m.layer_dims, m.activation) for m in models}) > 1:
         raise ConfigError("stacked models must share layer_dims and activation")
     return np.array([m.buffer for m in models])
-
-
-def forward_many(models, xs) -> BatchForward:
-    """Traced passes of k same-shape models, model i on batch xs[i], in one
-    layer loop. Every activation gains a leading model axis, and its [i] is
-    model i's `forward_batch` trace, byte for byte."""
-    first, buffers, xs = models[0], stack_params(models), np.asarray(xs, dtype=float)
-    if xs.ndim != 3 or xs.shape[0] != len(models) or xs.shape[2] != first.input_dim:
-        raise ConfigError(f"inputs of shape {xs.shape} do not match {len(models)} models")
-    return BatchForward(_run_layers(_layer_views(buffers, first.layer_dims), first.activation,
-                                    xs, keep_trace=True))
 
 
 def predict_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:

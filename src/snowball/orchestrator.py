@@ -111,26 +111,25 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     # row 0 is the refined copy, row 1 the master; stack_params rejects a
     # prev_master of another shape or activation before any step
     state = net.stack_params((teacher, teacher if prev_master is None else prev_master))
-    refined_layers = net._layer_views(state[:1], dims)
-    refined_weights = tuple(w[0] for w, _ in refined_layers)
+    refined_layers = net._layer_views(state[0], dims)
+    refined_weights = tuple(w for w, _ in refined_layers)
     gradient, velocity = np.empty(state.shape[1]), np.empty(state.shape[1])
     gradient_layers = net._layer_views(gradient, dims)
     refined, master, gradient_params = (ModelParams._wrap(buffer, dims, activation)
                                         for buffer in (state[0], state[1], gradient))
-    xs, targets = refine_x[None], one_hot(refine_y, dims[-1])
+    targets = one_hot(refine_y, dims[-1])
     for step in range(config.resolved_refine_steps()):
         # finite weights can still overflow the forward pass; both are divergence
         try:
-            acts = net._run_layers(refined_layers, activation, xs, keep_trace=True)
+            acts = net._run_layers(refined_layers, activation, refine_x, keep_trace=True)
         except NumericsError:
             culprit = max(step - 1, 0)
             raise DivergenceError(f"master refinement diverged at refine step {culprit}",
                                   step=culprit) from None
-        dlogits = net.softmax(acts[-1][0])
+        dlogits = net.softmax(acts[-1])
         dlogits -= targets
         dlogits /= len(refine_x)
-        net._backward(refined_weights, tuple(a[0] for a in acts), dlogits, gradient_layers,
-                      activation)
+        net._backward(refined_weights, acts, dlogits, gradient_layers, activation)
         del acts  # the next forward pass builds its trace without this one alive
         net.sgd_step(refined, gradient_params, config.learning_rate, config.momentum,
                      velocity if step else None, l2=config.l2, out=(state[0], velocity))

@@ -6,13 +6,19 @@ with the library by computing the same thing.
 """
 
 import dataclasses
+import math
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snowball.network as net
 from snowball.discovery import (
+    FUSIONS,
     NEAREST_BLOCK,
     DiscoveryReport,
     _nearest_center,
@@ -24,8 +30,10 @@ from snowball.discovery import (
     select_samples,
 )
 from snowball.errors import ConfigError, DiscoveryError
-from snowball.network import ModelParams, init_params
+from snowball.network import ModelParams, init_params, params_equal, sgd_step
+from snowball.orchestrator import TrainingSet, build_master
 from snowball.records import write_report_csv
+from snowball.training import ExperimentConfig
 
 
 def feature_identity_net(dim=2, classes=2):
@@ -459,3 +467,216 @@ class TestReportCsv:
         assert first[2] == "1" and second[2] == "3"  # true_y[id]
         assert first[4] == "0"          # rank 0
         assert first[5] == "1"          # selected
+
+
+# --- discovery under ties ----------------------------------------------------
+#
+# The reference below is written from the docstrings alone, in exact
+# arithmetic: features are Fractions, a distance is compared by its square,
+# ranks come from Python's sorted on (score, id), votes from a Counter and
+# balanced quotas are filled by hand. Inputs sit on a dyadic grid and hidden
+# layers scale by powers of two, so every feature, center and squared
+# distance the program computes is exact too, and the rules for ties decide.
+
+TIES = settings(derandomize=True, max_examples=15, database=None, deadline=None)
+DIM = 2
+SCALES = (-1.0, 0.5, 1.0, 2.0)
+
+
+def scaled_relu_net(scales, classes):
+    """One hidden layer: feature j is relu(scales[j] * x_j); the head is zero."""
+    return ModelParams(weights=(np.diag(scales), np.zeros((DIM, classes))),
+                       biases=(np.zeros(DIM), np.zeros(classes)))
+
+
+@st.composite
+def tie_problems(draw, n_models, hidden):
+    """Labelled rows on the integer grid (1, 2 or 4 per class, so centers are
+    exact), a pool on the half grid with midpoints between class centers and
+    repeated rows, shuffled sample ids, and n_models models: scaled relu nets
+    when hidden, else identical ones without a hidden layer (features are the
+    inputs)."""
+    classes = draw(st.integers(2, 4))
+    train_x, train_y = [], []
+    for c in range(classes):
+        for _ in range(draw(st.sampled_from([1, 2, 4]))):
+            train_x.append([draw(st.integers(-3, 3)) for _ in range(DIM)])
+            train_y.append(c)
+    centers = [[sum(Fraction(x[j]) for x, y in zip(train_x, train_y) if y == c)
+                / train_y.count(c) for j in range(DIM)] for c in range(classes)]
+    half = st.integers(-8, 8).map(lambda v: v / 2)
+    pool = draw(st.lists(st.lists(half, min_size=DIM, max_size=DIM), min_size=1, max_size=10))
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.integers(0, classes - 1)), draw(st.integers(0, classes - 1))
+        pool.append([float((ca + cb) / 2) for ca, cb in zip(centers[a], centers[b])])
+    for _ in range(draw(st.integers(1, 3))):
+        pool.append(list(pool[draw(st.integers(0, len(pool) - 1))]))
+    ids = draw(st.permutations(range(3, 3 + len(pool))))
+    if hidden:
+        scales = [draw(st.tuples(*[st.sampled_from(SCALES)] * DIM)) for _ in range(n_models)]
+        models = [scaled_relu_net(s, classes) for s in scales]
+    else:
+        scales = [None] * n_models
+        models = [init_params((DIM, classes), seed=0)] * n_models
+    return (np.array(train_x, dtype=float), np.array(train_y), np.array(pool),
+            np.array(ids), models, scales)
+
+
+def ref_features(row, scales):
+    if scales is None:
+        return [Fraction(v) for v in row]
+    return [max(Fraction(0), Fraction(s) * Fraction(v)) for s, v in zip(scales, row)]
+
+
+def ref_nearest(pool_feats, train_feats, train_y):
+    """(label, squared distance) of each pool row by nearest class mean, ties
+    to the lowest class."""
+    centers = []
+    for c in sorted(set(train_y)):
+        rows = [f for f, y in zip(train_feats, train_y) if y == c]
+        centers.append([sum(col) / len(rows) for col in zip(*rows)])
+    out = []
+    for feats in pool_feats:
+        best = None
+        for c, center in enumerate(centers):
+            sq = sum((f - m) ** 2 for f, m in zip(feats, center))
+            if best is None or sq < best[1]:
+                best = (c, sq)
+        out.append(best)
+    return out
+
+
+def ref_report(problem, fusion):
+    """(ids in rank order, labels, scores by id, float distances by id)."""
+    train_x, train_y, pool, ids, models, scales = problem
+    train_y = [int(y) for y in train_y]
+    ids = [int(i) for i in ids]
+    chosen = scales[-1:] if fusion == "single" else scales
+    if fusion == "feature_cascade":
+        def cascade(row):
+            return [v for s in chosen for v in ref_features(row, s)]
+        per_row = ref_nearest([cascade(r) for r in pool], [cascade(t) for t in train_x], train_y)
+        labels = [lab for lab, _ in per_row]
+        scores = [sq for _, sq in per_row]  # sqrt is increasing: rank by the square
+        dists = [math.sqrt(sq) for sq in scores]
+    else:
+        per_model = [ref_nearest([ref_features(r, s) for r in pool],
+                                 [ref_features(t, s) for t in train_x], train_y)
+                     for s in chosen]
+        labels = []
+        for votes in zip(*per_model):
+            counts = Counter(lab for lab, _ in votes)
+            top = max(counts.values())
+            tied = [lab for lab, n in counts.items() if n == top]
+            labels.append(votes[-1][0] if len(tied) > 1 else tied[0])
+        if fusion == "average_sorting_score":
+            ranks = [0] * len(pool)
+            for model in per_model:
+                for rank, i in enumerate(sorted(range(len(pool)),
+                                                key=lambda i: (model[i][1], ids[i]))):
+                    ranks[i] += rank
+            scores = [Fraction(r, len(chosen)) for r in ranks]
+            dists = [float(s) for s in scores]
+        else:  # single, average_distance: the mean of each model's float distance
+            dists = [sum(math.sqrt(sq) for _, sq in votes) / len(votes)
+                     for votes in zip(*per_model)]
+            scores = dists
+    order = sorted(range(len(pool)), key=lambda i: (scores[i], ids[i]))
+    return ([ids[i] for i in order], {ids[i]: labels[i] for i in order},
+            {ids[i]: scores[i] for i in order}, {ids[i]: dists[i] for i in order})
+
+
+def ref_select(ranked, labels, scores, n, strategy, class_count=None):
+    """The selected ids: n in strategy order (min: rank order, max: largest
+    score first, ties by ascending id), by class quotas when class_count is given."""
+    order = ranked if strategy == "min" else sorted(ranked, key=lambda i: (-scores[i], i))
+    take = min(n, len(order))
+    if class_count is None:
+        return set(order[:take])
+    chosen = set()
+    for c in range(class_count):
+        quota = take // class_count + (1 if c < take % class_count else 0)
+        chosen |= set([i for i in order if labels[i] == c][:quota])
+    chosen |= set([i for i in order if i not in chosen][:take - len(chosen)])
+    return chosen
+
+
+def library_report(problem, fusion):
+    train_x, train_y, pool, ids, models, _ = problem
+    if fusion == "single":
+        return assign_pseudo_labels(models[-1], pool, ids, train_x, train_y)
+    return fuse_distances(models, pool, ids, train_x, train_y, fusion)
+
+
+# (model count, hidden layer): identical models, or relu nets that split votes
+MODEL_KINDS = [(3, False), (2, True), (3, True)]
+ANY_PROBLEM = st.sampled_from(MODEL_KINDS).flatmap(lambda kind: tie_problems(*kind))
+
+
+class TestTies:
+    """Nearest center, rank, vote, selection and the master's extra rows on
+    inputs that hit their tie rules, against the exact reference."""
+
+    @pytest.mark.parametrize("fusion", ["single"] + list(FUSIONS[1:]))
+    @pytest.mark.parametrize("n_models, hidden", MODEL_KINDS)
+    @TIES
+    @given(data=st.data())
+    def test_report_matches_the_reference(self, fusion, n_models, hidden, data):
+        problem = data.draw(tie_problems(n_models, hidden), label="problem")
+        rep = library_report(problem, fusion)
+        ranked, labels, _, dists = ref_report(problem, fusion)
+        assert rep.sample_ids.tolist() == ranked
+        assert rep.labels.tolist() == [labels[i] for i in ranked]
+        np.testing.assert_allclose(rep.distances, [dists[i] for i in ranked], rtol=0, atol=1e-12)
+        by_id = dict(zip(problem[3].tolist(), problem[2].tolist()))
+        assert rep.inputs.tolist() == [by_id[i] for i in ranked]
+
+    @pytest.mark.parametrize("balanced", [False, True], ids=["global", "balanced"])
+    @settings(TIES, max_examples=25)
+    @given(problem=ANY_PROBLEM, fusion=st.sampled_from(["single", "average_sorting_score"]),
+           strategy=st.sampled_from(["min", "max"]), absent=st.integers(0, 4), data=st.data())
+    def test_selection_matches_the_reference(self, balanced, problem, fusion, strategy,
+                                             absent, data):
+        rep = library_report(problem, fusion)
+        ranked, labels, scores, _ = ref_report(problem, fusion)
+        class_count = problem[4][0].class_count
+        if absent < class_count and any(labels[i] != absent for i in ranked):
+            # a pool without one class: its quota falls back to the global order
+            keep = np.array([labels[i] != absent for i in rep.sample_ids.tolist()])
+            rep = dataclasses.replace(rep, sample_ids=rep.sample_ids[keep],
+                                      inputs=rep.inputs[keep], labels=rep.labels[keep],
+                                      distances=rep.distances[keep], selected=rep.selected[keep])
+            ranked = [i for i in ranked if labels[i] != absent]
+        size = len(ranked)  # n up to, at and above the pool
+        n = data.draw(st.integers(1, size) | st.just(size) | st.integers(size + 1, size + 3),
+                      label="n")
+        got = (select_balanced(rep, n, class_count, strategy) if balanced
+               else select_samples(rep, n, strategy))
+        want = ref_select(ranked, labels, scores, n, strategy,
+                          class_count if balanced else None)
+        assert set(got.sample_ids[got.selected].tolist()) == want
+        assert got.truncated == (n > len(ranked))
+
+    @TIES
+    @given(problem=ANY_PROBLEM, strategy=st.sampled_from(["min", "max"]),
+           fraction=st.sampled_from([0.0, 0.5, 1.0, 3.0]), data=st.data())
+    def test_master_extra_rows_are_the_next_unselected_in_rank_order(self, problem, strategy,
+                                                                      fraction, data):
+        train_x, train_y, pool, ids, models, _ = problem
+        rep = library_report(problem, "single")
+        ranked, labels, scores, _ = ref_report(problem, "single")
+        n = data.draw(st.integers(1, len(ranked)), label="n")
+        rep = select_samples(rep, n, strategy)
+        chosen = ref_select(ranked, labels, scores, n, strategy)
+        extra = [i for i in ranked if i not in chosen][:math.ceil(fraction * len(chosen))]
+        by_id = dict(zip(ids.tolist(), pool.tolist()))
+        teacher = models[-1]
+        cfg = ExperimentConfig(master_refine_steps=1, master_extra_fraction=fraction)
+        x = np.concatenate([train_x, np.array([by_id[i] for i in extra]).reshape(-1, DIM)])
+        targets = np.eye(teacher.class_count)[np.concatenate(
+            [train_y, np.array([labels[i] for i in extra], dtype=int)])]
+        # one refine step and no previous master: the master is the refined copy
+        want, _ = sgd_step(teacher, net.grad(teacher, x, targets), cfg.learning_rate,
+                           cfg.momentum, None, l2=cfg.l2)
+        training_set = TrainingSet(np.arange(len(train_y)), train_x, train_y)
+        assert params_equal(build_master(teacher, training_set, rep, cfg), want)

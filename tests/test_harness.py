@@ -33,6 +33,13 @@ def fast_args(tmp_path, *extra, algo="supervised", dataset="two-moons"):
     return argv
 
 
+def fast_sweep_args(tmp_path, seeds):
+    """fast_args as a sweep over seeds."""
+    argv = fast_args(tmp_path)
+    at = argv.index("--seed")
+    return ["sweep", "--seeds", seeds] + argv[1:at] + argv[at + 2:]
+
+
 class TestCoercion:
     def test_typed_round_trip(self):
         cfg, spec = build_configs({"steps": "40", "learning_rate": "0.01",
@@ -108,6 +115,12 @@ BAD_FIELDS = [
     (DataSpec, {"data_seed": -2},
      "config key 'data_seed' must be >= 0, or -1 to follow the run seed, got -2"),
     (DataSpec, {"data_noise": float("inf")}, "config key 'data_noise' must be finite, got inf"),
+    (DataSpec, {"n_samples": 1}, "n_samples must be >= 2, got 1"),
+    (DataSpec, {"classes": 1}, "classes must be >= 2, got 1"),
+    (DataSpec, {"n_per_class": 0}, "n_per_class must be >= 1, got 0"),
+    (DataSpec, {"data_noise": -1.0}, "data_noise must be non-negative, got -1.0"),
+    (DataSpec, {"labels_per_class": 0}, "labels_per_class must be >= 1, got 0"),
+    (DataSpec, {"test_fraction": 1.5}, "test_fraction must lie in [0, 1), got 1.5"),
 ]
 
 
@@ -353,6 +366,54 @@ class TestExitCodes:
         assert cli_run(fast_args(tmp_path, "--set", f"test_fraction={fraction}")) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "test_fraction" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("pair", ["labels_per_class=0", "test_fraction=1.5",
+                                      "data_noise=-1", "classes=1", "n_per_class=0",
+                                      "n_samples=1"])
+    def test_out_of_range_data_value_exits_1_before_any_data(self, tmp_path, capsys,
+                                                             monkeypatch, pair):
+        def no_data(*a, **k):
+            raise AssertionError("made data from an invalid spec")
+        monkeypatch.setattr("snowball.cli.make_dataset", no_data)
+        # --set alone: fast_args' --labels-per-class would override the pair
+        argv = ["train", "--dataset", "two-moons", "--out-dir", str(tmp_path / "runs"),
+                "--set", pair]
+        assert cli_run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pair.split('=')[0]} must ") and err.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_out_dir_that_cannot_hold_runs_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, command, below):
+        def no_training(*a, **k):
+            raise AssertionError("trained without a place for the run")
+        monkeypatch.setattr("snowball.orchestrator.train_iteration", no_training)
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file\n")
+        out_dir = blocker / "runs" if below else blocker
+        argv = fast_args(out_dir) if command == "train" else fast_sweep_args(out_dir, "0,1")
+        assert cli_run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"data error: {out_dir}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert blocker.read_text() == "a file\n"
+
+    def test_unwritable_run_file_is_data_error(self, tmp_path, capsys):
+        # the run directory exists, but its manifest's name is taken by a directory
+        (tmp_path / "supervised-two-moons-seed0" / "manifest.txt").mkdir(parents=True)
+        assert cli_run(fast_args(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / 'supervised-two-moons-seed0'}: ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_aggregate_csv_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "supervised-aggregate.csv").mkdir()
+        assert cli_run(fast_sweep_args(tmp_path, "0")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / 'supervised-aggregate.csv'}: ")
         assert err.count("\n") == 1
 
     def test_report_missing_manifest_is_data_error(self, tmp_path):

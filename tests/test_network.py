@@ -12,13 +12,11 @@ from hypothesis.extra.numpy import arrays
 import snowball.network as net
 from snowball.errors import ConfigError, DataError, NumericsError
 from snowball.network import (
-    BatchForward,
     ModelParams,
     batch_loss,
     error_rate,
     forward,
     forward_batch,
-    forward_many,
     grad,
     grad_from_dlogits,
     init_params,
@@ -350,8 +348,14 @@ class TestClassAxisReductions:
 
 
 class TestStackedForward:
-    """forward_many runs k models through one layer loop; each model's
-    activations are those of its own forward_batch, byte for byte."""
+    """_run_layers on the layer views of a stack_params stack, the pass a
+    training step runs, gives each model the activations of its own
+    forward_batch, byte for byte."""
+
+    @staticmethod
+    def run_stack(models, xs):
+        layers = net._layer_views(net.stack_params(models), models[0].layer_dims)
+        return net._run_layers(layers, models[0].activation, xs, keep_trace=True)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -363,15 +367,14 @@ class TestStackedForward:
         models = [(1.0 + s) * init_params(dims, activation, seed=s) for s in range(k)]
         xs = np.stack([rng.normal(scale=3.0, size=(n, 3))] * k if shared
                       else [rng.normal(scale=3.0, size=(n, 3)) for _ in range(k)])
-        out = forward_many(models, xs)
-        assert out.logits.shape == (k, n, 4)
+        acts = self.run_stack(models, xs)
+        assert acts[-1].shape == (k, n, 4)
         for i, model in enumerate(models):
             want = forward_batch(model, xs[i])
-            got = BatchForward(tuple(a[i] for a in out.activations))
-            assert len(got.activations) == len(want.activations)
-            for g, w in zip(got.activations, want.activations):
-                assert g.flags.c_contiguous and g.tobytes() == w.tobytes()
-            assert out.probs[i].tobytes() == want.probs.tobytes()
+            assert len(acts) == len(want.activations)
+            for a, w in zip(acts, want.activations):
+                assert a[i].flags.c_contiguous and a[i].tobytes() == w.tobytes()
+            assert softmax(acts[-1])[i].tobytes() == want.probs.tobytes()
 
     @pytest.mark.parametrize("culprit", [0, 1, 2])
     def test_overflow_in_any_model_raises(self, culprit):
@@ -379,20 +382,14 @@ class TestStackedForward:
         models[culprit] = 1e300 * models[culprit]
         x = np.full((3, 5, 2), 100.0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
-            forward_many(models, x)
+            self.run_stack(models, x)
 
     @pytest.mark.parametrize("other", [init_params((2, 5, 3), seed=1),
                                        init_params((2, 4, 3), "tanh", seed=1)],
                              ids=["layer-dims", "activation"])
     def test_models_of_different_shape_are_config_error(self, other):
         with pytest.raises(ConfigError):
-            forward_many([init_params((2, 4, 3), seed=0), other], np.zeros((2, 5, 2)))
-
-    def test_inputs_must_match_the_stack(self):
-        models = [init_params((2, 4, 3), seed=s) for s in range(2)]
-        for xs in (np.zeros((3, 5, 2)), np.zeros((2, 5, 3)), np.zeros((5, 2))):
-            with pytest.raises(ConfigError):
-                forward_many(models, xs)
+            net.stack_params([init_params((2, 4, 3), seed=0), other])
 
 
 class TestSgd:

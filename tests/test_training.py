@@ -45,16 +45,22 @@ class LossBreakdown(NamedTuple):
 
 def objective(student, teacher, master, student_view, guide_view, labels, lambda1, lambda2,
               kind, master_weight):
-    """objective_terms on the stacked pass of the student on its view and its
-    guides on theirs, and objective_dlogits backpropagated through the
+    """objective_terms on the stacked softmax rows of the student on its view
+    and its guides on theirs, and objective_dlogits backpropagated through the
     student's trace: what a training step computes."""
-    models = (student, teacher) if master is None else (student, teacher, master)
-    out = net.forward_many(models, [student_view] + [guide_view] * (len(models) - 1))
-    args = (out.probs, one_hot(labels, student.class_count), lambda1, lambda2, kind,
-            master_weight)
+    passes = guided_passes(student, teacher, master, student_view, guide_view)
+    args = (np.stack([out.probs for out in passes]), one_hot(labels, student.class_count),
+            lambda1, lambda2, kind, master_weight)
     breakdown = LossBreakdown(*map(float, objective_terms(*args)))
-    trace = net.BatchForward(tuple(a[0] for a in out.activations))
-    return breakdown, net.grad_from_dlogits(student, trace, objective_dlogits(*args))
+    return breakdown, net.grad_from_dlogits(student, passes[0], objective_dlogits(*args))
+
+
+def guided_passes(student, teacher, master, student_view, guide_view):
+    """forward_batch of the student on its view, then of the teacher and the
+    master (if any) on the view the guides share."""
+    guides = (teacher,) if master is None else (teacher, master)
+    return [net.forward_batch(student, student_view)] + [net.forward_batch(guide, guide_view)
+                                                         for guide in guides]
 
 
 def classification_loss(p, x, labels):
@@ -497,12 +503,12 @@ class TestTrainIteration:
         assert metrics[-1].train_err == 0.0
 
 
-def student_loss(out, targets, lambda1, lambda2, kind, master_weight):
+def student_loss(probs, targets, lambda1, lambda2, kind, master_weight):
     """The student objective of one step as a training step computed it
     before steps ran in windows: its terms and its gradient at the student's
-    logits, from the stacked pass of the student and its guides."""
-    p_s, p_t = out.probs[0], out.probs[1]
-    p_m = out.probs[2] if len(out.probs) > 2 else None
+    logits, from the stacked softmax rows of the student and its guides."""
+    p_s, p_t = probs[0], probs[1]
+    p_m = probs[2] if len(probs) > 2 else None
     n, n_lab = len(p_s), len(targets)
     log_p_s = np.log(np.maximum(p_s, EPS_LOG))
 
@@ -533,7 +539,7 @@ def student_loss(out, targets, lambda1, lambda2, kind, master_weight):
 def per_step_iteration(student, train_x, train_y, pool_x, master, cfg, rng, eval_x=None,
                        eval_y=None):
     """train_iteration one step at a time, in the value forms: each step's
-    stacked pass of the student, teacher and master, its terms and gradient,
+    passes of the student, teacher and master, its terms and gradient,
     a new student from sgd_step and a new teacher from ema_update."""
     teacher, velocity, metrics = student, None, []
     eye = np.eye(student.class_count)
@@ -544,15 +550,14 @@ def per_step_iteration(student, train_x, train_y, pool_x, master, cfg, rng, eval
         bx = np.concatenate([train_x[li], pool_x[ui]])
         student_view = augment(bx, cfg.sigma_aug, rng)
         guide_view = augment(bx, cfg.sigma_aug, rng)
-        models = (student, teacher) + (() if master is None else (master,))
         try:
-            out = net.forward_many(models, [student_view] + [guide_view] * (len(models) - 1))
+            passes = guided_passes(student, teacher, master, student_view, guide_view)
         except NumericsError:
             raise DivergenceError("", step=max(step - 1, 0)) from None
-        breakdown, dlogits = student_loss(out, eye[train_y[li]], cfg.lambda1, lam2,
+        breakdown, dlogits = student_loss(np.stack([out.probs for out in passes]),
+                                          eye[train_y[li]], cfg.lambda1, lam2,
                                           cfg.consistency, cfg.master_weight)
-        trace = net.BatchForward(tuple(a[0] for a in out.activations))
-        student, velocity = sgd_step(student, net.grad_from_dlogits(student, trace, dlogits),
+        student, velocity = sgd_step(student, net.grad_from_dlogits(student, passes[0], dlogits),
                                      cfg.learning_rate, cfg.momentum, velocity, l2=cfg.l2)
         if not math.isfinite(breakdown.total) or not student.all_finite():
             raise DivergenceError("", step=step)
