@@ -206,6 +206,8 @@ def select_balanced(report: DiscoveryReport, n: int, class_count: int,
     order over the remaining rows.
     """
     _check_selection(n, strategy)
+    if class_count < 1:
+        raise ConfigError(f"class_count must be >= 1, got {class_count}")
     size = len(report)
     take = min(n, size)
     if strategy == "max":

@@ -73,6 +73,11 @@ def _mse_dlogits(p_s: np.ndarray, p_g: np.ndarray) -> np.ndarray:
     return p_s * (d - net.row_sum(d * p_s)[..., None])
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in CONSISTENCY_KINDS:
+        raise ConfigError(f"unknown consistency kind {kind!r}")
+
+
 def objective_terms(probs: np.ndarray, targets: np.ndarray, lambda1: float, lambda2,
                     kind: str, master_weight: float) -> tuple[np.ndarray, ...]:
     """The classification, teacher and master consistency terms of the student
@@ -81,8 +86,7 @@ def objective_terms(probs: np.ndarray, targets: np.ndarray, lambda1: float, lamb
     The labelled rows come first and alone enter classification, against
     their one-hot targets. A leading step axis on all, lambda2 too, gives each
     step's own bits."""
-    if kind not in CONSISTENCY_KINDS:
-        raise ConfigError(f"unknown consistency kind {kind!r}")
+    _check_kind(kind)
     p_s, p_t, *p_m = np.moveaxis(probs, -3, 0)  # p_m: [the master's rows] or []
     log_p_s = np.log(np.maximum(p_s, EPS_LOG))
     loss, student_side = (_ce_rows, log_p_s) if kind == "ce" else (_mse_rows, p_s)
@@ -98,6 +102,7 @@ def objective_dlogits(probs: np.ndarray, targets: np.ndarray, lambda1: float, la
     """The gradient of one step's `objective_terms` total at the student's
     logits; the guides are constants to it. All terms share those logits, so
     one backpropagation carries the whole objective to the parameters."""
+    _check_kind(kind)
     p_s, p_t, *p_m = probs
     n, n_lab = len(p_s), len(targets)
     # for cross-entropy against a fixed target the per-row gradient is p_s - p_g
@@ -197,8 +202,7 @@ class ExperimentConfig:
             raise ConfigError(f"ramp_len must be >= 0, got {self.ramp_len}")
         if self.sigma_aug < 0.0:
             raise ConfigError(f"sigma_aug must be non-negative, got {self.sigma_aug}")
-        if self.consistency not in CONSISTENCY_KINDS:
-            raise ConfigError(f"unknown consistency kind {self.consistency!r}")
+        _check_kind(self.consistency)
         if self.master_weight < 0.0:
             raise ConfigError(f"master_weight must be non-negative, got {self.master_weight}")
         if self.master_extra_fraction < 0.0:
@@ -258,15 +262,15 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     Divergence raises DivergenceError at the first failing step, as one step
     at a time: a non-finite loss or parameters after step t's update, or an
     error-rate forward pass that overflows on an evaluated step t, name step
-    t. A forward pass (student, teacher or master) that overflows inside step
-    t's objective names the update that made its weights, max(t - 1, 0).
+    t. A forward pass that overflows inside step t's objective names the
+    update that made its weights, max(t - 1, 0): the student's and teacher's
+    pass, or the master's, which runs over the window's guide views first
+    and, if that overflows, on each step's own view.
     """
     train_x = np.asarray(train_x, dtype=float)
     train_y = np.asarray(train_y, dtype=int)
     if len(train_x) == 0:
         raise ConfigError("training set is empty")
-    if np.any(train_y < 0):
-        raise ConfigError("training set rows must all carry labels")
     n_pool = len(pool_x)
     dims, activation = student_init.layer_dims, student_init.activation
     if train_x.shape[1:] != dims[:1]:
@@ -300,8 +304,12 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
             views[i, 0] = augment(bx, cfg.sigma_aug, rng)
             views[i, 1] = augment(bx, cfg.sigma_aug, rng)
             targets[i] = labels[li]
-        cut = (len(steps) if master is None else
-               _guidance(master_layers, activation, views[:len(steps), 1], probs[:len(steps), 2]))
+        per_view = False  # set when the master's pass over the whole window overflows
+        try:
+            if master is not None:
+                _guidance(master_layers, activation, views[:len(steps), 1], probs[:len(steps), 2])
+        except NumericsError:
+            per_view = True
 
         def terms(ran: int) -> tuple[np.ndarray, ...]:  # of the window's first ran steps
             return objective_terms(probs[:ran], targets[:ran], cfg.lambda1, np.array(lam2[:ran]),
@@ -310,15 +318,14 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
         def diverged(step: int, ran: int) -> DivergenceError:
             # one step at a time, a total that is not finite stops the run first
             bad = np.flatnonzero(~np.isfinite(terms(ran)[3]))
-            return _diverged(start + int(bad[0]) if len(bad) else step)
+            step = start + int(bad[0]) if len(bad) else step
+            return DivergenceError(f"training diverged at step {step}", step=step)
 
         for i, step in enumerate(steps):
-            # Finite weights can still overflow the forward pass (the master's
-            # at view cut) once they get large enough; that is divergence too,
-            # of the update that made them.
+            # finite weights can still overflow; divergence of the update that made them
             try:
-                if i == cut:
-                    raise NumericsError("non-finite values in the master's forward pass")
+                if per_view:
+                    _guidance(master_layers, activation, views[i:i + 1, 1], probs[i:i + 1, 2])
                 acts = net._run_layers(layers, activation, views[i], keep_trace=True)
             except NumericsError:
                 raise diverged(max(step - 1, 0), i) from None
@@ -341,24 +348,12 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
             test_err = (net.error_rate(student, eval_x, eval_y)
                         if eval_x is not None else float("nan"))
         except NumericsError:
-            raise _diverged(steps[-1]) from None
+            raise diverged(steps[-1], len(steps)) from None
         metrics += [StepMetrics(*row, None, None) for row in zip(steps, *values, lam2)]
         metrics[-1] = metrics[-1]._replace(train_err=train_err, test_err=test_err)
     return student.copy(), teacher.copy(), metrics
 
 
-def _guidance(layers, activation: str, views: np.ndarray, out: np.ndarray) -> int:
-    """Write the master's softmax rows on a window's guide views into out, in one
-    pass, and return len(views); or, view by view, those before the first that
-    overflows, and its index."""
-    try:
-        out[...] = net.softmax(net._run_layers(layers, activation, views, keep_trace=False)[-1])
-    except NumericsError:
-        return 0 if len(views) == 1 else next(
-            i for i in range(len(views))
-            if not _guidance(layers, activation, views[i:i + 1], out[i:i + 1]))
-    return len(views)
-
-
-def _diverged(step: int) -> DivergenceError:
-    return DivergenceError(f"training diverged at step {step}", step=step)
+def _guidance(layers, activation: str, views: np.ndarray, out: np.ndarray) -> None:
+    """Write the master's softmax rows on guide views into out, in one pass."""
+    out[...] = net.softmax(net._run_layers(layers, activation, views, keep_trace=False)[-1])

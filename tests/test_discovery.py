@@ -211,6 +211,11 @@ class TestBalancedSelection:
         # 2 per class: class 0 -> rows 0,1; class 1 -> rows 4,5
         assert sorted(rep.sample_ids[rep.selected]) == [0, 1, 4, 5]
 
+    @pytest.mark.parametrize("class_count", [0, -1])
+    def test_class_count_below_one(self, class_count):
+        with pytest.raises(ConfigError, match="class_count must be >= 1"):
+            select_balanced(self.make_report(), 4, class_count, "min")
+
     def test_backfill_when_class_exhausted(self):
         rep = select_balanced(self.make_report(), 6, 2, "min")
         assert rep.selected.sum() == 6

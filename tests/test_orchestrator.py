@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import snowball.network as net
+from snowball.cli import DataSpec, make_dataset
 from snowball.data import gen_two_moons, split
 from snowball.discovery import assign_pseudo_labels, select_samples
 from snowball.errors import ConfigError, DivergenceError, OrchestrationError
@@ -373,3 +374,20 @@ class TestSemiSupervisedDirection:
         snow = run_algorithm("snowball", d, cfg)
         sup = run_algorithm("supervised", d, cfg)
         assert snow.final_test_err() < sup.final_test_err()
+
+
+class TestEmptyPool:
+    def test_ten_class_label_regime_seed0(self):
+        """Pins a known defect, not a wanted outcome. At 25 labels per class
+        over 10 blobs classes the doubling schedule adopts the whole pool by
+        iteration 2, so iteration 3 of every generation trains on the
+        labelled rows alone, and its test error climbs. A mend of that regime
+        changes these figures on purpose."""
+        data = make_dataset(DataSpec(dataset="blobs", classes=10, labels_per_class=25), 0)
+        assert (len(data.labeled_y), len(data.unlabeled_ids), len(data.test_y)) == (250, 583, 417)
+        rec = run_algorithm("snowball", data, ExperimentConfig())
+        assert [row.labeled_size for row in rec.rows] == [500, 833, 833] * 3
+        assert [repr(row.test_err) for row in rec.rows] == [
+            "0.0", "0.0", "0.6762589928057554",
+            "0.17985611510791366", "0.10551558752997602", "0.6786570743405276",
+            "0.28776978417266186", "0.2038369304556355", "0.31654676258992803"]

@@ -155,6 +155,12 @@ class TestConsistencyLoss:
         with pytest.raises(ConfigError):
             consistency_loss(tiny(), tiny(), np.zeros((1, 2)), kind="huber")
 
+    @pytest.mark.parametrize("function", [objective_terms, objective_dlogits])
+    def test_unknown_kind_is_a_config_error(self, function):
+        probs, targets = np.full((2, 3, 2), 0.5), np.eye(2)[[0]]
+        with pytest.raises(ConfigError, match="unknown consistency kind 'huber'"):
+            function(probs, targets, 1.0, 1.0, "huber", 1.0)
+
 
 class TestStudentLoss:
     def test_lambda2_zero_total(self):
