@@ -2,11 +2,13 @@
 
 Everything runs in double precision numpy. Parameters live in one flat
 float64 buffer laid out exactly like a checkpoint's payload: for each layer
-in order, its weights row-major, then its bias. ``ModelParams.weights`` and
-``.biases`` are views into that buffer, so element-wise arithmetic on models
-is one array operation on the buffer, which is what makes weight averaging
-(and therefore the whole teacher/master machinery) a one-liner, and a
-checkpoint is the buffer's bytes behind a short header.
+in order, its weights row-major, then its bias. `ModelParams` is a frozen
+dataclass over that buffer, which it takes as given and checks against the
+layer dims; `ModelParams.from_layers` copies per-layer arrays into a new
+one. ``.weights`` and ``.biases`` are views into the buffer, so element-wise
+arithmetic on models is one array operation on the buffer, which is what
+makes weight averaging (and therefore the whole teacher/master machinery) a
+one-liner, and a checkpoint is the buffer's bytes behind a short header.
 The forward pass exposes the activations entering the final linear layer as
 the sample's feature vector. One layer loop runs either one model's layer
 views on a batch or a (k, P) stack's on k batches, keeping the trace
@@ -39,6 +41,8 @@ _DTYPE = np.dtype("<f8")  # little-endian float64, the on-disk layout
 @functools.lru_cache(maxsize=64)
 def _layout(dims: tuple[int, ...]) -> tuple[tuple[slice, slice, tuple[int, int]], ...]:
     """(weight slice, bias slice, weight shape) of each layer in the buffer."""
+    if len(dims) < 2 or any(d <= 0 for d in dims):
+        raise ConfigError(f"layer_dims must list at least two sizes, all positive, got {dims}")
     layers, at = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         w = slice(at, at + fan_in * fan_out)
@@ -59,31 +63,35 @@ def _layer_views(buffers: np.ndarray, dims: tuple[int, ...]) -> tuple:
                  for ws, bs, shape in _layout(dims))
 
 
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Parameters of a dense net, treated as an immutable value.
 
-    ``weights[i]`` has shape ``(fan_in, fan_out)`` and ``biases[i]`` shape
-    ``(fan_out,)``; both are views into ``buffer``. The constructor validates
-    the shapes and copies the given arrays, so later changes to them do not
-    reach the parameters. Addition, subtraction and scalar multiplication act
-    element-wise on the buffer and return new parameters, so expressions like
-    ``0.99 * teacher + 0.01 * student`` build exponential moving averages
-    directly on models.
+    ``buffer`` is taken as given, not copied, and must be the float64 vector
+    ``layer_dims`` needs; `from_layers` copies per-layer arrays into a new one.
+    ``weights[i]`` (shape ``(fan_in, fan_out)``) and ``biases[i]`` (shape
+    ``(fan_out,)``) are views into ``buffer``. Addition, subtraction and scalar
+    multiplication act element-wise on the buffer and return new parameters,
+    so ``0.99 * teacher + 0.01 * student`` builds an exponential moving
+    average directly on models. Equality and hashing are by identity.
     """
 
-    __slots__ = ("buffer", "layer_dims", "activation", "_given")
-
-    def __init__(self, weights: tuple[np.ndarray, ...], biases: tuple[np.ndarray, ...],
-                 activation: str = "relu"):
-        # the given arrays wait in _given until __post_init__ copies them
-        object.__setattr__(self, "_given", (tuple(weights), tuple(biases)))
-        object.__setattr__(self, "activation", activation)
-        self.__post_init__()
+    buffer: np.ndarray
+    layer_dims: tuple[int, ...]
+    activation: str = "relu"
 
     def __post_init__(self):
-        weights, biases = self._given
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}")
+        size = _buffer_size(self.layer_dims)
+        if self.buffer.dtype != np.float64 or self.buffer.shape != (size,):
+            raise ConfigError(f"layers {self.layer_dims} need {size} float64 parameters, "
+                              f"got a {self.buffer.dtype} buffer of shape {self.buffer.shape}")
+
+    @classmethod
+    def from_layers(cls, weights: tuple[np.ndarray, ...], biases: tuple[np.ndarray, ...],
+                    activation: str = "relu") -> ModelParams:
+        """Parameters holding a copy of the given layer arrays."""
         if not weights or len(weights) != len(biases):
             raise ConfigError("weights and biases must be non-empty and of equal length")
         for i, (w, b) in enumerate(zip(weights, biases)):
@@ -93,36 +101,12 @@ class ModelParams:
                 raise ConfigError(f"layer {i - 1} output does not match layer {i} input")
         dims = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
         buffer = np.empty(_buffer_size(dims))
-        for (ws, bs, _), w, b in zip(_layout(dims), weights, biases):
-            buffer[ws] = w.ravel()
-            buffer[bs] = b
-        self._bind(buffer, dims, self.activation)
-
-    def _bind(self, buffer: np.ndarray, dims: tuple[int, ...], activation: str) -> None:
-        object.__setattr__(self, "buffer", buffer)
-        object.__setattr__(self, "layer_dims", dims)
-        object.__setattr__(self, "activation", activation)
-        object.__setattr__(self, "_given", None)
-
-    @classmethod
-    def _wrap(cls, buffer: np.ndarray, dims: tuple[int, ...], activation: str) -> ModelParams:
-        """Parameters over ``buffer`` as is, without validation: the caller
-        guarantees a float64 vector of the size ``dims`` needs."""
-        params = object.__new__(cls)
-        params._bind(buffer, dims, activation)
-        return params
+        for (w_view, b_view), w, b in zip(_layer_views(buffer, dims), weights, biases):
+            w_view[...], b_view[...] = w, b
+        return cls(buffer, dims, activation)
 
     def _derive(self, buffer: np.ndarray) -> ModelParams:
-        return ModelParams._wrap(buffer, self.layer_dims, self.activation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ModelParams is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"ModelParams is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):  # pickle and copy.deepcopy
-        return ModelParams._wrap, (self.buffer, self.layer_dims, self.activation)
+        return ModelParams(buffer, self.layer_dims, self.activation)
 
     @property
     def weights(self) -> tuple[np.ndarray, ...]:
@@ -144,8 +128,9 @@ class ModelParams:
         return self._derive(self.buffer.copy())
 
     def _other_buffer(self, other: ModelParams) -> np.ndarray:
-        if self.layer_dims != other.layer_dims:
-            raise ConfigError(f"parameter shapes differ: {self.layer_dims} vs {other.layer_dims}")
+        if (self.layer_dims, self.activation) != (other.layer_dims, other.activation):
+            raise ConfigError(f"models differ: {self.layer_dims} {self.activation} vs "
+                              f"{other.layer_dims} {other.activation}")
         return other.buffer
 
     def __add__(self, other: ModelParams) -> ModelParams:
@@ -195,15 +180,12 @@ def init_params(layer_dims, activation: str = "relu", seed=0) -> ModelParams:
     Generator; the same seed always yields bit-identical parameters.
     """
     dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2 or any(d <= 0 for d in dims):
-        raise ConfigError(f"layer_dims must list at least input and output sizes, got {dims}")
+    params = ModelParams(np.zeros(_buffer_size(dims)), dims, activation)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return ModelParams(tuple(weights), tuple(biases), activation)
+    for w, _ in _layer_views(params.buffer, dims):
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 # numpy sums a row of up to this many entries in sequence from +0.0, a longer one pairwise
@@ -434,16 +416,13 @@ def load_checkpoint(path) -> ModelParams:
         dims = tuple(int(tok) for tok in dims_line.split())
     except ValueError:
         raise DataError(f"{path}: malformed layer dims {dims_line!r}") from None
-    activation = act_line.decode("ascii", errors="replace")
-    if activation not in ACTIVATIONS:
-        raise DataError(f"{path}: unknown activation {activation!r}")
-    if len(dims) < 2:
-        raise DataError(f"{path}: need at least two layer dims, got {dims}")
-    if any(d <= 0 for d in dims):
-        raise DataError(f"{path}: layer dims must be positive, got {dims}")
-    expect = _buffer_size(dims)
-    if len(rest) != expect * _DTYPE.itemsize:
-        raise DataError(f"{path}: expected {expect} parameters ({expect * _DTYPE.itemsize} bytes), "
-                        f"found {len(rest)} bytes")
-    # astype copies into an aligned, writable, native-order buffer
-    return ModelParams._wrap(np.frombuffer(rest, dtype=_DTYPE).astype(np.float64), dims, activation)
+    try:  # the dims and activation are ModelParams' to check
+        expect = _buffer_size(dims)
+        if len(rest) == expect * _DTYPE.itemsize:
+            # astype copies into an aligned, writable, native-order buffer
+            return ModelParams(np.frombuffer(rest, dtype=_DTYPE).astype(np.float64), dims,
+                               act_line.decode("ascii", errors="replace"))
+    except ConfigError as e:
+        raise DataError(f"{path}: {e}") from None
+    raise DataError(f"{path}: expected {expect} parameters ({expect * _DTYPE.itemsize} bytes), "
+                    f"found {len(rest)} bytes")

@@ -115,7 +115,7 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     refined_weights = tuple(w for w, _ in refined_layers)
     gradient, velocity = np.empty(state.shape[1]), np.empty(state.shape[1])
     gradient_layers = net._layer_views(gradient, dims)
-    refined, master, gradient_params = (ModelParams._wrap(buffer, dims, activation)
+    refined, master, gradient_params = (ModelParams(buffer, dims, activation)
                                         for buffer in (state[0], state[1], gradient))
     targets = one_hot(refine_y, dims[-1])
     for step in range(config.resolved_refine_steps()):

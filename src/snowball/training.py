@@ -241,11 +241,13 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     exactly reproducible from the seed. The teacher EMA starts at student_init and
     absorbs the student after every step; with steps=0 both are copies of
     student_init. Only the training fields of cfg are read; cfg was checked
-    when it was built, and a training label that is not a class of the net
-    is a ConfigError before any step. Steps write in place only into buffers
-    the iteration owns: a (k, P) stack of the student, teacher and master (a
-    master of another shape is a ConfigError), velocity, gradient and the
-    window buffers; the student and teacher leave as copies.
+    when it was built. A training label that is not a class of the net, a
+    label count other than the training set's row count, and a training set
+    or pool whose width is not the net's input are ConfigErrors before any
+    step. Steps write in place only into buffers the iteration owns: a (k, P)
+    stack of the student, teacher and master (a master of another shape is a
+    ConfigError), velocity, gradient and the window buffers; the student and
+    teacher leave as copies.
 
     Steps run in windows that end at each evaluated step: a window draws its
     minibatches and runs the master over all its guide views first, and its
@@ -267,14 +269,17 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     pass, or the master's, which runs over the window's guide views first
     and, if that overflows, on each step's own view.
     """
-    train_x = np.asarray(train_x, dtype=float)
+    train_x, pool_x = np.asarray(train_x, dtype=float), np.asarray(pool_x, dtype=float)
     train_y = np.asarray(train_y, dtype=int)
     if len(train_x) == 0:
         raise ConfigError("training set is empty")
+    if len(train_y) != len(train_x):
+        raise ConfigError(f"{len(train_y)} training labels for {len(train_x)} training rows")
     n_pool = len(pool_x)
     dims, activation = student_init.layer_dims, student_init.activation
-    if train_x.shape[1:] != dims[:1]:
-        raise ConfigError(f"training set of shape {train_x.shape} does not match {dims[0]} inputs")
+    for name, x in (("training set", train_x), ("pool", pool_x)):
+        if x.shape[1:] != dims[:1]:
+            raise ConfigError(f"{name} of shape {x.shape} does not match {dims[0]} inputs")
     labels = one_hot(train_y, dims[-1])
 
     state = net.stack_params((student_init, student_init) + (() if master is None else (master,)))
@@ -285,7 +290,7 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     gradient, velocity = np.empty(state.shape[1]), np.empty(state.shape[1])
     gradient_layers = net._layer_views(gradient, dims)
     # models over the owned buffers for the update and evaluation calls; they change in place
-    student, teacher, gradient_params = (ModelParams._wrap(buffer, dims, activation)
+    student, teacher, gradient_params = (ModelParams(buffer, dims, activation)
                                          for buffer in (state[0], state[1], gradient))
     n_lab, n = cfg.labeled_batch, cfg.labeled_batch + (cfg.unlabeled_batch if n_pool else 0)
     window = min(EVAL_EVERY, cfg.steps)

@@ -52,11 +52,11 @@ def fd_grad(p, x, targets, h=1e-5):
                     ws = [w.copy() for w in p.weights]
                     bs = [b.copy() for b in p.biases]
                     (ws[i] if kind == "w" else bs[i])[idx] = v
-                    q = ModelParams(tuple(ws), tuple(bs), p.activation)
+                    q = ModelParams.from_layers(tuple(ws), tuple(bs), p.activation)
                     return batch_loss(q, x, targets)
                 v0 = arr[idx]
                 outs[i][idx] = (loss_at(v0 + h) - loss_at(v0 - h)) / (2 * h)
-    return ModelParams(tuple(out_w), tuple(out_b), p.activation)
+    return ModelParams.from_layers(tuple(out_w), tuple(out_b), p.activation)
 
 
 def test_criterion_01_gradient_correctness():

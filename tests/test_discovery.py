@@ -40,7 +40,7 @@ def feature_identity_net(dim=2, classes=2):
     """Net whose penultimate features equal the (non-negative) input."""
     w1 = np.eye(dim)
     w2 = np.zeros((dim, classes))
-    return ModelParams(weights=(w1, w2), biases=(np.zeros(dim), np.zeros(classes)))
+    return ModelParams.from_layers(weights=(w1, w2), biases=(np.zeros(dim), np.zeros(classes)))
 
 
 def brute_force_centers(model, x, y, class_count):
@@ -339,7 +339,7 @@ class TestFusion:
         pool_x = np.array([[4.0, 4.0]])
         m_a = feature_identity_net()
         # model b flips the feature space sign so the nearest center flips
-        m_b = ModelParams(weights=(-np.eye(2), np.zeros((2, 2))),
+        m_b = ModelParams.from_layers(weights=(-np.eye(2), np.zeros((2, 2))),
                           biases=(np.zeros(2), np.zeros(2)), activation="tanh")
         rep_ab = fuse_distances([m_a, m_b], pool_x, np.array([0]),
                                 train_x, train_y, "average_distance")
@@ -490,7 +490,7 @@ SCALES = (-1.0, 0.5, 1.0, 2.0)
 
 def scaled_relu_net(scales, classes):
     """One hidden layer: feature j is relu(scales[j] * x_j); the head is zero."""
-    return ModelParams(weights=(np.diag(scales), np.zeros((DIM, classes))),
+    return ModelParams.from_layers(weights=(np.diag(scales), np.zeros((DIM, classes))),
                        biases=(np.zeros(DIM), np.zeros(classes)))
 
 

@@ -1,7 +1,9 @@
 """Forward pass, gradient, optimizer, and checkpoint behaviour."""
 
 import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ def one_hot(labels, c):
 
 class TestForward:
     def test_zero_net_uniform_probs(self):
-        p = ModelParams(
+        p = ModelParams.from_layers(
             weights=(np.zeros((4, 3)),),
             biases=(np.zeros(3),),
         )
@@ -52,7 +54,7 @@ class TestForward:
 
     def test_identity_linear_logits(self):
         # one linear layer mapping input straight to logits (1, 0)
-        p = ModelParams(weights=(np.eye(2),), biases=(np.zeros(2),))
+        p = ModelParams.from_layers(weights=(np.eye(2),), biases=(np.zeros(2),))
         out = forward_batch(p, np.array([1.0, 0.0]))
         np.testing.assert_allclose(out.probs[0], [0.7311, 0.2689], atol=1e-4)
         np.testing.assert_allclose(out.probs[0].sum(), 1.0, atol=1e-15)
@@ -120,11 +122,11 @@ class TestGradient:
                     ws = [w.copy() for w in p.weights]
                     bs = [b.copy() for b in p.biases]
                     (ws[i] if kind == "w" else bs[i])[idx] = v
-                    q = ModelParams(tuple(ws), tuple(bs), p.activation)
+                    q = ModelParams.from_layers(tuple(ws), tuple(bs), p.activation)
                     return batch_loss(q, x, targets)
                 v0 = arr[idx]
                 target[idx] = (loss_at(v0 + h) - loss_at(v0 - h)) / (2 * h)
-        return ModelParams(tuple(out_w), tuple(out_b), p.activation)
+        return ModelParams.from_layers(tuple(out_w), tuple(out_b), p.activation)
 
     def assert_grad_close(self, p, x, targets, tol=1e-4):
         g = grad(p, x, targets)
@@ -150,7 +152,7 @@ class TestGradient:
         p = init_params((2, 3, 2), activation="relu", seed=0)
         biases = [b.copy() for b in p.biases]
         biases[0][1] = -100.0
-        p = ModelParams(p.weights, tuple(biases), "relu")
+        p = ModelParams.from_layers(p.weights, tuple(biases), "relu")
         x = np.random.default_rng(0).normal(size=(4, 2)) * 0.1
         g = grad(p, x, one_hot(np.array([0, 1, 0, 1]), 2))
         assert np.all(g.weights[0][:, 1] == 0)
@@ -224,14 +226,14 @@ class TestNoCallerArrayWrites:
 def probs_net(probs):
     """A one-layer net whose softmax output is ``probs`` for every input."""
     probs = np.asarray(probs, dtype=float)
-    return ModelParams(weights=(np.zeros((1, len(probs))),), biases=(np.log(probs),))
+    return ModelParams.from_layers(weights=(np.zeros((1, len(probs))),), biases=(np.log(probs),))
 
 
 class TestBatchLossValue:
     """batch_loss is the mean of -sum target * log(max(probs, 1e-12))."""
 
     def test_matching_one_hot_is_zero(self):
-        p = ModelParams(weights=(np.zeros((1, 3)),), biases=(np.array([0.0, 50.0, 0.0]),))
+        p = ModelParams.from_layers(weights=(np.zeros((1, 3)),), biases=(np.array([0.0, 50.0, 0.0]),))
         assert batch_loss(p, np.zeros((1, 1)), np.array([[0.0, 1.0, 0.0]])) < 1e-11
 
     def test_one_hot_vs_uniform(self):
@@ -274,7 +276,7 @@ class TestTraceFreeForward:
     def test_overflow_names_the_same_layer(self, activation, at_layer, x):
         # layer 0 sums two 1e308 inputs; else its output is finite and the
         # 1e308 weights of the last layer overflow
-        p = ModelParams(weights=(np.ones((2, 4)), np.full((4, 3), 1e308)),
+        p = ModelParams.from_layers(weights=(np.ones((2, 4)), np.full((4, 3), 1e308)),
                         biases=(np.zeros(4), np.zeros(3)), activation=activation)
         for fn in (forward, forward_batch):
             with np.errstate(over="ignore"), pytest.raises(NumericsError) as exc:
@@ -290,7 +292,7 @@ class TestTraceFreeForward:
     def test_ties_predict_and_score_as_before(self):
         # logits (x0, x0, x1) + bias: every row ties classes 0 and 1, and the
         # rows with x0 == x1 tie all three
-        p = ModelParams(weights=(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),),
+        p = ModelParams.from_layers(weights=(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),),
                         biases=(np.zeros(3),))
         rng = np.random.default_rng(8)
         x = rng.integers(-2, 3, size=(200, 2)).astype(float)
@@ -395,7 +397,7 @@ class TestStackedForward:
 class TestSgd:
     def test_zero_grad_noop(self):
         p = tiny_net()
-        zero = ModelParams(
+        zero = ModelParams.from_layers(
             tuple(np.zeros_like(w) for w in p.weights),
             tuple(np.zeros_like(b) for b in p.biases),
             p.activation,
@@ -424,7 +426,7 @@ class TestSgd:
     def test_l2_decays_weights_not_biases(self):
         # with a zero gradient the step is the decay term alone: w - lr*l2*w
         p = tiny_net(seed=2)
-        p = ModelParams(p.weights, tuple(b + 1.0 for b in p.biases), p.activation)
+        p = ModelParams.from_layers(p.weights, tuple(b + 1.0 for b in p.biases), p.activation)
         zero = 0.0 * p
         q, _ = sgd_step(p, zero, lr=0.5, momentum=0.0, l2=0.1)
         for pw, qw in zip(p.weights, q.weights):
@@ -437,7 +439,7 @@ class TestSgd:
         # batch_loss + (l2/2)*||W||^2, with the biases (nonzero here) left out
         rng = np.random.default_rng(5)
         p = init_params((3, 5, 4, 2), activation="tanh", seed=6)
-        p = ModelParams(p.weights, tuple(rng.normal(size=b.shape) for b in p.biases), "tanh")
+        p = ModelParams.from_layers(p.weights, tuple(rng.normal(size=b.shape) for b in p.biases), "tanh")
         x = rng.normal(size=(6, 3))
         targets = one_hot(rng.integers(0, 2, size=6), 2)
         l2 = 0.3
@@ -472,7 +474,7 @@ class TestParamsAlgebra:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            ModelParams(weights=(np.zeros((2, 3)),), biases=(np.zeros(4),))
+            ModelParams.from_layers(weights=(np.zeros((2, 3)),), biases=(np.zeros(4),))
 
     def test_copy_is_independent(self):
         a = tiny_net(seed=1)
@@ -484,7 +486,7 @@ class TestParamsAlgebra:
 
     def test_constructor_copies_its_arrays(self):
         w, b = np.eye(2), np.zeros(2)
-        p = ModelParams(weights=(w,), biases=(b,))
+        p = ModelParams.from_layers(weights=(w,), biases=(b,))
         w[0, 0] = 5.0
         b[1] = 3.0
         np.testing.assert_array_equal(p.weights[0], np.eye(2))
@@ -513,6 +515,36 @@ class TestParamsAlgebra:
         p = tiny_net()
         with pytest.raises(AttributeError):
             p.activation = "tanh"
+
+    def test_pickle_round_trip_copies_the_value(self):
+        p = tiny_net(activation="tanh", seed=4)
+        q = pickle.loads(pickle.dumps(p))
+        assert q.buffer.tobytes() == p.buffer.tobytes()
+        assert (q.layer_dims, q.activation) == ((2, 5, 3), "tanh")
+        assert not np.shares_memory(q.buffer, p.buffer)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"buffer": np.zeros(3)}, "need 33 float64 parameters"),
+        ({"buffer": np.zeros(33, dtype=np.float32)}, "need 33 float64 parameters"),
+        ({"layer_dims": (2,)}, "at least two sizes, all positive"),
+        ({"layer_dims": (2, 0, 3)}, "at least two sizes, all positive"),
+        ({"layer_dims": (2, -5, 3)}, "at least two sizes, all positive"),
+        ({"activation": "swish"}, "unknown activation 'swish'"),
+    ], ids=["buffer-size", "buffer-dtype", "one-dim", "zero-dim", "negative-dim", "activation"])
+    def test_construction_checks_its_fields(self, change, message):
+        p = tiny_net()  # (2, 5, 3): 33 parameters
+        fields = {"buffer": p.buffer, "layer_dims": p.layer_dims, "activation": p.activation}
+        with pytest.raises(ConfigError, match=message):
+            ModelParams(**(fields | change))
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(p, **change)
+
+    @pytest.mark.parametrize("combine", [lambda a, b: a + b, lambda a, b: a - b],
+                             ids=["add", "sub"])
+    def test_models_of_another_activation_do_not_combine(self, combine):
+        relu, tanh = tiny_net(seed=1), tiny_net(activation="tanh", seed=2)
+        with pytest.raises(ConfigError, match="models differ"):
+            combine(relu, tanh)
 
 
 class TestCheckpoint:
@@ -578,10 +610,20 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="positive"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("header, message", [
+        (b"2 2\nswish", "unknown activation 'swish'"),
+        (b"6\nrelu", "at least two sizes"),
+    ], ids=["activation", "one-dim"])
+    def test_header_the_model_rejects_is_data_error(self, tmp_path, header, message):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"SNOWBALL-CKPT v1\n" + header + b"\n" + np.zeros(6).tobytes())
+        with pytest.raises(DataError, match=message):
+            load_checkpoint(path)
+
 
 class TestPredict:
     def test_error_rate_counts_mismatches(self):
-        p = ModelParams(weights=(np.eye(2),), biases=(np.zeros(2),))
+        p = ModelParams.from_layers(weights=(np.eye(2),), biases=(np.zeros(2),))
         x = np.array([[2.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.0, 1.0]])
         assert np.array_equal(predict_labels(p, x), [0, 1, 0, 1])
         assert error_rate(p, x, np.array([0, 1, 0, 1])) == 0.0

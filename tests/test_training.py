@@ -84,12 +84,12 @@ def perturbed_views(x, seed=9, sigma=0.1):
 class TestClassificationLoss:
     def test_perfect_predictor_near_zero(self):
         # huge logit gap drives the softmax to one-hot
-        p = ModelParams(weights=(np.eye(2) * 50,), biases=(np.zeros(2),))
+        p = ModelParams.from_layers(weights=(np.eye(2) * 50,), biases=(np.zeros(2),))
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert classification_loss(p, x, np.array([0, 1])) < 1e-11
 
     def test_uniform_predictor_ln_c(self):
-        p = ModelParams(weights=(np.zeros((3, 10)),), biases=(np.zeros(10),))
+        p = ModelParams.from_layers(weights=(np.zeros((3, 10)),), biases=(np.zeros(10),))
         x = np.random.default_rng(0).normal(size=(6, 3))
         y = np.arange(6) % 10
         assert classification_loss(p, x, y) == pytest.approx(math.log(10), abs=1e-12)
@@ -116,14 +116,14 @@ class TestClassificationLoss:
 class TestConsistencyLoss:
     def test_identical_models_gives_entropy(self):
         # guide == student and sigma 0: H(p, p) = H(p); uniform -> ln 2
-        p = ModelParams(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
+        p = ModelParams.from_layers(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
         x = np.array([[0.3, -0.4]])
         got = consistency_loss(p, p, x)
         assert got == pytest.approx(math.log(2), abs=1e-12)
 
     def test_one_hot_guide_uniform_student(self):
-        guide = ModelParams(weights=(np.eye(2) * 60,), biases=(np.zeros(2),))
-        student = ModelParams(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
+        guide = ModelParams.from_layers(weights=(np.eye(2) * 60,), biases=(np.zeros(2),))
+        student = ModelParams.from_layers(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
         x = np.array([[1.0, 0.0]])
         got = consistency_loss(student, guide, x)
         assert got == pytest.approx(math.log(2), abs=1e-9)
@@ -226,7 +226,7 @@ class TestObjectiveGradient:
                 for step in (h, -h):
                     moved = [arr.copy() for arr in arrays]
                     moved[a][idx] += step
-                    params = ModelParams(tuple(moved[:len(dims) - 1]),
+                    params = ModelParams.from_layers(tuple(moved[:len(dims) - 1]),
                                          tuple(moved[len(dims) - 1:]), activation)
                     totals.append(loss_at(params)[0].total)
                 numeric[idx] = (totals[0] - totals[1]) / (2 * h)
@@ -255,13 +255,19 @@ class TestEma:
         a, b = tiny(seed=1), tiny(seed=2)
         assert params_equal(ema_update(a, b, 1.0), a)
 
+    def test_source_of_another_activation_is_config_error(self):
+        relu, tanh = tiny(seed=1), tiny(seed=2, activation="tanh")
+        for out in (None, relu.buffer.copy()):
+            with pytest.raises(ConfigError, match="models differ"):
+                ema_update(relu, tanh, 0.5, out=out)
+
     def test_midpoint(self):
         dims = (2, 3, 2)
-        twos = ModelParams(
+        twos = ModelParams.from_layers(
             tuple(np.full((i, o), 2.0) for i, o in zip(dims[:-1], dims[1:])),
             tuple(np.full(o, 2.0) for o in dims[1:]),
         )
-        fours = ModelParams(
+        fours = ModelParams.from_layers(
             tuple(np.full((i, o), 4.0) for i, o in zip(dims[:-1], dims[1:])),
             tuple(np.full(o, 4.0) for o in dims[1:]),
         )
@@ -429,6 +435,18 @@ class TestTrainIteration:
         with pytest.raises(ConfigError, match="stacked models must share"):
             train_iteration(student, x, y, np.zeros((0, 2)), master, ExperimentConfig(steps=2),
                             np.random.default_rng(0))
+
+    def test_pool_of_another_width_is_config_error(self):
+        x, y = small_problem()
+        with pytest.raises(ConfigError, match=r"pool of shape \(40, 3\) does not match 2 inputs"):
+            train_iteration(tiny(seed=3), x, y, np.zeros((40, 3)), None,
+                            ExperimentConfig(steps=2), np.random.default_rng(0))
+
+    def test_fewer_labels_than_rows_is_config_error(self):
+        x, y = small_problem()
+        with pytest.raises(ConfigError, match="59 training labels for 60 training rows"):
+            train_iteration(tiny(seed=3), x, y[:-1], np.zeros((0, 2)), None,
+                            ExperimentConfig(steps=2), np.random.default_rng(0))
 
     @pytest.mark.parametrize("steps", [0, 5])
     def test_label_outside_the_classes_is_config_error(self, steps):
