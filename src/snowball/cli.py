@@ -37,7 +37,7 @@ from .orchestrator import ALGOS, run_algorithm
 from .records import (RunRecord, read_manifest, rows_equal,
                       write_aggregate_csv, write_manifest, write_report_csv,
                       write_step_metrics)
-from .training import ExperimentConfig, require_finite
+from .training import ExperimentConfig, require_finite, require_int64
 
 OUT_DIR_ENV = "SNOWBALL_OUT_DIR"
 DATASETS = ("two-moons", "blobs", "rings", "csv")
@@ -65,6 +65,7 @@ class DataSpec:
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigError("dataset 'csv' needs csv_path")
         require_finite(self)
+        require_int64(self)
         if self.n_samples < 2:
             raise ConfigError(f"n_samples must be >= 2, got {self.n_samples}")
         if self.classes < 2:

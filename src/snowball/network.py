@@ -18,8 +18,14 @@ backward pass write in place only into arrays they made themselves or that a
 caller owns and hands them as output, never into the logits, trace or
 dlogits a caller passed: `train_iteration` and `build_master` own a stack of
 their models, a velocity and a gradient buffer, which `_backward` and
-`sgd_step(out=...)` update, and copy models out. Gradients are exact and are
-checked against central finite differences in the test suite.
+`sgd_step(out=...)` update, and copy models out. `_backward` reduces a bias
+gradient with ``einsum("ij->j")`` when the gradient at that layer is
+C-contiguous and wider than one column: like ``sum(axis=0)`` it adds the rows
+in order, but in one pass down the columns, not one inner loop per row. A
+width-1 or non-C-contiguous gradient keeps ``sum(axis=0)``, which adds a
+contiguous column pairwise, so the einsum would change its bits. Gradients
+are exact and are checked against central finite differences in the test
+suite.
 """
 
 from __future__ import annotations
@@ -83,6 +89,10 @@ class ModelParams:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}")
+        # checked before the cached _layout hashes it: a list is unhashable
+        if not (isinstance(self.layer_dims, tuple)
+                and all(isinstance(d, (int, np.integer)) for d in self.layer_dims)):
+            raise ConfigError(f"layer_dims must be a tuple of integers, got {self.layer_dims!r}")
         size = _buffer_size(self.layer_dims)
         if self.buffer.dtype != np.float64 or self.buffer.shape != (size,):
             raise ConfigError(f"layers {self.layer_dims} need {size} float64 parameters, "
@@ -333,7 +343,12 @@ def _backward(weights, acts, delta: np.ndarray, grads, activation: str) -> None:
     weights, through its trace acts into the (weights, bias) gradient views grads."""
     for i in range(len(weights) - 1, -1, -1):
         np.matmul(acts[i].T, delta, out=grads[i][0])
-        delta.sum(axis=0, out=grads[i][1])
+        # sum(axis=0) adds a C-contiguous delta row by row, and so does this einsum in
+        # one pass; sum adds a lone or non-contiguous column pairwise, which it would not
+        if delta.shape[1] > 1 and delta.flags.c_contiguous:
+            np.einsum("ij->j", delta, out=grads[i][1])
+        else:
+            delta.sum(axis=0, out=grads[i][1])
         if i > 0:
             # in place on the fresh product only: delta starts as the caller's dlogits
             delta = delta @ weights[i].T

@@ -107,7 +107,7 @@ def objective_dlogits(probs: np.ndarray, targets: np.ndarray, lambda1: float, la
     n, n_lab = len(p_s), len(targets)
     # for cross-entropy against a fixed target the per-row gradient is p_s - p_g
     dloss = {"ce": np.subtract, "mse": _mse_dlogits}[kind]
-    dlogits = np.zeros_like(p_s)
+    dlogits = np.zeros(p_s.shape)
     dlogits[:n_lab] += lambda1 * (p_s[:n_lab] - targets) / n_lab
     dlogits += lambda2 * dloss(p_s, p_t) / n
     if p_m:
@@ -128,6 +128,18 @@ def require_finite(config) -> None:
     for key, value in vars(config).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"config key {key!r} must be finite, got {value}")
+
+
+def require_int64(config) -> None:
+    """ConfigError naming the first integer field of a config, or integer entry
+    of a tuple field, that does not fit a signed 64-bit integer: numpy sizes
+    arrays and counts by them."""
+    limits = np.iinfo(np.int64)
+    for key, value in vars(config).items():
+        for entry in value if isinstance(value, tuple) else (value,):
+            if isinstance(entry, int) and not limits.min <= entry <= limits.max:
+                raise ConfigError(f"config key {key!r} must fit a signed 64-bit integer, "
+                                  f"got {entry}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +183,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_int64(self)
         if self.generations < 1 or self.iterations < 1:
             raise ConfigError("generations and iterations must be >= 1")
         if self.discovery_schedule:
@@ -237,17 +250,17 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     Each step samples a minibatch with replacement: labeled_batch rows from
     the labelled set, first, then unlabeled_batch rows from the pool (none
     when the pool is empty). Per step the rng is consumed in a fixed order -
-    labelled indices, pool indices, student noise, guide noise - so runs are
-    exactly reproducible from the seed. The teacher EMA starts at student_init and
-    absorbs the student after every step; with steps=0 both are copies of
-    student_init. Only the training fields of cfg are read; cfg was checked
-    when it was built. A training label that is not a class of the net, a
-    label count other than the training set's row count, and a training set
-    or pool whose width is not the net's input are ConfigErrors before any
-    step. Steps write in place only into buffers the iteration owns: a (k, P)
-    stack of the student, teacher and master (a master of another shape is a
-    ConfigError), velocity, gradient and the window buffers; the student and
-    teacher leave as copies.
+    one index draw (labelled rows, then pool rows), then student noise, then
+    guide noise - so runs are exactly reproducible from the seed. The teacher
+    EMA starts at student_init and absorbs the student after every step; with
+    steps=0 both are copies of student_init. Only the training fields of cfg
+    are read; cfg was checked when it was built. A training label that is not
+    a class of the net, a label count other than the training set's row count,
+    and a training set or pool whose width is not the net's input are
+    ConfigErrors before any step. Steps write in place only into buffers the
+    iteration owns: a (k, P) stack of the student, teacher and master (a
+    master of another shape is a ConfigError), velocity, gradient and the
+    window buffers; the student and teacher leave as copies.
 
     Steps run in windows that end at each evaluated step: a window draws its
     minibatches and runs the master over all its guide views first, and its
@@ -293,6 +306,12 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     student, teacher, gradient_params = (ModelParams(buffer, dims, activation)
                                          for buffer in (state[0], state[1], gradient))
     n_lab, n = cfg.labeled_batch, cfg.labeled_batch + (cfg.unlabeled_batch if n_pool else 0)
+    # a step draws its rows of the labelled set and pool stacked, labelled in [0, T) and pool
+    # in [T, T + P), on per-row bounds: numpy gives the values and end state of a draw of
+    # labelled indices and then one of pool indices, both per element
+    source, n_train = np.concatenate([train_x, pool_x]), len(train_x)
+    lows = np.repeat([0, n_train], [n_lab, n - n_lab])
+    highs = np.repeat([n_train, n_train + n_pool], [n_lab, n - n_lab])
     window = min(EVAL_EVERY, cfg.steps)
     # per step of a window: student and guide views, labelled targets, stacked softmax rows
     views, targets = np.empty((window, 2, n, dims[0])), np.empty((window, n_lab, dims[-1]))
@@ -303,12 +322,11 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
         steps = range(start, min(start + EVAL_EVERY, cfg.steps))
         lam2 = [lambda2_schedule(step, cfg.ramp_len, cfg.lambda2_max) for step in steps]
         for i in range(len(steps)):
-            li = rng.integers(0, len(train_x), size=n_lab)
-            ui = rng.integers(0, n_pool, size=n - n_lab)
-            bx = np.concatenate([train_x[li], pool_x[ui]])
+            rows = rng.integers(lows, highs)
+            bx = source.take(rows, axis=0)
             views[i, 0] = augment(bx, cfg.sigma_aug, rng)
             views[i, 1] = augment(bx, cfg.sigma_aug, rng)
-            targets[i] = labels[li]
+            labels.take(rows[:n_lab], axis=0, out=targets[i])
         per_view = False  # set when the master's pass over the whole window overflows
         try:
             if master is not None:

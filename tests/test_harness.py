@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -124,8 +125,44 @@ BAD_FIELDS = [
 ]
 
 
+# every integer key of both configs, tuples of integers too; bool keys are not counts
+INT_KEYS = [key for cls in (ExperimentConfig, DataSpec)
+            for key, typ in typing.get_type_hints(cls).items() if typ in (int, tuple[int, ...])]
+
+
 class TestConfigChecks:
     """A config is checked when it is built, and dataclasses.replace builds one."""
+
+    def test_int_keys_are_every_count_and_seed(self):
+        assert sorted(INT_KEYS) == sorted([
+            "generations", "iterations", "discovery_schedule", "steps", "labeled_batch",
+            "unlabeled_batch", "ramp_len", "master_refine_steps", "hidden_dims", "seed",
+            "n_samples", "classes", "n_per_class", "labels_per_class", "data_seed"])
+
+    # building a config allocates nothing, so these values never reach numpy
+    @pytest.mark.parametrize("value", [2 ** 63, 2 ** 64 + 5, 10 ** 30])
+    @pytest.mark.parametrize("key", INT_KEYS)
+    def test_integer_beyond_int64_names_its_key(self, key, value):
+        text = f"4,{value}" if key in ("discovery_schedule", "hidden_dims") else str(value)
+        with pytest.raises(ConfigError) as err:
+            build_configs({key: text})
+        assert str(err.value) == f"config key {key!r} must fit a signed 64-bit integer, got {value}"
+
+    @pytest.mark.parametrize("key", ["hidden_dims", "discovery_schedule", "steps"])
+    def test_negative_integer_beyond_int64_names_its_key(self, key):
+        value = -2 ** 63 - 1
+        with pytest.raises(ConfigError, match=f"config key '{key}' must fit a signed 64-bit"):
+            build_configs({key: str(value)})
+
+    @pytest.mark.parametrize("key", ["seed", "data_seed", "steps", "hidden_dims"])
+    def test_int64_max_builds(self, key):
+        build_configs({key: str(2 ** 63 - 1)})
+
+    def test_replace_checks_int64_too(self):
+        with pytest.raises(ConfigError, match="'labeled_batch' must fit a signed 64-bit"):
+            dataclasses.replace(ExperimentConfig(), labeled_batch=2 ** 63)
+        with pytest.raises(ConfigError, match="'n_per_class' must fit a signed 64-bit"):
+            dataclasses.replace(DataSpec(), n_per_class=2 ** 63)
 
     def test_defaults_build(self):
         ExperimentConfig()
@@ -453,6 +490,18 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("numerical error: ") and where in lines[0]
+
+    def test_integer_beyond_int64_is_one_stderr_line(self, tmp_path):
+        src = str(Path(snowball.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "snowball", *fast_args(
+            tmp_path, "--set", "labeled_batch=10000000000000000000", algo="snowball")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: config key 'labeled_batch' must fit a signed 64-bit "
+                               "integer, got 10000000000000000000\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_seed_list(self, tmp_path):
         argv = ["sweep", "--dataset", "two-moons", "--seeds", "x..y",

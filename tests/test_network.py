@@ -349,6 +349,78 @@ class TestClassAxisReductions:
         assert softmax(logits).tobytes() == old_softmax(logits).tobytes()
 
 
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def layer_deltas(params, acts, dlogits):
+    """The gradient at each layer's output, first layer first, as the backward loop forms it."""
+    delta, out = np.asarray(dlogits, dtype=float), []
+    for i in range(len(params.weights) - 1, -1, -1):
+        out.append(delta)
+        if i > 0:
+            delta = delta @ params.weights[i].T
+            delta *= net._activation_grad(acts[i], params.activation)
+    return out[::-1]
+
+
+class TestBiasGradientReduction:
+    """_backward reduces a C-contiguous bias gradient wider than one column
+    with einsum("ij->j"): numpy adds its rows in order, as sum(axis=0) does. A
+    numpy that changes either loop order fails here, and so does an einsum on
+    a width-1 or non-C-contiguous gradient, which sum adds pairwise."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 5000), width=st.integers(2, 64), seed=st.integers(0, 2 ** 32),
+           zeros=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_equals_sum_bits(self, rows, width, seed, zeros):
+        rng = np.random.default_rng(seed)
+        delta = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-150, 150, width)
+        delta[rng.random((rows, width)) < zeros] = -0.0  # whole columns of -0.0 at 1.0
+        delta[rng.random((rows, width)) < zeros / 3] = 0.0
+        x = rng.standard_normal((rows, 3))
+        grads = net._layer_views(np.empty(3 * width + width), (3, width))
+        net._backward((np.zeros((3, width)),), (x, delta), delta, grads, "relu")
+        assert np.array_equal(bits(grads[0][1]), bits(delta.sum(axis=0)))
+
+    @pytest.mark.parametrize("column", [[-0.0], [-0.0] * 20, [0.0, -0.0], [-0.0, 0.0, -0.0]])
+    def test_signed_zero_columns(self, column):
+        delta = np.array([column, [-0.0] * len(column)]).T.copy()  # (rows, 2), C-contiguous
+        grads = net._layer_views(np.empty(2 * 2 + 2), (2, 2))
+        net._backward((np.zeros((2, 2)),), (np.ones((len(delta), 2)), delta), delta, grads, "relu")
+        assert np.array_equal(bits(grads[0][1]), bits(delta.sum(axis=0)))
+
+    @pytest.mark.parametrize("dims", [(3, 1, 2), (2, 1, 1, 3), (3, 4, 1)],
+                             ids=["hidden-1", "two-hidden-1", "classes-1"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_width_one_keeps_sum_bits(self, dims, activation):
+        rng = np.random.default_rng(5)
+        params = init_params(dims, activation, seed=2)
+        # positive inputs and biases keep a relu unit alive on every row
+        params.biases[0][...] = 3.0
+        x = rng.uniform(0.5, 1.5, size=(2000, dims[0]))
+        trace = forward_batch(params, x)
+        shape = trace.logits.shape
+        dlogits = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        deltas = layer_deltas(params, trace.activations, dlogits)
+        got = grad_from_dlogits(params, trace, dlogits).biases
+        assert [bits(g).tolist() for g in got] == [bits(d.sum(axis=0)).tolist() for d in deltas]
+        # the data has teeth: an einsum would change every width-1 bias gradient here
+        for delta in (d for d in deltas if d.shape[1] == 1):
+            assert not np.array_equal(bits(np.einsum("ij->j", delta)), bits(delta.sum(axis=0)))
+
+    def test_fortran_ordered_dlogits_keep_sum_bits(self):
+        rng = np.random.default_rng(6)
+        params = init_params((3, 8, 4), seed=2)
+        trace = forward_batch(params, rng.standard_normal((3000, 3)))
+        dlogits = np.asfortranarray(rng.standard_normal(trace.logits.shape))
+        deltas = layer_deltas(params, trace.activations, dlogits)
+        got = grad_from_dlogits(params, trace, dlogits).biases
+        assert [bits(g).tolist() for g in got] == [bits(d.sum(axis=0)).tolist() for d in deltas]
+        # pairwise column sums differ from an ordered pass on this data
+        assert not np.array_equal(bits(np.einsum("ij->j", dlogits)), bits(dlogits.sum(axis=0)))
+
+
 class TestStackedForward:
     """_run_layers on the layer views of a stack_params stack, the pass a
     training step runs, gives each model the activations of its own
@@ -530,7 +602,12 @@ class TestParamsAlgebra:
         ({"layer_dims": (2, 0, 3)}, "at least two sizes, all positive"),
         ({"layer_dims": (2, -5, 3)}, "at least two sizes, all positive"),
         ({"activation": "swish"}, "unknown activation 'swish'"),
-    ], ids=["buffer-size", "buffer-dtype", "one-dim", "zero-dim", "negative-dim", "activation"])
+        # a list would reach the cached layout's hash: a bare TypeError
+        ({"layer_dims": [2, 5, 3]}, r"layer_dims must be a tuple of integers, got \[2, 5, 3\]"),
+        ({"layer_dims": (2, 5.0, 3)}, "layer_dims must be a tuple of integers"),
+        ({"layer_dims": ([2], 5, 3)}, "layer_dims must be a tuple of integers"),
+    ], ids=["buffer-size", "buffer-dtype", "one-dim", "zero-dim", "negative-dim", "activation",
+            "list-dims", "float-dim", "list-dim"])
     def test_construction_checks_its_fields(self, change, message):
         p = tiny_net()  # (2, 5, 3): 33 parameters
         fields = {"buffer": p.buffer, "layer_dims": p.layer_dims, "activation": p.activation}
@@ -538,6 +615,11 @@ class TestParamsAlgebra:
             ModelParams(**(fields | change))
         with pytest.raises(ConfigError, match=message):
             dataclasses.replace(p, **change)
+
+    def test_numpy_integer_dims_build(self):
+        dims = tuple(np.array([2, 5, 3]))
+        p = ModelParams(np.zeros(33), dims)
+        assert [w.shape for w in p.weights] == [(2, 5), (5, 3)]
 
     @pytest.mark.parametrize("combine", [lambda a, b: a + b, lambda a, b: a - b],
                              ids=["add", "sub"])

@@ -612,6 +612,34 @@ def as_bytes(student, teacher, metrics):
              for m in metrics])
 
 
+class TestIndexDraw:
+    """train_iteration draws a minibatch's rows of the labelled set, [0, T), and
+    of the pool stacked after it, [T, T + P), with one rng.integers call on
+    per-row bounds. numpy sends array and scalar bounds through the same
+    per-element bounded-integer routine, so that call gives the values of, and
+    leaves the generator as, the draw of labelled indices followed by that of
+    pool indices. A numpy that changes either path fails here."""
+
+    SIZES = st.sampled_from([1, 2, 3, 17, 255, 256, 4508, 2 ** 32 - 1, 2 ** 32 + 7, 2 ** 40])
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=SIZES | st.integers(1, 10 ** 6), p=SIZES | st.integers(0, 10 ** 6),
+           n_lab=st.integers(1, 70), n_unl=st.integers(0, 70), seed=st.integers(0, 2 ** 32),
+           steps=st.integers(1, 5))
+    @example(t=1, p=1, n_lab=8, n_unl=56, seed=0, steps=3)
+    @example(t=5, p=0, n_lab=8, n_unl=0, seed=0, steps=3)  # an empty pool draws no pool rows
+    def test_one_draw_is_the_two_draws(self, t, p, n_lab, n_unl, seed, steps):
+        n_unl = n_unl if p else 0
+        two, one = np.random.default_rng(seed), np.random.default_rng(seed)
+        lows, highs = np.repeat([0, t], [n_lab, n_unl]), np.repeat([t, t + p], [n_lab, n_unl])
+        for _ in range(steps):
+            want = np.concatenate([two.integers(0, t, size=n_lab),
+                                   t + two.integers(0, p, size=n_unl)])
+            assert one.integers(lows, highs).tolist() == want.tolist()
+            two.normal(size=3), one.normal(size=3)  # the noise draws between steps
+        assert one.bit_generator.state == two.bit_generator.state
+
+
 class TestWindows:
     """train_iteration runs in windows of EVAL_EVERY steps; it must return
     exactly what the loop one step at a time returns."""
