@@ -18,9 +18,10 @@ import numpy as np
 from .errors import ConfigError, DataError, reading
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawDataset:
-    """Features, integer labels in [0, class_count), one row per sample."""
+    """Features, integer labels in [0, class_count), one row per sample.
+    Equality and hashing are by identity."""
 
     x: np.ndarray
     y: np.ndarray
@@ -36,14 +37,15 @@ class RawDataset:
         return len(self.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetSplit:
     """Labelled / unlabelled / test partition of a dataset.
 
     Sample ids index the originating RawDataset; the three id sets are
     disjoint. ``true_y[i]`` is sample i's ground-truth label, for
     evaluation only (pseudo-label noise rates, discovery dumps, the
-    use_true_labels ablation), never for training.
+    use_true_labels ablation), never for training. Equality and hashing
+    are by identity.
     """
 
     labeled_x: np.ndarray

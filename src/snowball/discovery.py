@@ -34,7 +34,7 @@ FUSIONS = ("single", "average_distance", "feature_cascade", "average_sorting_sco
 NEAREST_BLOCK = 1024  # pool rows per (rows, classes, features) difference array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscoveryReport:
     """Ranked pseudo-labelling of an unlabelled pool.
 
@@ -46,6 +46,7 @@ class DiscoveryReport:
     The raw input rows ride along so downstream consumers (the enlarged
     training set, the master's extra candidates) need no access to the
     original pool; features are not kept, so a report is linear in n.
+    Equality and hashing are by identity.
     """
 
     sample_ids: np.ndarray   # (n,) int

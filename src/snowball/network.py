@@ -79,7 +79,8 @@ class ModelParams:
     ``(fan_out,)``) are views into ``buffer``. Addition, subtraction and scalar
     multiplication act element-wise on the buffer and return new parameters,
     so ``0.99 * teacher + 0.01 * student`` builds an exponential moving
-    average directly on models. Equality and hashing are by identity.
+    average directly on models. Equality and hashing are by identity;
+    `params_equal` compares two models by value.
     """
 
     buffer: np.ndarray
@@ -158,14 +159,14 @@ class ModelParams:
         return bool(np.isfinite(self.buffer).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchForward:
     """A forward pass over a batch (rows are samples).
 
     ``activations`` ends with the logits. `forward_batch` keeps every layer's,
     from the input on: the trace that `grad_from_dlogits` backpropagates
     through; `forward` keeps features and logits. The softmax is only
-    computed when ``probs`` is read.
+    computed when ``probs`` is read. Equality and hashing are by identity.
     """
 
     activations: tuple[np.ndarray, ...]
@@ -297,11 +298,15 @@ def predict_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def error_rate(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of samples whose argmax prediction disagrees with y."""
+    """Fraction of samples whose argmax prediction disagrees with y, which
+    holds one label per row of x (a ConfigError otherwise)."""
     y = np.asarray(y)
-    if len(y) == 0:
+    if y.size == 0:
         raise DataError("cannot compute an error rate on an empty set")
-    wrong = predict_labels(params, x) != y
+    predicted = predict_labels(params, x)
+    if y.shape != predicted.shape:
+        raise ConfigError(f"labels of shape {y.shape} for {len(predicted)} rows")
+    wrong = predicted != y
     return float(wrong.sum() / wrong.size)  # np.mean's sum and division
 
 

@@ -48,12 +48,13 @@ PIPELINES = {
 ALGOS = tuple(PIPELINES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingSet:
     """The labelled set a training iteration sees: originals plus discoveries.
 
     Sample ids stay unique; a sample can be discovered at most once per
     generation because discovery always draws from the shrinking pool.
+    Equality and hashing are by identity.
     """
 
     ids: np.ndarray

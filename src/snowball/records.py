@@ -77,13 +77,14 @@ class StepMetrics(NamedTuple):
     test_err: float | None
 
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
     """Everything one pipeline run produced.
 
     collapse is None unless the output model predicts one class for every
     row of a test set that holds several; it then names the model and the
-    class. No artifact holds it.
+    class. No artifact holds it. Equality and hashing are by identity;
+    `rows_equal` compares two runs' metric rows by value.
     """
 
     algo: str

@@ -257,10 +257,11 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     are read; cfg was checked when it was built. A training label that is not
     a class of the net, a label count other than the training set's row count,
     and a training set or pool whose width is not the net's input are
-    ConfigErrors before any step. Steps write in place only into buffers the
-    iteration owns: a (k, P) stack of the student, teacher and master (a
-    master of another shape is a ConfigError), velocity, gradient and the
-    window buffers; the student and teacher leave as copies.
+    ConfigErrors before any step, as are an eval_x or eval_y without the other
+    and an eval set with more or fewer labels than rows. Steps write in place
+    only into buffers the iteration owns: a (k, P) stack of the student,
+    teacher and master (a master of another shape is a ConfigError), velocity,
+    gradient and the window buffers; the student and teacher leave as copies.
 
     Steps run in windows that end at each evaluated step: a window draws its
     minibatches and runs the master over all its guide views first, and its
@@ -288,6 +289,10 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
         raise ConfigError("training set is empty")
     if len(train_y) != len(train_x):
         raise ConfigError(f"{len(train_y)} training labels for {len(train_x)} training rows")
+    if (eval_x is None) != (eval_y is None):
+        raise ConfigError("eval_x and eval_y must be given together")
+    if eval_x is not None and len(eval_y) != len(eval_x):
+        raise ConfigError(f"{len(eval_y)} eval labels for {len(eval_x)} eval rows")
     n_pool = len(pool_x)
     dims, activation = student_init.layer_dims, student_init.activation
     for name, x in (("training set", train_x), ("pool", pool_x)):

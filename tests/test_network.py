@@ -710,3 +710,11 @@ class TestPredict:
         assert np.array_equal(predict_labels(p, x), [0, 1, 0, 1])
         assert error_rate(p, x, np.array([0, 1, 0, 1])) == 0.0
         assert error_rate(p, x, np.array([1, 1, 0, 1])) == 0.25
+
+    @pytest.mark.parametrize("y", [[1], [0, 1, 0, 1, 0, 1]], ids=["one-label", "six-labels"])
+    def test_error_rate_needs_one_label_per_row(self, y):
+        # one label would broadcast over all five rows and compare
+        p = ModelParams.from_layers(weights=(np.eye(2),), biases=(np.zeros(2),))
+        x = np.array([[2.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ConfigError, match=rf"labels of shape \({len(y)},\) for 5 rows"):
+            error_rate(p, x, np.array(y))

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from snowball.data import DatasetSplit, RawDataset
+from snowball.discovery import DiscoveryReport
 from snowball.errors import DataError
+from snowball.network import BatchForward
+from snowball.orchestrator import TrainingSet
 from snowball.records import (IterationRow, RunRecord, read_manifest, rows_equal,
                               write_manifest)
 
@@ -53,6 +57,33 @@ class TestRunRecord:
                 make_row(2, 1, test=0.3), make_row(2, 2, test=0.25)]
         rec = RunRecord("snowball", {}, rows)
         assert rec.generation_final_errors() == [0.4, 0.25]
+
+
+def make_report():
+    return DiscoveryReport(np.arange(3), np.zeros((3, 2)), np.array([0, 1, 0]),
+                           np.arange(3.0), np.array([True, False, False]))
+
+
+# each builds a new instance from equal arrays on every call
+ARRAY_VALUES = {
+    "BatchForward": lambda: BatchForward((np.zeros((3, 2)), np.ones((3, 2)))),
+    "DiscoveryReport": make_report,
+    "TrainingSet": lambda: TrainingSet(np.arange(3), np.zeros((3, 2)), np.array([0, 1, 0])),
+    "RawDataset": lambda: RawDataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2),
+    "DatasetSplit": lambda: DatasetSplit(*[np.arange(3)] * 9, class_count=2),
+    "RunRecord": lambda: RunRecord("snowball", {}, [make_row()],
+                                   reports={(1, 1): make_report()}),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_VALUES.values(), ids=ARRAY_VALUES)
+def test_values_holding_arrays_compare_by_identity(make):
+    # a generated __eq__ compares the arrays and raises, a generated __hash__ is None
+    a, b = make(), make()
+    assert a != b and not a == b
+    assert a == a and b == b
+    assert len({a, b, a}) == 2  # both hash
+    assert "__eq__" not in vars(type(a)) and "__hash__" not in vars(type(a))
 
 
 class TestManifestRoundTrip:

@@ -449,6 +449,20 @@ class TestTrainIteration:
                             ExperimentConfig(steps=2), np.random.default_rng(0))
 
     @pytest.mark.parametrize("steps", [0, 5])
+    @pytest.mark.parametrize("passed, message", [
+        ("x", "eval_x and eval_y must be given together"),
+        ("y", "eval_x and eval_y must be given together"),
+        ("short-y", "29 eval labels for 30 eval rows")], ids=["x-only", "y-only", "short-y"])
+    def test_unmatched_eval_set_is_config_error(self, steps, passed, message):
+        x, y = small_problem()
+        ex, ey = small_problem(seed=1, n=30)
+        evaluation = {"x": dict(eval_x=ex), "y": dict(eval_y=ey),
+                      "short-y": dict(eval_x=ex, eval_y=ey[:-1])}[passed]
+        with pytest.raises(ConfigError, match=message):
+            train_iteration(tiny(seed=3), x, y, np.zeros((0, 2)), None,
+                            ExperimentConfig(steps=steps), np.random.default_rng(0), **evaluation)
+
+    @pytest.mark.parametrize("steps", [0, 5])
     def test_label_outside_the_classes_is_config_error(self, steps):
         x, y = small_problem(n=4)
         with pytest.raises(ConfigError, match="label 2 is not a class of a 2-class net"):
