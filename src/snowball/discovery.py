@@ -61,9 +61,12 @@ class DiscoveryReport:
 
 
 def compute_class_centers(model: ModelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-class mean feature vectors over a labelled set, one per model class."""
-    y = np.asarray(y, dtype=int)
+    """Per-class mean feature vectors over a labelled set, one per model class.
+    ConfigError unless y holds one label per row, each a class of the model."""
+    y = net.class_labels(y, model.class_count)
     feats = net.forward(model, x).features
+    if y.shape != feats.shape[:1]:
+        raise ConfigError(f"{y.size} labels for {len(feats)} rows")
     centers = np.empty((model.class_count, feats.shape[1]))
     for c in range(model.class_count):
         mask = y == c

@@ -6,9 +6,9 @@ in order, its weights row-major, then its bias. `ModelParams` is a frozen
 dataclass over that buffer, which it takes as given and checks against the
 layer dims; `ModelParams.from_layers` copies per-layer arrays into a new
 one. ``.weights`` and ``.biases`` are views into the buffer, so element-wise
-arithmetic on models is one array operation on the buffer, which is what
-makes weight averaging (and therefore the whole teacher/master machinery) a
-one-liner, and a checkpoint is the buffer's bytes behind a short header.
+arithmetic on models is one array operation on the buffer, and a checkpoint
+is the buffer's bytes behind a short header. The training loops average
+weights in place, by `training.ema_update` on buffers they own.
 The forward pass exposes the activations entering the final linear layer as
 the sample's feature vector. One layer loop runs either one model's layer
 views on a batch or a (k, P) stack's on k batches, keeping the trace
@@ -31,7 +31,7 @@ suite.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +79,8 @@ class ModelParams:
     ``(fan_out,)``) are views into ``buffer``. Addition, subtraction and scalar
     multiplication act element-wise on the buffer and return new parameters,
     so ``0.99 * teacher + 0.01 * student`` builds an exponential moving
-    average directly on models. Equality and hashing are by identity;
+    average directly on models; ``dataclasses.replace(model, buffer=...)``
+    is a model over another buffer. Equality and hashing are by identity;
     `params_equal` compares two models by value.
     """
 
@@ -116,9 +117,6 @@ class ModelParams:
             w_view[...], b_view[...] = w, b
         return cls(buffer, dims, activation)
 
-    def _derive(self, buffer: np.ndarray) -> ModelParams:
-        return ModelParams(buffer, self.layer_dims, self.activation)
-
     @property
     def weights(self) -> tuple[np.ndarray, ...]:
         return tuple(w for w, _ in _layer_views(self.buffer, self.layer_dims))
@@ -136,7 +134,7 @@ class ModelParams:
         return self.layer_dims[-1]
 
     def copy(self) -> ModelParams:
-        return self._derive(self.buffer.copy())
+        return replace(self, buffer=self.buffer.copy())
 
     def _other_buffer(self, other: ModelParams) -> np.ndarray:
         if (self.layer_dims, self.activation) != (other.layer_dims, other.activation):
@@ -145,13 +143,13 @@ class ModelParams:
         return other.buffer
 
     def __add__(self, other: ModelParams) -> ModelParams:
-        return self._derive(self.buffer + self._other_buffer(other))
+        return replace(self, buffer=self.buffer + self._other_buffer(other))
 
     def __sub__(self, other: ModelParams) -> ModelParams:
-        return self._derive(self.buffer - self._other_buffer(other))
+        return replace(self, buffer=self.buffer - self._other_buffer(other))
 
     def __mul__(self, scalar: float) -> ModelParams:
-        return self._derive(float(scalar) * self.buffer)
+        return replace(self, buffer=float(scalar) * self.buffer)
 
     __rmul__ = __mul__
 
@@ -297,6 +295,14 @@ def predict_labels(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return forward(params, x).logits.argmax(axis=1)
 
 
+def class_labels(y, class_count: int) -> np.ndarray:
+    """y as an int array; ConfigError naming a label that is not a class."""
+    y = np.asarray(y, dtype=int)
+    if np.any(outside := (y < 0) | (y >= class_count)):
+        raise ConfigError(f"label {y[outside][0]} is not a class of a {class_count}-class net")
+    return y
+
+
 def error_rate(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of samples whose argmax prediction disagrees with y, which
     holds one label per row of x (a ConfigError otherwise)."""
@@ -340,7 +346,7 @@ def grad_from_dlogits(params: ModelParams, trace: BatchForward,
         raise ConfigError(f"dlogits shape {delta.shape} does not match logits {acts[-1].shape}")
     out = np.empty_like(params.buffer)
     _backward(params.weights, acts, delta, _layer_views(out, params.layer_dims), params.activation)
-    return params._derive(out)
+    return replace(params, buffer=out)
 
 
 def _backward(weights, acts, delta: np.ndarray, grads, activation: str) -> None:
@@ -403,7 +409,7 @@ def sgd_step(params: ModelParams, gradient: ModelParams, lr: float, momentum: fl
         np.multiply(momentum, velocity, out=v)
         v += g
     np.subtract(params.buffer, lr * v, out=p)
-    return (params._derive(p), v) if out is None else out
+    return (replace(params, buffer=p), v) if out is None else out
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:

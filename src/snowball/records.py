@@ -20,7 +20,7 @@ the file.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -56,8 +56,7 @@ class IterationRow:
     wall_time: float
 
     def manifest_values(self) -> tuple:
-        return (self.generation, self.iteration, self.train_err, self.test_err,
-                self.noise_rate, self.labeled_size, self.wall_time)
+        return astuple(self)
 
 
 class StepMetrics(NamedTuple):

@@ -22,7 +22,7 @@ layer floats, whatever the number of steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,15 +43,12 @@ def ema_update(averaged: ModelParams, source: ModelParams, decay: float, out=Non
     source_buffer = averaged._other_buffer(source)
     buffer = np.multiply(decay, averaged.buffer, out=out)
     buffer += (1.0 - decay) * source_buffer
-    return averaged._derive(buffer) if out is None else out
+    return replace(averaged, buffer=buffer) if out is None else out
 
 
 def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
     """The one-hot rows of labels y; ConfigError naming a label that is not a class."""
-    y = np.asarray(y, dtype=int)
-    if np.any(outside := (y < 0) | (y >= class_count)):
-        raise ConfigError(f"label {y[outside][0]} is not a class of a {class_count}-class net")
-    return np.eye(class_count)[y]
+    return np.eye(class_count)[net.class_labels(y, class_count)]
 
 
 # np.mean's sum and division over the last axis, each step's bits in a window; no rows, 0.0
@@ -256,10 +253,10 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     steps=0 both are copies of student_init. Only the training fields of cfg
     are read; cfg was checked when it was built. A training label that is not
     a class of the net, a label count other than the training set's row count,
-    and a training set or pool whose width is not the net's input are
-    ConfigErrors before any step, as are an eval_x or eval_y without the other
-    and an eval set with more or fewer labels than rows. Steps write in place
-    only into buffers the iteration owns: a (k, P) stack of the student,
+    and a training set, pool or eval set whose width is not the net's input
+    are ConfigErrors before any step, as are an eval_x or eval_y without the
+    other and an eval set with more or fewer labels than rows. Steps write in
+    place only into buffers the iteration owns: a (k, P) stack of the student,
     teacher and master (a master of another shape is a ConfigError), velocity,
     gradient and the window buffers; the student and teacher leave as copies.
 
@@ -295,9 +292,9 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
         raise ConfigError(f"{len(eval_y)} eval labels for {len(eval_x)} eval rows")
     n_pool = len(pool_x)
     dims, activation = student_init.layer_dims, student_init.activation
-    for name, x in (("training set", train_x), ("pool", pool_x)):
-        if x.shape[1:] != dims[:1]:
-            raise ConfigError(f"{name} of shape {x.shape} does not match {dims[0]} inputs")
+    for name, x in (("training set", train_x), ("pool", pool_x), ("eval set", eval_x)):
+        if x is not None and np.shape(x)[1:] != dims[:1]:
+            raise ConfigError(f"{name} of shape {np.shape(x)} does not match {dims[0]} inputs")
     labels = one_hot(train_y, dims[-1])
 
     state = net.stack_params((student_init, student_init) + (() if master is None else (master,)))

@@ -93,6 +93,15 @@ class TestCenters:
             want = brute_force_centers(m, x, y, 2)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("y, message", [
+        ([0, 1, 1, 7], "label 7 is not a class of a 2-class net"),
+        ([0, 1, -1, 1], "label -1 is not a class of a 2-class net"),
+        ([0, 1], "2 labels for 4 rows")], ids=["past-the-classes", "negative", "too-few"])
+    def test_labels_that_do_not_fit_the_model_are_config_errors(self, y, message):
+        x = np.random.default_rng(0).normal(size=(4, 2))
+        with pytest.raises(ConfigError, match=message):
+            compute_class_centers(init_params((2, 4, 2), seed=0), x, np.array(y))
+
 
 class TestAssignment:
     def test_geometry_example(self):

@@ -462,6 +462,14 @@ class TestTrainIteration:
             train_iteration(tiny(seed=3), x, y, np.zeros((0, 2)), None,
                             ExperimentConfig(steps=steps), np.random.default_rng(0), **evaluation)
 
+    @pytest.mark.parametrize("steps", [0, 30])
+    def test_eval_set_of_another_width_is_config_error(self, steps):
+        x, y = small_problem()
+        with pytest.raises(ConfigError, match=r"eval set of shape \(5, 3\) does not match 2 inputs"):
+            train_iteration(tiny(seed=3), x, y, np.zeros((0, 2)), None,
+                            ExperimentConfig(steps=steps), np.random.default_rng(0),
+                            eval_x=np.zeros((5, 3)), eval_y=np.zeros(5, dtype=int))
+
     @pytest.mark.parametrize("steps", [0, 5])
     def test_label_outside_the_classes_is_config_error(self, steps):
         x, y = small_problem(n=4)
