@@ -1,4 +1,4 @@
-"""Command line harness: run pipelines, sweeps, ablations and reports.
+"""Command line harness: run pipelines and seed grids, and render reports.
 
 Configuration is a flat ``key = value`` text file covering both experiment
 hyperparameters and dataset construction; command line ``--set key=value``
@@ -6,10 +6,10 @@ pairs and dedicated flags override file values. Every run writes its own
 directory under the output root (``--out-dir``, else $SNOWBALL_OUT_DIR,
 else ./runs) containing a manifest, per-step CSVs and model checkpoints.
 
-Every run command (train, sweep, ablate-*) is a list of variants, each a run
-name, an algo and config overrides, run in order by one loop (_run_variants).
-A config key that a variant overrides belongs to the command: setting it in
-a config file or with --set is a usage error, never silently replaced.
+train and sweep (each --algo by each --vary value, over --seeds) are lists
+of variants (run name, algo, config overrides) run by one loop
+(_run_variants). A key that a variant overrides is the command's: setting it
+in a config file or with --set is a usage error, never silently replaced.
 
 Exit codes: 0 success, 1 usage or configuration problems, 2 data problems,
 3 numerical divergence. A run whose record collapsed (see
@@ -310,7 +310,7 @@ def parse_seeds(text: str) -> list[int]:
                 raise ValueError
             seeds = list(range(lo_i, hi_i + 1))
         else:
-            seeds = [int(tok) for tok in text.split(",") if tok.strip()]
+            seeds = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ConfigError(f"cannot parse seed list {text!r}") from None
     if any(seed < 0 for seed in seeds):
@@ -320,26 +320,50 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _comma_list(text: str, what: str, parse) -> list:
+    """parse(item) per item of a comma list; a ConfigError for an empty or repeated one."""
+    items = [item.strip() for item in text.split(",")]
+    values = [parse(item) for item in items if item]
+    if len(set(values)) < len(items):
+        raise ConfigError(f"{what} holds an empty or repeated item")
+    return values
+
+
+def parse_vary(text: str) -> list[tuple[str, dict[str, object]]]:
+    """sweep's --vary KEY=V1,V2,...: one (run name part, config override) per
+    value of one scalar ExperimentConfig key other than seed."""
+    key, sep, values = (part.strip() for part in text.partition("="))
+    if not sep:
+        raise ConfigError(f"--vary expects KEY=V1,V2,..., got {text!r}")
+    if key not in _EXP_TYPES or key == "seed" or typing.get_origin(_EXP_TYPES[key]) is tuple:
+        raise ConfigError(f"--vary takes a scalar config key other than seed, got {key!r}")
+    return [(f"{key}={value}", {key: value}) for value in
+            _comma_list(values, f"--vary {text!r}", lambda v: _coerce(key, v, _EXP_TYPES[key]))]
+
+
 # --- subcommands ------------------------------------------------------------
 
 def _run_variants(args, variants) -> list[tuple[RunRecord, Path]]:
     """Run a command's variants, each (run name, algo, config overrides), in
     order on the configs the user set; one (record, run_dir) per variant.
-    The keys the variants override are the command's: a user who sets one
-    gets a ConfigError before any run. The output root is made once the
-    configs are checked, before any run; a DataError when it cannot be."""
+    The keys the variants override are the command's. Setting one, an unknown
+    algo or a bad config is a ConfigError before the output root is made and
+    any run; a root that cannot be made is a DataError."""
     flat = _flat_from_args(args)
     config, spec = build_configs(flat)
+    if unknown := sorted({algo for _, algo, _ in variants} - set(ALGOS)):
+        raise ConfigError(f"unknown algo {unknown[0]!r}, expected one of {ALGOS}")
     owned = sorted({key for _, _, overrides in variants for key in overrides} & flat.keys())
     if owned:
         raise ConfigError(f"config keys {owned} are set by {args.command} for each run, "
                           "not by a config file or --set")
+    configs = [replace(config, **overrides) for _, _, overrides in variants]
     out_root = _out_root(args)
     with reading(out_root):
         out_root.mkdir(parents=True, exist_ok=True)
     runs = []
-    for name, algo, overrides in variants:
-        record, run_dir = run_one(algo, replace(config, **overrides), spec, out_root,
+    for (name, algo, _), run_config in zip(variants, configs):
+        record, run_dir = run_one(algo, run_config, spec, out_root,
                                   name, getattr(args, "dump_discovery", False))
         if record.collapse:
             print(f"warning: training collapsed in {run_dir}: {record.collapse}",
@@ -359,67 +383,41 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    seeds = parse_seeds(args.seeds)
-    if not seeds:
-        raise ConfigError("seed list is empty")
-    name = args.name or args.algo
-    runs = _run_variants(args, [(f"{name}-seed{seed}", args.algo, {"seed": seed})
-                                for seed in seeds])
-    for seed, (record, run_dir) in zip(seeds, runs):
-        print(f"seed {seed}: final test error {record.final_test_err():.4f} ({run_dir})")
-    summary = aggregate([record for record, _ in runs])
-    print(f"\naggregate over {len(seeds)} seeds "
-          f"(mean +/- sample std), algo {args.algo}:")
-    for row in summary:
-        print(f"  g{row['generation']} i{row['iteration']}: "
-              f"test {row['test_err_mean']:.4f} +/- {row['test_err_std']:.4f}  "
-              f"noise {row['noise_rate_mean']:.4f} +/- {row['noise_rate_std']:.4f}")
-    path = _out_root(args) / f"{name}-aggregate.csv"
-    with reading(path):
-        write_aggregate_csv(path, summary)
+    one_name = args.name and len(args.algo) == 1  # --name stands for the one algo
+    variants = [("-".join(filter(None, (args.name, "" if one_name else algo, label))), algo,
+                 overrides) for algo in args.algo for label, overrides in args.vary]
+    runs = _run_variants(args, [(f"{name}-seed{seed}", algo, {**overrides, "seed": seed})
+                                for name, algo, overrides in variants for seed in args.seeds])
+    finals = []
+    for i, (name, algo, _) in enumerate(variants):
+        records, run_dirs = zip(*runs[i * len(args.seeds):(i + 1) * len(args.seeds)])
+        if len(variants) > 1:
+            print(("\n" if i else "") + f"variant {name}:")
+        for seed, record, run_dir in zip(args.seeds, records, run_dirs):
+            print(f"seed {seed}: final test error {record.final_test_err():.4f} ({run_dir})")
+        summary = aggregate(list(records))
+        print(f"\naggregate over {len(args.seeds)} seeds (mean +/- sample std), algo {algo}:")
+        for row in summary:
+            print(f"  g{row['generation']} i{row['iteration']}: {_mean_std(row)}")
+        path = _out_root(args) / f"{name}-aggregate.csv"
+        with reading(path):
+            write_aggregate_csv(path, summary)
+        finals.append((name, summary[-1], [record.final_test_err() for record in records]))
+    if len(variants) > 1:
+        width = max(len(name) for name, _, _ in variants)
+        print(f"\nfinal rows (mean +/- sample std) and seeds at or below {variants[0][0]}:")
+        for name, final, errors in finals:
+            below = sum(err <= first for err, first in zip(errors, finals[0][2]))
+            print(f"  {name:<{width}}  {_mean_std(final)}  {below}/{len(args.seeds)}")
+    if "fusion" in args.vary[0][1] and (made := max(len(r.reports) for r, _ in runs)) < 3:
+        print(f"note: each run made {made} of the 3 discoveries fusion needs to combine two "
+              "masters, so it played no part in these rows", file=sys.stderr)
     return 0
 
 
-# command: (config key, its values, fixed overrides, key column width, then
-# (title, final-row field, width) per column). Selection trains on the selected
-# samples' true labels, next to the noise their pseudo-labels would have had.
-_ABLATIONS = {
-    "ablate-selection": ("strategy", ("min", "random", "max"), {"use_true_labels": True}, 10,
-                         (("err (true labels)", "test_err", 18),
-                          ("sample noise rate", "noise_rate", 18))),
-    "ablate-fusion": ("fusion", ("average_distance", "feature_cascade", "average_sorting_score"),
-                      {}, 22, (("noise rate", "noise_rate", 12), ("test err", "test_err", 10))),
-}
-
-
-def _cmd_ablate(args) -> int:
-    """Compare the values of one config key by their final row."""
-    key, values, overrides, width, columns = _ABLATIONS[args.command]
-    runs = _run_variants(args, [(f"{args.name or args.command}-{value}", "snowball",
-                                 {key: value, **overrides}) for value in values])
-    print(" ".join([f"{key:<{width}}"] + [f"{title:>{w}}" for title, _, w in columns]))
-    for value, (record, _) in zip(values, runs):
-        final = record.rows[-1]
-        print(" ".join([f"{value:<{width}}"]
-                       + [f"{getattr(final, field):>{w}.4f}" for _, field, w in columns]))
-    # the discovery count does not depend on the fusion: the last run speaks for all
-    if key == "fusion" and len(record.reports) < 3:
-        print(f"note: each run made {len(record.reports)} of the 3 discoveries fusion needs "
-              "to combine two masters, so it played no part in these rows", file=sys.stderr)
-    return 0
-
-
-def _cmd_ablate_guidance(args) -> int:
-    """Snowball against self-learning on the same data and seed."""
-    (snow, _), (selfl, _) = _run_variants(args, [
-        (f"{args.name or 'ablate-guidance'}-{algo}", algo, {})
-        for algo in ("snowball", "self-learning")])
-    print(f"{'gen':>3} {'iter':>4} {'snowball err':>13} {'snowball noise':>15} "
-          f"{'self-learn err':>15} {'self-learn noise':>17}")
-    for a, b in zip(snow.rows, selfl.rows):
-        print(f"{a.generation:>3} {a.iteration:>4} {a.test_err:>13.4f} "
-              f"{a.noise_rate:>15.4f} {b.test_err:>15.4f} {b.noise_rate:>17.4f}")
-    return 0
+def _mean_std(row: dict[str, float]) -> str:
+    return (f"test {row['test_err_mean']:.4f} +/- {row['test_err_std']:.4f}  "
+            f"noise {row['noise_rate_mean']:.4f} +/- {row['noise_rate_std']:.4f}")
 
 
 def _cmd_report(args) -> int:
@@ -462,10 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command, help_text, func in (
             ("train", "run one pipeline and persist its artifacts", _cmd_train),
-            ("sweep", "run several seeds and aggregate", _cmd_sweep),
-            ("ablate-selection", "min / random / max selection comparison", _cmd_ablate),
-            ("ablate-fusion", "distance fusion comparison", _cmd_ablate),
-            ("ablate-guidance", "snowball vs self-learning", _cmd_ablate_guidance)):
+            ("sweep", "run pipelines and config values over seeds and aggregate", _cmd_sweep)):
         # no abbreviations: sweep would read '--seed 9' as '--seeds 9'
         p_run = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p_run.add_argument("--config", help="flat key = value config file")
@@ -473,16 +468,19 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override one config key (repeatable)")
         p_run.add_argument("--dataset", choices=DATASETS)
         p_run.add_argument("--labels-per-class", type=int)
-        if command != "sweep":  # sweep's seeds come from --seeds
-            p_run.add_argument("--seed", type=int)
         p_run.add_argument("--out-dir", help=f"output root (default ${OUT_DIR_ENV} or ./runs)")
         p_run.add_argument("--name", help="run directory name")
-        if command in ("train", "sweep"):
-            p_run.add_argument("--algo", choices=ALGOS, default="snowball")
         p_run.set_defaults(func=func)
-    sub.choices["train"].add_argument("--dump-discovery", action="store_true",
-                                      help="also write per-iteration discovery report CSVs")
-    sub.choices["sweep"].add_argument("--seeds", default="0..4", help="'0..4' or '0,1,2'")
+    p_train, p_sweep = sub.choices["train"], sub.choices["sweep"]
+    p_train.add_argument("--seed", type=int)  # sweep's seeds come from --seeds
+    p_train.add_argument("--algo", choices=ALGOS, default="snowball")
+    p_train.add_argument("--dump-discovery", action="store_true",
+                         help="also write per-iteration discovery report CSVs")
+    p_sweep.add_argument("--algo", default="snowball", help=f"a comma list of {', '.join(ALGOS)}",
+                         type=lambda text: _comma_list(text, f"--algo {text!r}", str))
+    p_sweep.add_argument("--seeds", type=parse_seeds, default="0..4", help="'0..4' or '0,1,2'")
+    p_sweep.add_argument("--vary", type=parse_vary, default=[("", {})], metavar="KEY=V1,V2,...",
+                         help="run each value of one config key")
 
     p_rep = sub.add_parser("report",
                            help="render a run manifest; --verify re-runs it")

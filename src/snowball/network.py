@@ -305,8 +305,8 @@ def class_labels(y, class_count: int) -> np.ndarray:
 
 def error_rate(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of samples whose argmax prediction disagrees with y, which
-    holds one label per row of x (a ConfigError otherwise)."""
-    y = np.asarray(y)
+    holds one class of the net per row of x (a ConfigError otherwise)."""
+    y = class_labels(y, params.class_count)
     if y.size == 0:
         raise DataError("cannot compute an error rate on an empty set")
     predicted = predict_labels(params, x)

@@ -251,8 +251,8 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     guide noise - so runs are exactly reproducible from the seed. The teacher
     EMA starts at student_init and absorbs the student after every step; with
     steps=0 both are copies of student_init. Only the training fields of cfg
-    are read; cfg was checked when it was built. A training label that is not
-    a class of the net, a label count other than the training set's row count,
+    are read; cfg was checked when it was built. A training or eval label
+    that is not a class, a label count other than the training set's rows,
     and a training set, pool or eval set whose width is not the net's input
     are ConfigErrors before any step, as are an eval_x or eval_y without the
     other and an eval set with more or fewer labels than rows. Steps write in
@@ -296,6 +296,7 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
         if x is not None and np.shape(x)[1:] != dims[:1]:
             raise ConfigError(f"{name} of shape {np.shape(x)} does not match {dims[0]} inputs")
     labels = one_hot(train_y, dims[-1])
+    eval_y = eval_y if eval_y is None else net.class_labels(eval_y, dims[-1])
 
     state = net.stack_params((student_init, student_init) + (() if master is None else (master,)))
     # one stacked pass of the student and teacher per step; the master's

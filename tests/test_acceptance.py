@@ -1,13 +1,15 @@
-"""The acceptance gate: ten end-to-end checks of the package's core claims.
+"""The acceptance gate: ten end-to-end checks of the package's core claims,
+then the paper's comparison of snowball with mean-teacher.
 
 One test per criterion, in order, each printing a single verdict line (visible
 under ``pytest -s``; with plain ``pytest -v`` the test names themselves read
 as the scorecard). Verdict lines print before their assertion, so a failing
 criterion still shows its detail in the captured output.
 
-The empirical criteria (5-8) run the calibrated benchmark configurations and
-tolerate one bad seed in five: with 4-8 labels a single unlucky labelled draw
-can poison a whole run, and that is part of the phenomenon, not a bug.
+The empirical criteria (5-8) and the comparison run the calibrated benchmark
+configurations and tolerate one bad seed in five: with 4-8 labels a single
+unlucky labelled draw can poison a whole run, and that is part of the
+phenomenon, not a bug.
 """
 
 import time
@@ -355,3 +357,26 @@ def test_criterion_10_checkpoint_round_trip(tmp_path):
         ok &= np.array_equal(forward_batch(p, x).probs, forward_batch(q, x).probs)
     verdict(10, "save -> load -> forward bit-identical", ok,
             "5 nets, logits and probabilities compared bitwise")
+
+
+# --- the paper's comparison: snowball against mean-teacher -----------------
+
+@pytest.mark.slow
+def test_snowball_at_or_below_mean_teacher(moons_snowball_runs):
+    """The paper's headline claim at desk scale, on both benchmark configs;
+    outside the ten criteria, so it moves none of their bounds."""
+    runs, _ = moons_snowball_runs
+    cfg, _ = benchmark_two_moons()
+    moons = 0
+    for s, (data, snow) in zip(SEEDS, runs):
+        mean_teacher = run_algorithm("mean-teacher", data, replace(cfg, seed=s))
+        moons += snow.final_test_err() <= mean_teacher.final_test_err()
+    cfg, spec = benchmark_blobs()
+    blobs = 0
+    for s in SEEDS:
+        data = make_dataset(spec, s)
+        snow, mean_teacher = (run_algorithm(algo, data, replace(cfg, seed=s))
+                              for algo in ("snowball", "mean-teacher"))
+        blobs += snow.final_test_err() <= mean_teacher.final_test_err()
+    print(f"snowball <= mean-teacher: moons {moons}/5, blobs {blobs}/5")
+    assert moons >= 4 and blobs >= 4, f"moons {moons}/5, blobs {blobs}/5"

@@ -511,7 +511,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("seeds, message", [
         ("0,0", "repeats a seed"),  # both runs would write the same ...-seed0 directory
         ("0,-1", "holds a negative seed"),  # numpy cannot seed -1, so it fails before seed 0
-        ("-1..1", "holds a negative seed")], ids=["repeated", "negative", "negative-range"])
+        ("-1..1", "holds a negative seed"),
+        ("0,,1", "cannot parse seed list"),  # every comma list of sweep's rejects an empty item
+        ("", "cannot parse seed list")],
+        ids=["repeated", "negative", "negative-range", "empty-item", "empty"])
     def test_bad_seed_fails_before_any_run(self, tmp_path, capsys, seeds, message):
         argv = ["sweep", "--dataset", "two-moons", f"--seeds={seeds}",
                 "--out-dir", str(tmp_path)]
@@ -539,30 +542,63 @@ class TestExitCodes:
                                        else self.OWNED_MESSAGE.format("sweep", ["seed"]))
         assert not (tmp_path / "runs").exists()
 
-    # each key is one that the ablation sets in every run it makes; the user's
-    # value was once silently replaced (sweep's seed: test_sweep_seed_key_is_a_usage_error)
-    @pytest.mark.parametrize("command, pairs", [
-        ("ablate-selection", ["strategy=max"]),
-        ("ablate-selection", ["use_true_labels=false"]),
-        ("ablate-selection", ["strategy=max", "use_true_labels=false"]),
-        ("ablate-fusion", ["fusion=feature_cascade"]),
-    ], ids=["strategy", "use_true_labels", "both", "fusion"])
+    # each key is one that sweep sets in every run it makes; the user's value
+    # was once silently replaced (seed: test_sweep_seed_key_is_a_usage_error)
+    @pytest.mark.parametrize("vary, pairs", [
+        ("strategy=min,random,max", ["strategy=max"]),
+        ("use_true_labels=true,false", ["use_true_labels=false"]),
+        ("strategy=min,max", ["strategy=max", "seed=3"]),
+        ("fusion=average_distance,feature_cascade", ["fusion=feature_cascade"]),
+    ], ids=["strategy", "use_true_labels", "with-seed", "fusion"])
     @pytest.mark.parametrize("route", ["set", "config"])
-    def test_owned_key_is_a_usage_error(self, tmp_path, capsys, command, pairs, route):
+    def test_owned_key_is_a_usage_error(self, tmp_path, capsys, vary, pairs, route):
         config = tmp_path / "run.cfg"
         config.write_text("".join(f"{pair}\n" for pair in pairs))
         extra = (["--config", str(config)] if route == "config"
                  else [arg for pair in pairs for arg in ("--set", pair)])
-        argv = [command, "--dataset", "blobs", "--out-dir", str(tmp_path / "runs"),
+        argv = ["sweep", "--seeds", "0", "--vary", vary, "--dataset", "blobs",
+                "--out-dir", str(tmp_path / "runs"),
                 "--set", "steps=10", "--set", "generations=1", "--set", "iterations=1",
                 "--set", "n_per_class=40", *extra]
         assert cli_run(argv) == 1
         owned = sorted(pair.split("=")[0] for pair in pairs)
-        assert capsys.readouterr() == ("", self.OWNED_MESSAGE.format(command, owned))
+        assert capsys.readouterr() == ("", self.OWNED_MESSAGE.format("sweep", owned))
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("command", ["train", "sweep", "ablate-selection",
-                                         "ablate-fusion", "ablate-guidance"])
+    # sweep's grid options; each fails before the output root is made
+    @pytest.mark.parametrize("option, value, message", [
+        *[("--vary", f"{key}=1,2", f"--vary takes a scalar config key other than seed, got "
+                                   f"{key!r}")
+          for key in ("nonsense", "n_per_class", "seed", "hidden_dims", "discovery_schedule", "")],
+        ("--vary", "master_weight=0,0.0", "--vary 'master_weight=0,0.0' holds an empty or "
+                                          "repeated item"),
+        ("--vary", "strategy=min,max,min", "--vary 'strategy=min,max,min' holds an empty or "
+                                           "repeated item"),
+        ("--vary", "master_weight=0,,1", "--vary 'master_weight=0,,1' holds an empty or "
+                                         "repeated item"),
+        ("--vary", "master_weight=", "--vary 'master_weight=' holds an empty or repeated item"),
+        ("--vary", "master_weight", "--vary expects KEY=V1,V2,..., got 'master_weight'"),
+        ("--vary", "master_weight=0,x", "config key 'master_weight': cannot parse 'x' as "
+                                        "<class 'float'>"),
+        ("--vary", "beta=0.5,3", "beta must lie in [0, 1], got 3.0"),
+        ("--algo", "snowball,nonsense", "unknown algo 'nonsense', expected one of "
+                                        "('snowball', 'mean-teacher', 'self-learning', "
+                                        "'supervised')"),
+        ("--algo", "snowball,snowball", "--algo 'snowball,snowball' holds an empty or "
+                                        "repeated item"),
+        ("--algo", "snowball,", "--algo 'snowball,' holds an empty or repeated item"),
+    ], ids=["unknown-key", "data-key", "seed", "hidden_dims", "discovery_schedule",
+            "empty-key", "repeated-float", "repeated-str", "empty-value", "no-values",
+            "no-equals", "unparsable", "invalid-value", "unknown-algo", "repeated-algo",
+            "empty-algo"])
+    def test_bad_grid_fails_before_any_run(self, tmp_path, capsys, option, value, message):
+        argv = ["sweep", "--seeds", "0", "--dataset", "two-moons",
+                "--out-dir", str(tmp_path / "runs"), f"{option}={value}"]
+        assert cli_run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_run_command_options_are_not_abbreviated(self, tmp_path, capsys, command):
         # an abbreviation once read sweep's '--seed 9' as '--seeds 9'
         argv = [command, "--dataset", "two-moons", "--labels", "2",
@@ -641,89 +677,166 @@ class TestCliBehaviour:
     COLLAPSE_WARNING = ("warning: training collapsed in {}: the teacher predicts class 0 "
                         "for all 500 test rows")
 
-    # one warning per collapsed run, naming its directory; ablate-guidance
-    # warns once: self-learning's student keeps both classes
+    # one warning per collapsed run, naming its directory; the snowball,
+    # self-learning grid warns once: self-learning's student keeps both classes
     @pytest.mark.parametrize("command, run_dirs", [
         pytest.param(["train", "--algo", "snowball", "--seed", "0"], ["snowball-two-moons-seed0"],
                      id="train"),
         pytest.param(["sweep", "--algo", "snowball", "--seeds", "0"], ["snowball-seed0"],
                      id="sweep"),
-        pytest.param(["ablate-selection", "--seed", "0"],
-                     ["ablate-selection-min", "ablate-selection-random", "ablate-selection-max"],
-                     id="ablate-selection"),
-        pytest.param(["ablate-fusion", "--seed", "0"], ["ablate-fusion-average_distance",
-                                                        "ablate-fusion-feature_cascade",
-                                                        "ablate-fusion-average_sorting_score"],
-                     id="ablate-fusion"),
-        pytest.param(["ablate-guidance", "--seed", "0"], ["ablate-guidance-snowball"],
-                     id="ablate-guidance"),
+        pytest.param(["sweep", "--seeds", "0", "--vary", "strategy=min,random,max",
+                      "--set", "use_true_labels=true"],
+                     ["snowball-strategy=min-seed0", "snowball-strategy=random-seed0",
+                      "snowball-strategy=max-seed0"], id="vary-strategy"),
+        pytest.param(["sweep", "--seeds", "0", "--vary", "fusion=average_distance,"
+                      "feature_cascade,average_sorting_score"],
+                     ["snowball-fusion=average_distance-seed0",
+                      "snowball-fusion=feature_cascade-seed0",
+                      "snowball-fusion=average_sorting_score-seed0"], id="vary-fusion"),
+        pytest.param(["sweep", "--seeds", "0", "--algo", "snowball,self-learning"],
+                     ["snowball-seed0"], id="algo-list"),
     ])
     def test_collapsed_training_warns_and_exits_0(self, tmp_path, capsys, command, run_dirs):
         assert cli_run([*command, "--out-dir", str(tmp_path), *self.COLLAPSING]) == 0
         expected = [self.COLLAPSE_WARNING.format(tmp_path / name) for name in run_dirs]
-        if command[0] == "ablate-fusion":
+        if "fusion=average_distance,feature_cascade,average_sorting_score" in command:
             expected.append("note: each run made 2 of the 3 discoveries fusion needs to "
                             "combine two masters, so it played no part in these rows")
         assert capsys.readouterr().err.splitlines() == expected
         manifests = list(tmp_path.glob("*/manifest.txt"))
         assert manifests and not any("collapse" in m.read_text() for m in manifests)
 
+    def test_help_lists_the_three_commands(self, capsys):
+        # the single-seed ablate-* commands became sweep grids
+        assert cli_run(["--help"]) == 0
+        assert "{train,sweep,report}" in capsys.readouterr().out
+
     def test_healthy_run_does_not_warn(self, tmp_path, capsys):
         assert cli_run(fast_args(tmp_path)) == 0
         assert capsys.readouterr().err == ""
 
-    ABLATION_COMMON = ["--dataset", "blobs", "--labels-per-class", "2", "--seed", "0",
-                       "--set", "steps=25", "--set", "ramp_len=12",
-                       "--set", "generations=1", "--set", "iterations=1",
-                       "--set", "n_per_class=40"]
+    GRID_COMMON = ["--dataset", "blobs", "--labels-per-class", "2",
+                   "--set", "steps=25", "--set", "ramp_len=12",
+                   "--set", "generations=1", "--set", "iterations=1",
+                   "--set", "n_per_class=40"]
     # noisier blobs, four iterations of six discoveries and a fast master EMA,
-    # so the three past masters differ and every row of both tables differs
-    ABLATION_DISTINCT = ["--dataset", "blobs", "--labels-per-class", "2", "--seed", "0",
-                         "--set", "steps=40", "--set", "ramp_len=12",
-                         "--set", "generations=1", "--set", "iterations=4",
-                         "--set", "n_per_class=40", "--set", "data_noise=1.5",
-                         "--set", "discovery_schedule=6,6,6,6", "--set", "beta=0.5"]
-    # ablate-fusion's stderr when its runs made fewer than three discoveries
+    # so the three past masters differ and every final row of both grids differs
+    GRID_DISTINCT = ["--dataset", "blobs", "--labels-per-class", "2",
+                     "--set", "steps=40", "--set", "ramp_len=12",
+                     "--set", "generations=1", "--set", "iterations=4",
+                     "--set", "n_per_class=40", "--set", "data_noise=1.5",
+                     "--set", "discovery_schedule=6,6,6,6", "--set", "beta=0.5"]
+    # the grids that replaced the single-seed ablation commands; selection
+    # trains on the selected samples' true labels
+    SELECTION = ["--vary", "strategy=min,random,max", "--set", "use_true_labels=true"]
+    FUSION = ["--vary", "fusion=average_distance,feature_cascade,average_sorting_score"]
+    GUIDANCE = ["--algo", "snowball,self-learning"]
+    # sweep's stderr for the fusion grid when its runs made fewer than three discoveries
     FUSION_NOTE = ("note: each run made 1 of the 3 discoveries fusion needs to combine "
                    "two masters, so it played no part in these rows\n")
-    # stdout of the ablations, recorded when each still ran its own loop
-    ABLATION_STDOUT = {
-        ("ablate-selection", "common"): (
-            "strategy    err (true labels)  sample noise rate\n"
-            "min                    0.1698             0.0000\n"
-            "random                 0.1698             0.0000\n"
-            "max                    0.1698             0.0000\n"),
-        ("ablate-fusion", "common"): (
-            "fusion                   noise rate   test err\n"
-            "average_distance             0.0000     0.1698\n"
-            "feature_cascade              0.0000     0.1698\n"
-            "average_sorting_score        0.0000     0.1698\n"),
-        ("ablate-selection", "distinct"): (
-            "strategy    err (true labels)  sample noise rate\n"
-            "min                    0.3019             0.1667\n"
-            "random                 0.2830             0.3333\n"
-            "max                    0.2830             0.3333\n"),
-        ("ablate-fusion", "distinct"): (
-            "fusion                   noise rate   test err\n"
-            "average_distance             0.0000     0.3019\n"
-            "feature_cascade              0.0000     0.2830\n"
-            "average_sorting_score        0.1667     0.2830\n"),
-        ("ablate-guidance", "common"): (
-            "gen iter  snowball err  snowball noise  self-learn err  self-learn noise\n"
-            "  1    1        0.1698          0.0000          0.0000            0.0000\n"),
+    # (test_err, noise_rate) of the final row of each run (every row for guidance)
+    # as written by the ablation commands these grids replaced
+    ABLATION_ROWS = {
+        ("selection", "common"): {f"snowball-strategy={value}-seed0":
+                                  [(0.16981132075471697, 0.0)] for value in ("min", "random", "max")},
+        ("fusion", "common"): {f"snowball-fusion={value}-seed0": [(0.16981132075471697, 0.0)]
+                               for value in ("average_distance", "feature_cascade",
+                                             "average_sorting_score")},
+        ("guidance", "common"): {"snowball-seed0": [(0.16981132075471697, 0.0)],
+                                 "self-learning-seed0": [(0.0, 0.0)]},
+        ("selection", "distinct"): {
+            "snowball-strategy=min-seed0": [(0.3018867924528302, 0.16666666666666666)],
+            "snowball-strategy=random-seed0": [(0.2830188679245283, 0.3333333333333333)],
+            "snowball-strategy=max-seed0": [(0.2830188679245283, 0.3333333333333333)]},
+        ("fusion", "distinct"): {
+            "snowball-fusion=average_distance-seed0": [(0.3018867924528302, 0.0)],
+            "snowball-fusion=feature_cascade-seed0": [(0.2830188679245283, 0.0)],
+            "snowball-fusion=average_sorting_score-seed0": [(0.2830188679245283,
+                                                             0.16666666666666666)]},
     }
 
-    def test_ablation_commands_run(self, tmp_path, capsys):
-        common = self.ABLATION_COMMON + ["--out-dir", str(tmp_path)]
-        for command, err in (("ablate-selection", ""), ("ablate-fusion", self.FUSION_NOTE),
-                             ("ablate-guidance", "")):
-            assert cli_run([command] + common) == 0
-            assert capsys.readouterr() == (self.ABLATION_STDOUT[(command, "common")], err)
+    @pytest.mark.parametrize("grid, data", [
+        ("selection", "common"), ("fusion", "common"), ("guidance", "common"),
+        ("selection", "distinct"), ("fusion", "distinct")])
+    def test_grids_reproduce_the_ablation_rows(self, tmp_path, capsys, grid, data):
+        argv = ["sweep", "--seeds", "0",
+                *{"common": self.GRID_COMMON, "distinct": self.GRID_DISTINCT}[data],
+                *{"selection": self.SELECTION, "fusion": self.FUSION,
+                  "guidance": self.GUIDANCE}[grid], "--out-dir", str(tmp_path)]
+        assert cli_run(argv) == 0
+        expected = self.ABLATION_ROWS[(grid, data)]
+        for name, rows in expected.items():
+            _, got = read_manifest(tmp_path / name / "manifest.txt")
+            got = got if grid == "guidance" else got[-1:]
+            assert [(repr(row.test_err), repr(row.noise_rate)) for row in got] == \
+                [(repr(test_err), repr(noise)) for test_err, noise in rows], name
+            assert (tmp_path / f"{name.removesuffix('-seed0')}-aggregate.csv").exists()
+        assert sorted(path.name for path in tmp_path.glob("*-seed0")) == sorted(expected)
+        err = capsys.readouterr().err
+        assert err == (self.FUSION_NOTE if (grid, data) == ("fusion", "common") else "")
 
-    @pytest.mark.parametrize("command", ["ablate-selection", "ablate-fusion"])
-    def test_ablation_rows_that_differ_are_pinned(self, tmp_path, capsys, command):
-        assert cli_run([command, *self.ABLATION_DISTINCT, "--out-dir", str(tmp_path)]) == 0
-        assert capsys.readouterr() == (self.ABLATION_STDOUT[(command, "distinct")], "")
+    # stdout of a grid of two pipelines by two strategies over three seeds
+    GRID_STDOUT = (
+        'variant cmp-snowball-strategy=min:\n'
+        'seed 0: final test error 0.2830 (<out>/cmp-snowball-strategy=min-seed0)\n'
+        'seed 1: final test error 0.3774 (<out>/cmp-snowball-strategy=min-seed1)\n'
+        'seed 2: final test error 0.3208 (<out>/cmp-snowball-strategy=min-seed2)\n'
+        '\n'
+        'aggregate over 3 seeds (mean +/- sample std), algo snowball:\n'
+        '  g1 i1: test 0.3962 +/- 0.1361  noise 0.2778 +/- 0.1925\n'
+        '  g1 i2: test 0.3270 +/- 0.0109  noise 0.5000 +/- 0.1667\n'
+        '  g1 i3: test 0.3082 +/- 0.0218  noise 0.2222 +/- 0.1925\n'
+        '  g1 i4: test 0.3270 +/- 0.0475  noise 0.0000 +/- 0.0000\n'
+        '\n'
+        'variant cmp-snowball-strategy=max:\n'
+        'seed 0: final test error 0.5472 (<out>/cmp-snowball-strategy=max-seed0)\n'
+        'seed 1: final test error 0.3774 (<out>/cmp-snowball-strategy=max-seed1)\n'
+        'seed 2: final test error 0.3208 (<out>/cmp-snowball-strategy=max-seed2)\n'
+        '\n'
+        'aggregate over 3 seeds (mean +/- sample std), algo snowball:\n'
+        '  g1 i1: test 0.3962 +/- 0.1361  noise 0.5000 +/- 0.4410\n'
+        '  g1 i2: test 0.3836 +/- 0.1089  noise 0.2778 +/- 0.1925\n'
+        '  g1 i3: test 0.4528 +/- 0.1612  noise 0.6667 +/- 0.0000\n'
+        '  g1 i4: test 0.4151 +/- 0.1178  noise 0.5000 +/- 0.1667\n'
+        '\n'
+        'variant cmp-self-learning-strategy=min:\n'
+        'seed 0: final test error 0.3774 (<out>/cmp-self-learning-strategy=min-seed0)\n'
+        'seed 1: final test error 0.4151 (<out>/cmp-self-learning-strategy=min-seed1)\n'
+        'seed 2: final test error 0.2642 (<out>/cmp-self-learning-strategy=min-seed2)\n'
+        '\n'
+        'aggregate over 3 seeds (mean +/- sample std), algo self-learning:\n'
+        '  g1 i1: test 0.3648 +/- 0.1256  noise 0.2222 +/- 0.1925\n'
+        '  g1 i2: test 0.3585 +/- 0.0755  noise 0.2778 +/- 0.1925\n'
+        '  g1 i3: test 0.3711 +/- 0.0786  noise 0.1667 +/- 0.0000\n'
+        '  g1 i4: test 0.3522 +/- 0.0786  noise 0.1667 +/- 0.0000\n'
+        '\n'
+        'variant cmp-self-learning-strategy=max:\n'
+        'seed 0: final test error 0.5472 (<out>/cmp-self-learning-strategy=max-seed0)\n'
+        'seed 1: final test error 0.4906 (<out>/cmp-self-learning-strategy=max-seed1)\n'
+        'seed 2: final test error 0.3585 (<out>/cmp-self-learning-strategy=max-seed2)\n'
+        '\n'
+        'aggregate over 3 seeds (mean +/- sample std), algo self-learning:\n'
+        '  g1 i1: test 0.3648 +/- 0.1256  noise 0.3333 +/- 0.1667\n'
+        '  g1 i2: test 0.3459 +/- 0.0475  noise 0.6111 +/- 0.2546\n'
+        '  g1 i3: test 0.3648 +/- 0.0436  noise 0.5556 +/- 0.0962\n'
+        '  g1 i4: test 0.4654 +/- 0.0968  noise 0.3889 +/- 0.2546\n'
+        '\n'
+        'final rows (mean +/- sample std) and seeds at or below cmp-snowball-strategy=min:\n'
+        '  cmp-snowball-strategy=min       test 0.3270 +/- 0.0475  noise 0.0000 +/- 0.0000  3/3\n'
+        '  cmp-snowball-strategy=max       test 0.4151 +/- 0.1178  noise 0.5000 +/- 0.1667  2/3\n'
+        '  cmp-self-learning-strategy=min  test 0.3522 +/- 0.0786  noise 0.1667 +/- 0.0000  1/3\n'
+        '  cmp-self-learning-strategy=max  test 0.4654 +/- 0.0968  noise 0.3889 +/- 0.2546  0/3\n'
+    )
+
+    def test_grid_prints_each_variant_then_the_final_rows(self, tmp_path, capsys):
+        argv = ["sweep", *self.GRID_DISTINCT, "--seeds", "0..2", "--name", "cmp",
+                *self.GUIDANCE, "--vary", "strategy=min,max", "--out-dir", str(tmp_path)]
+        assert cli_run(argv) == 0
+        out = capsys.readouterr().out.replace(str(tmp_path), "<out>")
+        assert out == self.GRID_STDOUT
+        assert sorted(path.name for path in tmp_path.glob("*-aggregate.csv")) == [
+            f"cmp-{algo}-strategy={value}-aggregate.csv"
+            for algo in ("self-learning", "snowball") for value in ("max", "min")]
 
     def test_dump_discovery_writes_reports(self, tmp_path):
         argv = fast_args(tmp_path, "--dump-discovery", algo="snowball")
@@ -736,7 +849,7 @@ class TestCliBehaviour:
     def test_noise_rate_recomputes_from_the_discovery_dump(self, tmp_path):
         # noisy blobs, so the selected pseudo-labels are not all correct
         argv = ["train", "--algo", "snowball", "--out-dir", str(tmp_path),
-                "--dump-discovery", *self.ABLATION_DISTINCT, "--set", "generations=2"]
+                "--seed", "0", "--dump-discovery", *self.GRID_DISTINCT, "--set", "generations=2"]
         assert cli_run(argv) == 0
         run_dir = tmp_path / "snowball-blobs-seed0"
         _, rows = read_manifest(run_dir / "manifest.txt")

@@ -718,3 +718,11 @@ class TestPredict:
         x = np.array([[2.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ConfigError, match=rf"labels of shape \({len(y)},\) for 5 rows"):
             error_rate(p, x, np.array(y))
+
+    @pytest.mark.parametrize("y, label", [([7] * 5, 7), ([0, 1, -1, 1, 0], -1)],
+                             ids=["above", "negative"])
+    def test_error_rate_rejects_a_label_that_is_not_a_class(self, y, label):
+        # such a label was once scored as one more wrong prediction
+        x = np.random.default_rng(0).normal(size=(5, 2))
+        with pytest.raises(ConfigError, match=f"label {label} is not a class of a 2-class net"):
+            error_rate(init_params((2, 4, 2)), x, y)

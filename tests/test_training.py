@@ -470,6 +470,18 @@ class TestTrainIteration:
                             ExperimentConfig(steps=steps), np.random.default_rng(0),
                             eval_x=np.zeros((5, 3)), eval_y=np.zeros(5, dtype=int))
 
+    @pytest.mark.parametrize("steps", [0, 30])
+    @pytest.mark.parametrize("eval_y, label", [([7, 0, 1, 7, 7], 7), ([7, -1, 7, 7, 7], 7),
+                                               ([0, -1, 1, 0, 1], -1)],
+                             ids=["above", "both", "negative"])
+    def test_eval_label_outside_the_classes_is_config_error(self, steps, eval_y, label):
+        # such an eval set once trained and reported its labels as wrong predictions
+        x, y = small_problem()
+        with pytest.raises(ConfigError, match=f"label {label} is not a class of a 2-class net"):
+            train_iteration(tiny(seed=3), x, y, np.zeros((0, 2)), None,
+                            ExperimentConfig(steps=steps), np.random.default_rng(0),
+                            eval_x=np.zeros((5, 2)), eval_y=np.array(eval_y))
+
     @pytest.mark.parametrize("steps", [0, 5])
     def test_label_outside_the_classes_is_config_error(self, steps):
         x, y = small_problem(n=4)
