@@ -9,7 +9,8 @@ else ./runs) containing a manifest, per-step CSVs and model checkpoints.
 train and sweep (each --algo by each --vary value, over --seeds) are lists
 of variants (run name, algo, config overrides) run by one loop
 (_run_variants). A key that a variant overrides is the command's: setting it
-in a config file or with --set is a usage error, never silently replaced.
+in a config file or with --set is a usage error, never silently replaced,
+and so is varying a key that the variant's pipeline fixes.
 
 Exit codes: 0 success, 1 usage or configuration problems, 2 data problems,
 3 numerical divergence. A run whose record collapsed (see
@@ -33,7 +34,7 @@ from .data import (DatasetSplit, gen_gaussian_blobs, gen_rings, gen_two_moons,
                    load_csv, split)
 from .errors import (AggregationError, ConfigError, DataError, DivergenceError,
                      NumericsError, reading)
-from .orchestrator import ALGOS, run_algorithm
+from .orchestrator import ALGOS, PIPELINES, run_algorithm
 from .records import (RunRecord, read_manifest, rows_equal,
                       write_aggregate_csv, write_manifest, write_report_csv,
                       write_step_metrics)
@@ -347,12 +348,17 @@ def _run_variants(args, variants) -> list[tuple[RunRecord, Path]]:
     """Run a command's variants, each (run name, algo, config overrides), in
     order on the configs the user set; one (record, run_dir) per variant.
     The keys the variants override are the command's. Setting one, an unknown
-    algo or a bad config is a ConfigError before the output root is made and
-    any run; a root that cannot be made is a DataError."""
+    algo, a variant override of a key its algo's PIPELINES row fixes, or a bad
+    config is a ConfigError before the output root is made and any run; a
+    root that cannot be made is a DataError."""
     flat = _flat_from_args(args)
     config, spec = build_configs(flat)
     if unknown := sorted({algo for _, algo, _ in variants} - set(ALGOS)):
         raise ConfigError(f"unknown algo {unknown[0]!r}, expected one of {ALGOS}")
+    for _, algo, overrides in variants:
+        if fixed := sorted(overrides.keys() & PIPELINES[algo][0].keys()):
+            raise ConfigError(f"the {algo} pipeline fixes config key {fixed[0]!r}, "
+                              f"so {args.command} cannot vary it")
     owned = sorted({key for _, _, overrides in variants for key in overrides} & flat.keys())
     if owned:
         raise ConfigError(f"config keys {owned} are set by {args.command} for each run, "

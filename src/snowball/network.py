@@ -4,11 +4,11 @@ Everything runs in double precision numpy. Parameters live in one flat
 float64 buffer laid out exactly like a checkpoint's payload: for each layer
 in order, its weights row-major, then its bias. `ModelParams` is a frozen
 dataclass over that buffer, which it takes as given and checks against the
-layer dims; `ModelParams.from_layers` copies per-layer arrays into a new
-one. ``.weights`` and ``.biases`` are views into the buffer, so element-wise
-arithmetic on models is one array operation on the buffer, and a checkpoint
-is the buffer's bytes behind a short header. The training loops average
-weights in place, by `training.ema_update` on buffers they own.
+layer dims, and a checkpoint is the buffer's bytes behind a short header.
+The training loops update weights in place, by `sgd_step` and
+`training.ema_update` on buffers they own; the value forms the tests compare
+them with live in tests/reference.py.
+
 The forward pass exposes the activations entering the final linear layer as
 the sample's feature vector. One layer loop runs either one model's layer
 views on a batch or a (k, P) stack's on k batches, keeping the trace
@@ -18,7 +18,7 @@ backward pass write in place only into arrays they made themselves or that a
 caller owns and hands them as output, never into the logits, trace or
 dlogits a caller passed: `train_iteration` and `build_master` own a stack of
 their models, a velocity and a gradient buffer, which `_backward` and
-`sgd_step(out=...)` update, and copy models out. `_backward` reduces a bias
+`sgd_step` update, and copy models out. `_backward` reduces a bias
 gradient with ``einsum("ij->j")`` when the gradient at that layer is
 C-contiguous and wider than one column: like ``sum(axis=0)`` it adds the rows
 in order, but in one pass down the columns, not one inner loop per row. A
@@ -74,14 +74,11 @@ class ModelParams:
     """Parameters of a dense net, treated as an immutable value.
 
     ``buffer`` is taken as given, not copied, and must be the float64 vector
-    ``layer_dims`` needs; `from_layers` copies per-layer arrays into a new one.
-    ``weights[i]`` (shape ``(fan_in, fan_out)``) and ``biases[i]`` (shape
-    ``(fan_out,)``) are views into ``buffer``. Addition, subtraction and scalar
-    multiplication act element-wise on the buffer and return new parameters,
-    so ``0.99 * teacher + 0.01 * student`` builds an exponential moving
-    average directly on models; ``dataclasses.replace(model, buffer=...)``
-    is a model over another buffer. Equality and hashing are by identity;
-    `params_equal` compares two models by value.
+    ``layer_dims`` needs; ``dataclasses.replace(model, buffer=...)`` is a
+    model over another buffer. Equality and hashing are by identity: two
+    models hold the same value when their ``buffer``, ``layer_dims`` and
+    ``activation`` are equal. tests/reference.py builds models from per-layer
+    arrays and reads each layer's weights and bias back.
     """
 
     buffer: np.ndarray
@@ -100,31 +97,6 @@ class ModelParams:
             raise ConfigError(f"layers {self.layer_dims} need {size} float64 parameters, "
                               f"got a {self.buffer.dtype} buffer of shape {self.buffer.shape}")
 
-    @classmethod
-    def from_layers(cls, weights: tuple[np.ndarray, ...], biases: tuple[np.ndarray, ...],
-                    activation: str = "relu") -> ModelParams:
-        """Parameters holding a copy of the given layer arrays."""
-        if not weights or len(weights) != len(biases):
-            raise ConfigError("weights and biases must be non-empty and of equal length")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
-                raise ConfigError(f"layer {i} has incompatible shapes {w.shape} / {b.shape}")
-            if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
-                raise ConfigError(f"layer {i - 1} output does not match layer {i} input")
-        dims = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
-        buffer = np.empty(_buffer_size(dims))
-        for (w_view, b_view), w, b in zip(_layer_views(buffer, dims), weights, biases):
-            w_view[...], b_view[...] = w, b
-        return cls(buffer, dims, activation)
-
-    @property
-    def weights(self) -> tuple[np.ndarray, ...]:
-        return tuple(w for w, _ in _layer_views(self.buffer, self.layer_dims))
-
-    @property
-    def biases(self) -> tuple[np.ndarray, ...]:
-        return tuple(b for _, b in _layer_views(self.buffer, self.layer_dims))
-
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
@@ -141,17 +113,6 @@ class ModelParams:
             raise ConfigError(f"models differ: {self.layer_dims} {self.activation} vs "
                               f"{other.layer_dims} {other.activation}")
         return other.buffer
-
-    def __add__(self, other: ModelParams) -> ModelParams:
-        return replace(self, buffer=self.buffer + self._other_buffer(other))
-
-    def __sub__(self, other: ModelParams) -> ModelParams:
-        return replace(self, buffer=self.buffer - self._other_buffer(other))
-
-    def __mul__(self, scalar: float) -> ModelParams:
-        return replace(self, buffer=float(scalar) * self.buffer)
-
-    __rmul__ = __mul__
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.buffer).all())
@@ -316,21 +277,6 @@ def error_rate(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(wrong.sum() / wrong.size)  # np.mean's sum and division
 
 
-def batch_loss(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> float:
-    """Mean cross-entropy of softmax outputs against target distributions.
-
-    loss = (1/n) * sum_i CE(targets[i], softmax(f(x[i]))); the value
-    function that `grad` differentiates.
-    """
-    return mean_ce(targets, np.log(np.maximum(forward(params, x).probs, EPS_LOG)))
-
-
-def mean_ce(targets: np.ndarray, log_probs: np.ndarray) -> float:
-    """Mean over rows of -sum(targets * log_probs), by np.mean's reduction and division."""
-    ce = -row_sum(targets * log_probs)
-    return float(ce.sum() / len(ce))
-
-
 def grad_from_dlogits(params: ModelParams, trace: BatchForward,
                       dlogits: np.ndarray) -> ModelParams:
     """Backpropagate a given gradient w.r.t. the logits down to every parameter.
@@ -345,7 +291,8 @@ def grad_from_dlogits(params: ModelParams, trace: BatchForward,
     if delta.shape != acts[-1].shape:
         raise ConfigError(f"dlogits shape {delta.shape} does not match logits {acts[-1].shape}")
     out = np.empty_like(params.buffer)
-    _backward(params.weights, acts, delta, _layer_views(out, params.layer_dims), params.activation)
+    weights = tuple(w for w, _ in _layer_views(params.buffer, params.layer_dims))
+    _backward(weights, acts, delta, _layer_views(out, params.layer_dims), params.activation)
     return replace(params, buffer=out)
 
 
@@ -367,7 +314,8 @@ def _backward(weights, acts, delta: np.ndarray, grads, activation: str) -> None:
 
 
 def grad(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> ModelParams:
-    """Gradient of `batch_loss` w.r.t. every parameter.
+    """Gradient w.r.t. every parameter of the mean cross-entropy of the
+    softmax outputs on x against targets.
 
     ``targets`` holds one probability distribution per row (a one-hot row for
     hard labels, a guide model's softmax for consistency terms). dCE/dlogits
@@ -385,12 +333,12 @@ def grad(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> ModelParams
 
 
 def sgd_step(params: ModelParams, gradient: ModelParams, lr: float, momentum: float,
-             velocity: np.ndarray | None = None, l2: float = 0.0,
-             out: tuple[np.ndarray, np.ndarray] | None = None):
-    """One classical momentum SGD update, v <- mu*v + g, p <- p - lr*v;
-    returns the new parameters and velocity (None: the first step, v = g).
-    l2 > 0 adds l2 * w to each weight gradient (biases are not decayed). out=(p, v)
-    writes the same bytes into p and v, which may be params.buffer and velocity."""
+             velocity: np.ndarray | None = None, l2: float = 0.0, *,
+             out: tuple[np.ndarray, np.ndarray]):
+    """One classical momentum SGD update, v <- mu*v + g, p <- p - lr*v, written
+    into out=(p, v), which may be params.buffer and velocity; returns out.
+    velocity None is the first step, v = g. l2 > 0 adds l2 * w to each weight
+    gradient (biases are not decayed)."""
     if lr <= 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     if not 0.0 <= momentum < 1.0:
@@ -402,20 +350,14 @@ def sgd_step(params: ModelParams, gradient: ModelParams, lr: float, momentum: fl
         g = g.copy()
         for ws, _, _ in _layout(params.layer_dims):
             g[ws] += l2 * params.buffer[ws]
-    p, v = (np.empty_like(g), np.empty_like(g)) if out is None else out
+    p, v = out
     if velocity is None:
         np.copyto(v, g)  # a copy keeps g's -0.0, which 0 * mu + g would not
     else:
         np.multiply(momentum, velocity, out=v)
         v += g
     np.subtract(params.buffer, lr * v, out=p)
-    return (replace(params, buffer=p), v) if out is None else out
-
-
-def params_equal(a: ModelParams, b: ModelParams) -> bool:
-    """Exact value equality of two parameter sets (shapes, activation, entries)."""
-    return a.activation == b.activation and a.layer_dims == b.layer_dims and \
-        np.array_equal(a.buffer, b.buffer)
+    return out
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

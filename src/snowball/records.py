@@ -97,13 +97,6 @@ class RunRecord:
     def final_test_err(self) -> float:
         return self.rows[-1].test_err
 
-    def generation_final_errors(self) -> list[float]:
-        """test_err of the last iteration of each generation, in order."""
-        last: dict[int, float] = {}
-        for row in self.rows:
-            last[row.generation] = row.test_err
-        return [last[g] for g in sorted(last)]
-
 
 def rows_equal(a: list[IterationRow], b: list[IterationRow]) -> bool:
     """Bit-exact equality of metric rows, ignoring wall_time (a measurement,

@@ -22,7 +22,7 @@ layer floats, whatever the number of steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +37,13 @@ CONSISTENCY_KINDS = ("ce", "mse")
 EVAL_EVERY = 25  # train_iteration measures error rates every EVAL_EVERY-th step
 
 
-def ema_update(averaged: ModelParams, source: ModelParams, decay: float, out=None):
-    """decay * averaged + (1 - decay) * source, on the buffers; out, which may be
-    averaged.buffer, gets the same bytes and is returned."""
+def ema_update(averaged: ModelParams, source: ModelParams, decay: float, out: np.ndarray):
+    """decay * averaged + (1 - decay) * source, on the buffers, written into out,
+    which may be averaged.buffer; returns out."""
     source_buffer = averaged._other_buffer(source)
-    buffer = np.multiply(decay, averaged.buffer, out=out)
-    buffer += (1.0 - decay) * source_buffer
-    return replace(averaged, buffer=buffer) if out is None else out
+    np.multiply(decay, averaged.buffer, out=out)
+    out += (1.0 - decay) * source_buffer
+    return out
 
 
 def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:

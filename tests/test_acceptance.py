@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference
 
 from snowball import network as net
 from snowball.cli import (DataSpec, benchmark_blobs, benchmark_two_moons,
@@ -24,8 +25,7 @@ from snowball.cli import (DataSpec, benchmark_blobs, benchmark_two_moons,
 from snowball.data import gen_two_moons, split
 from snowball.discovery import assign_pseudo_labels, fuse_distances, select_samples
 from snowball.discovery import noise_rate as report_noise_rate
-from snowball.network import (ModelParams, batch_loss, forward_batch, grad,
-                              init_params, load_checkpoint, params_equal,
+from snowball.network import (forward_batch, grad, init_params, load_checkpoint,
                               save_checkpoint)
 from snowball.orchestrator import ExperimentConfig, run_algorithm
 from snowball.training import ema_update, one_hot
@@ -44,23 +44,6 @@ def two_moons_data(seed, noise=0.15, lpc=2, n=1500):
 
 # --- 1: gradients -----------------------------------------------------------
 
-def fd_grad(p, x, targets, h=1e-5):
-    out_w = [np.zeros_like(a) for a in p.weights]
-    out_b = [np.zeros_like(a) for a in p.biases]
-    for kind, arrays, outs in (("w", p.weights, out_w), ("b", p.biases, out_b)):
-        for i, arr in enumerate(arrays):
-            for idx in np.ndindex(arr.shape):
-                def loss_at(v):
-                    ws = [w.copy() for w in p.weights]
-                    bs = [b.copy() for b in p.biases]
-                    (ws[i] if kind == "w" else bs[i])[idx] = v
-                    q = ModelParams.from_layers(tuple(ws), tuple(bs), p.activation)
-                    return batch_loss(q, x, targets)
-                v0 = arr[idx]
-                outs[i][idx] = (loss_at(v0 + h) - loss_at(v0 - h)) / (2 * h)
-    return ModelParams.from_layers(tuple(out_w), tuple(out_b), p.activation)
-
-
 def test_criterion_01_gradient_correctness():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -73,11 +56,10 @@ def test_criterion_01_gradient_correctness():
         x = rng.normal(size=(int(rng.integers(2, 7)), dims[0]))
         targets = one_hot(rng.integers(0, dims[-1], size=len(x)), dims[-1])
         analytic = grad(p, x, targets)
-        numeric = fd_grad(p, x, targets)
-        for ga, fa in zip(analytic.weights + analytic.biases,
-                          numeric.weights + numeric.biases):
-            rel = np.abs(ga - fa) / np.maximum(np.abs(fa), 1e-8)
-            worst = max(worst, float(rel.max()))
+        numeric = reference.central_differences(
+            lambda q: reference.batch_loss(q, x, targets), p)
+        rel = np.abs(analytic.buffer - numeric) / np.maximum(np.abs(numeric), 1e-8)
+        worst = max(worst, float(rel.max()))
     elapsed = time.perf_counter() - start
     verdict(1, "gradient vs central differences", worst < 1e-4 and elapsed < 10.0,
             f"20 nets, max rel err {worst:.2e}, {elapsed:.1f}s")
@@ -88,10 +70,13 @@ def test_criterion_01_gradient_correctness():
 def test_criterion_02_ema_algebra():
     old = init_params((2, 4, 2), seed=1)
     src = init_params((2, 4, 2), seed=2)
-    copy_ok = params_equal(ema_update(old, src, 0.0), src)
-    frozen_ok = params_equal(ema_update(old, src, 1.0), old)
-    mid = ema_update(old, src, 0.5)
-    mid_ok = params_equal(mid, 0.5 * old + (1.0 - 0.5) * src)
+
+    def ema(decay):
+        return ema_update(old, src, decay, out=np.empty_like(old.buffer))
+
+    copy_ok = np.array_equal(ema(0.0), src.buffer)
+    frozen_ok = np.array_equal(ema(1.0), old.buffer)
+    mid_ok = np.array_equal(ema(0.5), reference.ema(old, src, 0.5).buffer)
     verdict(2, "EMA decay endpoints and midpoint",
             copy_ok and frozen_ok and mid_ok,
             f"copy={copy_ok} frozen={frozen_ok} midpoint={mid_ok}")
@@ -106,13 +91,13 @@ def test_criterion_03_degenerate_equivalence():
                            discovery_schedule=(0,), steps=120, ramp_len=60)
     snow = run_algorithm("snowball", data, cfg)
     mt = run_algorithm("mean-teacher", data, cfg)
-    collapse_ok = (params_equal(snow.models["student"], mt.models["student"])
-                   and params_equal(snow.models["teacher"], mt.models["teacher"]))
+    collapse_ok = (reference.params_equal(snow.models["student"], mt.models["student"])
+                   and reference.params_equal(snow.models["teacher"], mt.models["teacher"]))
     cfg0 = replace(cfg, lambda2_max=0.0)
     students = [run_algorithm(algo, data, cfg0).models["student"]
                 for algo in ("snowball", "mean-teacher", "supervised")]
-    plain_ok = (params_equal(students[0], students[1])
-                and params_equal(students[1], students[2]))
+    plain_ok = (reference.params_equal(students[0], students[1])
+                and reference.params_equal(students[1], students[2]))
     elapsed = time.perf_counter() - start
     verdict(3, "degenerate configs collapse bit-identically",
             collapse_ok and plain_ok and elapsed < 60.0,
@@ -292,7 +277,7 @@ def test_criterion_07_generations_non_increasing(moons_snowball_runs):
     start = time.perf_counter()
     hits = 0
     for _, rec in runs:
-        gens = rec.generation_final_errors()
+        gens = reference.generation_final_errors(rec)
         hits += all(b <= a + 0.01 + 1e-12 for a, b in zip(gens, gens[1:]))
     elapsed += time.perf_counter() - start
     verdict(7, "per-generation error non-increasing (+1pp)",
@@ -352,7 +337,7 @@ def test_criterion_10_checkpoint_round_trip(tmp_path):
         save_checkpoint(p, path)
         q = load_checkpoint(path)
         x = rng.normal(size=(7, dims[0]))
-        ok &= params_equal(p, q)
+        ok &= reference.params_equal(p, q)
         ok &= np.array_equal(forward_batch(p, x).logits, forward_batch(q, x).logits)
         ok &= np.array_equal(forward_batch(p, x).probs, forward_batch(q, x).probs)
     verdict(10, "save -> load -> forward bit-identical", ok,

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference
 
 import snowball.network as net
 from snowball.discovery import (
@@ -30,7 +31,7 @@ from snowball.discovery import (
     select_samples,
 )
 from snowball.errors import ConfigError, DiscoveryError
-from snowball.network import ModelParams, init_params, params_equal, sgd_step
+from snowball.network import init_params
 from snowball.orchestrator import TrainingSet, build_master
 from snowball.records import write_report_csv
 from snowball.training import ExperimentConfig
@@ -40,7 +41,7 @@ def feature_identity_net(dim=2, classes=2):
     """Net whose penultimate features equal the (non-negative) input."""
     w1 = np.eye(dim)
     w2 = np.zeros((dim, classes))
-    return ModelParams.from_layers(weights=(w1, w2), biases=(np.zeros(dim), np.zeros(classes)))
+    return reference.from_layers(weights=(w1, w2), biases=(np.zeros(dim), np.zeros(classes)))
 
 
 def brute_force_centers(model, x, y, class_count):
@@ -348,8 +349,8 @@ class TestFusion:
         pool_x = np.array([[4.0, 4.0]])
         m_a = feature_identity_net()
         # model b flips the feature space sign so the nearest center flips
-        m_b = ModelParams.from_layers(weights=(-np.eye(2), np.zeros((2, 2))),
-                          biases=(np.zeros(2), np.zeros(2)), activation="tanh")
+        m_b = reference.from_layers(weights=(-np.eye(2), np.zeros((2, 2))),
+                                    biases=(np.zeros(2), np.zeros(2)), activation="tanh")
         rep_ab = fuse_distances([m_a, m_b], pool_x, np.array([0]),
                                 train_x, train_y, "average_distance")
         rep_ba = fuse_distances([m_b, m_a], pool_x, np.array([0]),
@@ -499,8 +500,8 @@ SCALES = (-1.0, 0.5, 1.0, 2.0)
 
 def scaled_relu_net(scales, classes):
     """One hidden layer: feature j is relu(scales[j] * x_j); the head is zero."""
-    return ModelParams.from_layers(weights=(np.diag(scales), np.zeros((DIM, classes))),
-                       biases=(np.zeros(DIM), np.zeros(classes)))
+    return reference.from_layers(weights=(np.diag(scales), np.zeros((DIM, classes))),
+                                 biases=(np.zeros(DIM), np.zeros(classes)))
 
 
 @st.composite
@@ -690,7 +691,7 @@ class TestTies:
         targets = np.eye(teacher.class_count)[np.concatenate(
             [train_y, np.array([labels[i] for i in extra], dtype=int)])]
         # one refine step and no previous master: the master is the refined copy
-        want, _ = sgd_step(teacher, net.grad(teacher, x, targets), cfg.learning_rate,
-                           cfg.momentum, None, l2=cfg.l2)
+        want, _ = reference.sgd_step(teacher, net.grad(teacher, x, targets), cfg.learning_rate,
+                                     cfg.momentum, None, l2=cfg.l2)
         training_set = TrainingSet(np.arange(len(train_y)), train_x, train_y)
-        assert params_equal(build_master(teacher, training_set, rep, cfg), want)
+        assert reference.params_equal(build_master(teacher, training_set, rep, cfg), want)

@@ -566,34 +566,39 @@ class TestExitCodes:
         assert not (tmp_path / "runs").exists()
 
     # sweep's grid options; each fails before the output root is made
-    @pytest.mark.parametrize("option, value, message", [
-        *[("--vary", f"{key}=1,2", f"--vary takes a scalar config key other than seed, got "
-                                   f"{key!r}")
+    @pytest.mark.parametrize("grid, message", [
+        *[([f"--vary={key}=1,2"], f"--vary takes a scalar config key other than seed, got "
+                                  f"{key!r}")
           for key in ("nonsense", "n_per_class", "seed", "hidden_dims", "discovery_schedule", "")],
-        ("--vary", "master_weight=0,0.0", "--vary 'master_weight=0,0.0' holds an empty or "
-                                          "repeated item"),
-        ("--vary", "strategy=min,max,min", "--vary 'strategy=min,max,min' holds an empty or "
-                                           "repeated item"),
-        ("--vary", "master_weight=0,,1", "--vary 'master_weight=0,,1' holds an empty or "
+        (["--vary=master_weight=0,0.0"], "--vary 'master_weight=0,0.0' holds an empty or "
                                          "repeated item"),
-        ("--vary", "master_weight=", "--vary 'master_weight=' holds an empty or repeated item"),
-        ("--vary", "master_weight", "--vary expects KEY=V1,V2,..., got 'master_weight'"),
-        ("--vary", "master_weight=0,x", "config key 'master_weight': cannot parse 'x' as "
-                                        "<class 'float'>"),
-        ("--vary", "beta=0.5,3", "beta must lie in [0, 1], got 3.0"),
-        ("--algo", "snowball,nonsense", "unknown algo 'nonsense', expected one of "
-                                        "('snowball', 'mean-teacher', 'self-learning', "
-                                        "'supervised')"),
-        ("--algo", "snowball,snowball", "--algo 'snowball,snowball' holds an empty or "
+        (["--vary=strategy=min,max,min"], "--vary 'strategy=min,max,min' holds an empty or "
+                                          "repeated item"),
+        (["--vary=master_weight=0,,1"], "--vary 'master_weight=0,,1' holds an empty or "
                                         "repeated item"),
-        ("--algo", "snowball,", "--algo 'snowball,' holds an empty or repeated item"),
+        (["--vary=master_weight="], "--vary 'master_weight=' holds an empty or repeated item"),
+        (["--vary=master_weight"], "--vary expects KEY=V1,V2,..., got 'master_weight'"),
+        (["--vary=master_weight=0,x"], "config key 'master_weight': cannot parse 'x' as "
+                                       "<class 'float'>"),
+        (["--vary=beta=0.5,3"], "beta must lie in [0, 1], got 3.0"),
+        (["--algo=snowball,nonsense"], "unknown algo 'nonsense', expected one of "
+                                       "('snowball', 'mean-teacher', 'self-learning', "
+                                       "'supervised')"),
+        (["--algo=snowball,snowball"], "--algo 'snowball,snowball' holds an empty or "
+                                       "repeated item"),
+        (["--algo=snowball,"], "--algo 'snowball,' holds an empty or repeated item"),
+        # a pipeline's own override would replace the varied value in every run
+        (["--algo=mean-teacher", "--vary=generations=1,3"],
+         "the mean-teacher pipeline fixes config key 'generations', so sweep cannot vary it"),
+        (["--algo=snowball,self-learning", "--vary=lambda2_max=1,3"],
+         "the self-learning pipeline fixes config key 'lambda2_max', so sweep cannot vary it"),
     ], ids=["unknown-key", "data-key", "seed", "hidden_dims", "discovery_schedule",
             "empty-key", "repeated-float", "repeated-str", "empty-value", "no-values",
             "no-equals", "unparsable", "invalid-value", "unknown-algo", "repeated-algo",
-            "empty-algo"])
-    def test_bad_grid_fails_before_any_run(self, tmp_path, capsys, option, value, message):
+            "empty-algo", "pipeline-fixed-key", "pipeline-fixed-key-in-a-list"])
+    def test_bad_grid_fails_before_any_run(self, tmp_path, capsys, grid, message):
         argv = ["sweep", "--seeds", "0", "--dataset", "two-moons",
-                "--out-dir", str(tmp_path / "runs"), f"{option}={value}"]
+                "--out-dir", str(tmp_path / "runs"), *grid]
         assert cli_run(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "runs").exists()

@@ -4,20 +4,21 @@ import math
 
 import numpy as np
 import pytest
+import reference
 
 import snowball.network as net
 from snowball.cli import DataSpec, make_dataset
 from snowball.data import gen_two_moons, split
 from snowball.discovery import assign_pseudo_labels, select_samples
 from snowball.errors import ConfigError, DivergenceError, OrchestrationError
-from snowball.network import error_rate, init_params, params_equal, sgd_step
+from snowball.network import error_rate, init_params
 from snowball.orchestrator import (
     ExperimentConfig,
     TrainingSet,
     build_master,
     run_algorithm,
 )
-from snowball.training import ema_update, one_hot
+from snowball.training import one_hot
 
 
 def small_data(seed=0, n=240, lpc=2, noise=0.1):
@@ -26,9 +27,9 @@ def small_data(seed=0, n=240, lpc=2, noise=0.1):
 
 
 def refined_master(teacher, training_set, report, cfg, prev_master):
-    """build_master in the value forms of net.grad, sgd_step and ema_update:
-    every step makes new models, and the master starts at the first snapshot
-    when there is no previous one."""
+    """build_master in the value forms of net.grad and of reference.sgd_step and
+    reference.ema: every step makes new models, and the master starts at the
+    first snapshot when there is no previous one."""
     extra = np.flatnonzero(~report.selected)[:math.ceil(cfg.master_extra_fraction
                                                          * report.selected.sum())]
     x = np.concatenate([training_set.x, report.inputs[extra]])
@@ -36,9 +37,10 @@ def refined_master(teacher, training_set, report, cfg, prev_master):
                       teacher.class_count)
     refined, master, velocity = teacher, prev_master, None
     for _ in range(cfg.resolved_refine_steps()):
-        refined, velocity = sgd_step(refined, net.grad(refined, x, targets), cfg.learning_rate,
-                                     cfg.momentum, velocity, l2=cfg.l2)
-        master = refined if master is None else ema_update(master, refined, cfg.beta)
+        refined, velocity = reference.sgd_step(refined, net.grad(refined, x, targets),
+                                               cfg.learning_rate, cfg.momentum, velocity,
+                                               l2=cfg.l2)
+        master = refined if master is None else reference.ema(master, refined, cfg.beta)
     return teacher if master is None else master
 
 
@@ -107,7 +109,7 @@ class TestBuildMaster:
         rep = self.make_report(d, teacher)
         cfg = quick_cfg(master_extra_fraction=0.0, master_refine_steps=3)
         m = build_master(teacher, ts, rep, cfg)
-        assert not params_equal(m, teacher)
+        assert not reference.params_equal(m, teacher)
 
     def test_beta_one_keeps_previous_master(self):
         d = small_data()
@@ -117,7 +119,7 @@ class TestBuildMaster:
         rep = self.make_report(d, teacher)
         cfg = quick_cfg(beta=1.0, master_refine_steps=4)
         m = build_master(teacher, ts, rep, cfg, prev_master=prev)
-        assert params_equal(m, prev)
+        assert reference.params_equal(m, prev)
 
     def test_zero_steps_returns_prev_or_teacher(self):
         d = small_data()
@@ -126,8 +128,8 @@ class TestBuildMaster:
         ts = TrainingSet.from_split(d)
         rep = self.make_report(d, teacher)
         cfg = quick_cfg(master_refine_steps=0)
-        assert params_equal(build_master(teacher, ts, rep, cfg, prev), prev)
-        assert params_equal(build_master(teacher, ts, rep, cfg), teacher)
+        assert reference.params_equal(build_master(teacher, ts, rep, cfg, prev), prev)
+        assert reference.params_equal(build_master(teacher, ts, rep, cfg), teacher)
 
     @pytest.mark.parametrize("steps", [0, 1, 5])
     @pytest.mark.parametrize("with_prev", [False, True], ids=["no-prev", "prev"])
@@ -205,7 +207,7 @@ class TestBuildMaster:
         rep = select_samples(rep, 10, "min")
         every = build_master(teacher, ts, rep, quick_cfg(master_extra_fraction=1.0))
         huge = build_master(teacher, ts, rep, quick_cfg(master_extra_fraction=1e308))
-        assert params_equal(huge, every)
+        assert reference.params_equal(huge, every)
 
     def test_divergence_names_the_refine_step(self):
         d = small_data()
@@ -234,8 +236,8 @@ class TestDegenerateEquivalence:
         cfg = quick_cfg(generations=1, iterations=1, discovery_schedule=(0,))
         a = run_algorithm("snowball", d, cfg)
         b = run_algorithm("mean-teacher", d, cfg)
-        assert params_equal(a.models["student"], b.models["student"])
-        assert params_equal(a.models["teacher"], b.models["teacher"])
+        assert reference.params_equal(a.models["student"], b.models["student"])
+        assert reference.params_equal(a.models["teacher"], b.models["teacher"])
 
     def test_lambda2_zero_equals_supervised(self):
         d = small_data()
@@ -244,8 +246,8 @@ class TestDegenerateEquivalence:
         a = run_algorithm("snowball", d, cfg)
         b = run_algorithm("supervised", d, cfg)
         c = run_algorithm("mean-teacher", d, cfg)
-        assert params_equal(a.models["student"], b.models["student"])
-        assert params_equal(b.models["student"], c.models["student"])
+        assert reference.params_equal(a.models["student"], b.models["student"])
+        assert reference.params_equal(b.models["student"], c.models["student"])
 
     def test_self_learning_n0_matches_supervised_weights(self):
         # one generation of N=0 self-learning is plain supervised training
@@ -253,7 +255,7 @@ class TestDegenerateEquivalence:
         cfg = quick_cfg(generations=1, iterations=1, discovery_schedule=(0,))
         a = run_algorithm("self-learning", d, cfg)
         b = run_algorithm("supervised", d, cfg)
-        assert params_equal(a.models["student"], b.models["student"])
+        assert reference.params_equal(a.models["student"], b.models["student"])
 
 
 class TestRunStructure:
@@ -273,9 +275,9 @@ class TestRunStructure:
         cfg = quick_cfg(discovery_schedule=(2, 2))
         a = run_algorithm("snowball", d, cfg)
         b = run_algorithm("snowball", d, cfg)
-        assert params_equal(a.models["student"], b.models["student"])
-        assert params_equal(a.models["teacher"], b.models["teacher"])
-        assert params_equal(a.models["master"], b.models["master"])
+        assert reference.params_equal(a.models["student"], b.models["student"])
+        assert reference.params_equal(a.models["teacher"], b.models["teacher"])
+        assert reference.params_equal(a.models["master"], b.models["master"])
         for ra, rb in zip(a.rows, b.rows):
             assert ra.test_err == rb.test_err
             assert ra.train_err == rb.train_err
@@ -295,7 +297,7 @@ class TestRunStructure:
         d = small_data()
         a = run_algorithm("snowball", d, quick_cfg(seed=0, discovery_schedule=(2, 2)))
         b = run_algorithm("snowball", d, quick_cfg(seed=1, discovery_schedule=(2, 2)))
-        assert not params_equal(a.models["student"], b.models["student"])
+        assert not reference.params_equal(a.models["student"], b.models["student"])
 
     def test_output_model_convention(self):
         d = small_data()

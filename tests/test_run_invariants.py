@@ -4,7 +4,9 @@ Hypothesis draws a dataset (two moons or blobs of up to 12 classes, at most
 60 rows), a pipeline and a config of a few steps covering every fusion,
 strategy, consistency kind, activation and depth up to three hidden layers,
 with discovery schedules up to ones that empty the pool. Each run returns or
-raises a SnowballError. A run that returns counts its training set from its
+raises a SnowballError. The train command, given the same run's config as
+--set pairs, reports a raised error with the exit code of its base class and
+one stderr line. A run that returns counts its training set from its
 own reports, adopts no sample twice in a generation nor one it was given,
 recomputes each noise rate from its discovery dump, reloads every checkpoint
 and step CSV bit for bit, and its manifest re-runs bit-exactly. On the same
@@ -15,19 +17,23 @@ The examples are derandomized and keep no database, so they are
 reproducible.
 """
 
+import contextlib
 import csv
+import io
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference
 
-from snowball.cli import DataSpec, make_dataset, run_one, verify_manifest
+from snowball.cli import DataSpec, cli_run, make_dataset, run_one, verify_manifest
 from snowball.discovery import FUSIONS, STRATEGIES
-from snowball.errors import SnowballError
-from snowball.network import load_checkpoint, params_equal
+from snowball.errors import (ConfigError, DataError, DivergenceError, NumericsError,
+                             SnowballError)
+from snowball.network import load_checkpoint
 from snowball.orchestrator import ALGOS, run_algorithm
 from snowball.records import read_step_metrics
 from snowball.training import ExperimentConfig
@@ -84,12 +90,32 @@ def outcome(algo, data, config):
         return f"{type(err).__name__}: {err}"
 
 
+# each base class of the package's errors: the exit code and stderr prefix of the command line
+EXITS = ((ConfigError, 1, "error: "), (DataError, 2, "data error: "),
+         ((DivergenceError, NumericsError), 3, "numerical error: "))
+
+
+def train_reports(err: SnowballError, algo, spec, config, out) -> None:
+    """The train command, given every field of both configs as --set pairs
+    (tuples comma-joined, as a manifest writes them), exits with err's code
+    and writes one stderr line: the prefix of err's base class, then err."""
+    code, prefix = next((code, prefix) for base, code, prefix in EXITS if isinstance(err, base))
+    sets = []
+    for key, value in {**asdict(config), **asdict(spec)}.items():
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        sets += ["--set", f"{key}={text}"]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        exit_code = cli_run(["train", "--algo", algo, "--out-dir", out, "--dump-discovery", *sets])
+    assert (exit_code, stderr.getvalue()) == (code, f"{prefix}{err}\n")
+
+
 def same_models(records, roles) -> bool:
     """Every record is the same error, or every record holds equal models in roles."""
     errors = [r for r in records if isinstance(r, str)]
     if errors:
         return len(errors) == len(records) and len(set(errors)) == 1
-    return all(params_equal(records[0].models[role], r.models[role])
+    return all(reference.params_equal(records[0].models[role], r.models[role])
                for r in records[1:] for role in roles)
 
 
@@ -99,7 +125,8 @@ def test_run_invariants(algo, spec, config):
     with tempfile.TemporaryDirectory() as out:
         try:
             record, run_dir = run_one(algo, config, spec, Path(out), dump_discovery=True)
-        except SnowballError:
+        except SnowballError as err:
+            train_reports(err, algo, spec, config, out)
             return
         labeled_ids = set(make_dataset(spec, config.seed).labeled_ids.tolist())
         adopted: dict[int, list] = {}

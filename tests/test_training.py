@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import reference
 
 import snowball.network as net
 from snowball import training
 from snowball.data import augment, gen_two_moons, split
 from snowball.errors import ConfigError, DataError, DivergenceError, NumericsError
-from snowball.network import (EPS_LOG, ModelParams, error_rate, init_params, params_equal,
-                              sgd_step)
+from snowball.network import EPS_LOG, ModelParams, error_rate, init_params, sgd_step
 from snowball.records import StepMetrics, read_step_metrics, write_step_metrics
 from snowball.training import (
     ExperimentConfig,
@@ -84,12 +84,12 @@ def perturbed_views(x, seed=9, sigma=0.1):
 class TestClassificationLoss:
     def test_perfect_predictor_near_zero(self):
         # huge logit gap drives the softmax to one-hot
-        p = ModelParams.from_layers(weights=(np.eye(2) * 50,), biases=(np.zeros(2),))
+        p = reference.from_layers(weights=(np.eye(2) * 50,), biases=(np.zeros(2),))
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert classification_loss(p, x, np.array([0, 1])) < 1e-11
 
     def test_uniform_predictor_ln_c(self):
-        p = ModelParams.from_layers(weights=(np.zeros((3, 10)),), biases=(np.zeros(10),))
+        p = reference.from_layers(weights=(np.zeros((3, 10)),), biases=(np.zeros(10),))
         x = np.random.default_rng(0).normal(size=(6, 3))
         y = np.arange(6) % 10
         assert classification_loss(p, x, y) == pytest.approx(math.log(10), abs=1e-12)
@@ -113,17 +113,49 @@ class TestClassificationLoss:
         assert mixed == pytest.approx(labelled, abs=1e-12)
 
 
+def class_term(student_probs, labels):
+    """The classification term of objective_terms on these student softmax rows,
+    all labelled; the teacher's rows, here the same, do not enter it."""
+    probs = np.stack([student_probs, student_probs])
+    return float(objective_terms(probs, one_hot(labels, probs.shape[-1]), 1.0, 0.0, "ce",
+                                 1.0)[0])
+
+
+class TestClassificationClamp:
+    """The classification term is the mean over the labelled rows of
+    -log(max(p, EPS_LOG)) at each row's class."""
+
+    def test_matching_one_hot_is_zero(self):
+        assert class_term(net.softmax(np.array([[0.0, 50.0, 0.0]])), [1]) < 1e-11
+
+    def test_one_hot_vs_uniform(self):
+        assert class_term(np.full((1, 2), 0.5), [0]) == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_hand_computed_value(self):
+        got = class_term(np.array([[0.9, 0.1], [0.9, 0.1]]), [0, 1])
+        want = -0.5 * math.log(0.9) - 0.5 * math.log(0.1)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert got == pytest.approx(1.2040, abs=1e-4)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-300, EPS_LOG / 2])
+    def test_probability_below_the_clamp_costs_minus_log_eps(self, p):
+        assert class_term(np.array([[1.0 - p, p]]), [1]) == -np.log(EPS_LOG)
+
+    def test_probability_above_the_clamp_is_not_clamped(self):
+        assert class_term(np.array([[0.5, 2 * EPS_LOG]]), [1]) == -np.log(2 * EPS_LOG)
+
+
 class TestConsistencyLoss:
     def test_identical_models_gives_entropy(self):
         # guide == student and sigma 0: H(p, p) = H(p); uniform -> ln 2
-        p = ModelParams.from_layers(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
+        p = reference.from_layers(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
         x = np.array([[0.3, -0.4]])
         got = consistency_loss(p, p, x)
         assert got == pytest.approx(math.log(2), abs=1e-12)
 
     def test_one_hot_guide_uniform_student(self):
-        guide = ModelParams.from_layers(weights=(np.eye(2) * 60,), biases=(np.zeros(2),))
-        student = ModelParams.from_layers(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
+        guide = reference.from_layers(weights=(np.eye(2) * 60,), biases=(np.zeros(2),))
+        student = reference.from_layers(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
         x = np.array([[1.0, 0.0]])
         got = consistency_loss(student, guide, x)
         assert got == pytest.approx(math.log(2), abs=1e-9)
@@ -190,7 +222,7 @@ class TestStudentLoss:
 def relu_margin(params, x):
     """Smallest |pre-activation| of any hidden unit of a relu net on any row of x."""
     a, margin = x, np.inf
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+    for w, b in reference.layers(params)[:-1]:
         z = a @ w + b
         margin = min(margin, float(np.abs(z).min()))
         a = np.maximum(z, 0.0)
@@ -201,7 +233,7 @@ class TestObjectiveGradient:
     """The gradient training steps on, against central differences of the
     objective's own total, on a batch whose first three rows are labelled."""
 
-    def check(self, kind, with_master, activation, dims, data_seed, h=1e-5):
+    def check(self, kind, with_master, activation, dims, data_seed):
         rng = np.random.default_rng(data_seed)
         student = init_params(dims, activation, seed=1)
         teacher = init_params(dims, activation, seed=2)
@@ -210,7 +242,7 @@ class TestObjectiveGradient:
         guide_view = student_view + 0.1 * rng.normal(size=(6, dims[0]))
         labels = np.array([0, 2, 1])
         if activation == "relu":
-            # a step of h moves no hidden unit of the student across relu's kink
+            # a central-difference step (1e-5) moves no student hidden unit across relu's kink
             assert relu_margin(student, student_view) > 1e-3
 
         def loss_at(params):
@@ -218,19 +250,8 @@ class TestObjectiveGradient:
                              0.7, 1.3, kind, 0.6)
 
         _, gradient = loss_at(student)
-        arrays = list(student.weights + student.biases)
-        for a, analytic in enumerate(gradient.weights + gradient.biases):
-            numeric = np.zeros_like(analytic)
-            for idx in np.ndindex(analytic.shape):
-                totals = []
-                for step in (h, -h):
-                    moved = [arr.copy() for arr in arrays]
-                    moved[a][idx] += step
-                    params = ModelParams.from_layers(tuple(moved[:len(dims) - 1]),
-                                         tuple(moved[len(dims) - 1:]), activation)
-                    totals.append(loss_at(params)[0].total)
-                numeric[idx] = (totals[0] - totals[1]) / (2 * h)
-            np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
+        numeric = reference.central_differences(lambda params: loss_at(params)[0].total, student)
+        np.testing.assert_allclose(gradient.buffer, numeric, rtol=1e-5, atol=1e-9)
 
     @pytest.mark.parametrize("kind", ["ce", "mse"])
     @pytest.mark.parametrize("with_master", [False, True])
@@ -249,31 +270,20 @@ class TestObjectiveGradient:
 class TestEma:
     def test_decay_zero_copies_source(self):
         a, b = tiny(seed=1), tiny(seed=2)
-        assert params_equal(ema_update(a, b, 0.0), b)
+        assert ema_update(a, b, 0.0, out=np.empty_like(a.buffer)).tobytes() == b.buffer.tobytes()
 
     def test_decay_one_frozen(self):
         a, b = tiny(seed=1), tiny(seed=2)
-        assert params_equal(ema_update(a, b, 1.0), a)
+        assert ema_update(a, b, 1.0, out=np.empty_like(a.buffer)).tobytes() == a.buffer.tobytes()
 
     def test_source_of_another_activation_is_config_error(self):
         relu, tanh = tiny(seed=1), tiny(seed=2, activation="tanh")
-        for out in (None, relu.buffer.copy()):
-            with pytest.raises(ConfigError, match="models differ"):
-                ema_update(relu, tanh, 0.5, out=out)
+        with pytest.raises(ConfigError, match="models differ"):
+            ema_update(relu, tanh, 0.5, out=relu.buffer.copy())
 
     def test_midpoint(self):
-        dims = (2, 3, 2)
-        twos = ModelParams.from_layers(
-            tuple(np.full((i, o), 2.0) for i, o in zip(dims[:-1], dims[1:])),
-            tuple(np.full(o, 2.0) for o in dims[1:]),
-        )
-        fours = ModelParams.from_layers(
-            tuple(np.full((i, o), 4.0) for i, o in zip(dims[:-1], dims[1:])),
-            tuple(np.full(o, 4.0) for o in dims[1:]),
-        )
-        averaged = ema_update(twos, fours, 0.5)
-        for w in averaged.weights + averaged.biases:
-            assert np.all(w == 3.0)
+        twos, fours = (ModelParams(np.full(17, value), (2, 3, 2)) for value in (2.0, 4.0))
+        assert np.all(ema_update(twos, fours, 0.5, out=np.empty(17)) == 3.0)
 
 
 UPDATES = settings(derandomize=True, max_examples=100, database=None, deadline=None)
@@ -291,24 +301,17 @@ def as_model(buffer):
 
 
 class TestInPlaceUpdates:
-    """The out= forms of sgd_step and ema_update, which a training step calls
-    on buffers it owns, write exactly the bytes the value forms return, and
-    both are the bytes of the update's plain expressions."""
+    """sgd_step and ema_update, which a training step calls on buffers it
+    owns, write exactly the bytes of the plain numpy value forms in
+    tests/reference.py, into fresh buffers or over their own inputs."""
 
     @UPDATES
     @given(p=BUFFERS, g=BUFFERS, v=st.none() | BUFFERS, lr=st.floats(1e-6, 10.0),
            momentum=st.sampled_from([0.0, 0.5, 0.9]), l2=st.sampled_from([0.0, 1e-4, 0.5]))
     @example(p=np.ones(17), g=np.full(17, -0.0), v=None, lr=0.05, momentum=0.9, l2=0.0)
     def test_sgd_step(self, p, g, v, lr, momentum, l2):
-        decayed = as_model(g)  # the gradient plus l2 * weights, biases left out
-        if l2 > 0.0:
-            for w, pw in zip(decayed.weights, as_model(p).weights):
-                w += l2 * pw
-        want_v = decayed.buffer.copy() if v is None else momentum * v + decayed.buffer
         params, gradient = as_model(p), as_model(g)
-        want_params, want_velocity = sgd_step(params, gradient, lr, momentum, v, l2=l2)
-        assert want_velocity.tobytes() == want_v.tobytes()
-        assert want_params.buffer.tobytes() == (p - lr * want_v).tobytes()
+        want_params, want_velocity = reference.sgd_step(params, gradient, lr, momentum, v, l2=l2)
         # the first step must not read the velocity buffer: it starts as nan
         velocity = np.full(17, np.nan) if v is None else v.copy()
         out = (params.buffer, velocity)
@@ -324,10 +327,10 @@ class TestInPlaceUpdates:
     @example(a=np.full(17, -0.0), s=np.full(17, -1.0), decay=1.0)
     def test_ema_update(self, a, s, decay):
         averaged, source = as_model(a), as_model(s)
-        want = ema_update(averaged, source, decay)
-        assert want.buffer.tobytes() == (decay * a + (1.0 - decay) * s).tobytes()
+        want = reference.ema(averaged, source, decay).buffer.tobytes()
+        assert ema_update(averaged, source, decay, out=np.empty(17)).tobytes() == want
         got = ema_update(averaged, source, decay, out=averaged.buffer)
-        assert got is averaged.buffer and got.tobytes() == want.buffer.tobytes()
+        assert got is averaged.buffer and got.tobytes() == want
         assert source.buffer.tobytes() == s.tobytes()
 
 
@@ -360,8 +363,8 @@ class TestTrainIteration:
         cfg = ExperimentConfig(steps=0)
         student, teacher, metrics = train_iteration(
             p, x, y, np.zeros((0, 2)), None, cfg, np.random.default_rng(0))
-        assert params_equal(student, p)
-        assert params_equal(teacher, p)
+        assert reference.params_equal(student, p)
+        assert reference.params_equal(teacher, p)
         assert metrics == []
 
     def test_student_learns_separable_data(self):
@@ -380,7 +383,7 @@ class TestTrainIteration:
         cfg = ExperimentConfig(steps=50, sigma_aug=0.0, lambda2_max=0.0, unlabeled_batch=0)
         student, teacher, _ = train_iteration(
             p, x, y, np.zeros((0, 2)), None, cfg, np.random.default_rng(0))
-        assert not params_equal(student, teacher)
+        assert not reference.params_equal(student, teacher)
 
     def test_determinism(self):
         x, y = small_problem()
@@ -391,8 +394,8 @@ class TestTrainIteration:
                                eval_x=x, eval_y=y)
         out2 = train_iteration(p, x, y, pool, None, cfg, np.random.default_rng(17),
                                eval_x=x, eval_y=y)
-        assert params_equal(out1[0], out2[0])
-        assert params_equal(out1[1], out2[1])
+        assert reference.params_equal(out1[0], out2[0])
+        assert reference.params_equal(out1[1], out2[1])
         assert out1[2] == out2[2]
 
     def test_no_unlabeled_batch_is_the_empty_pool(self):
@@ -403,8 +406,8 @@ class TestTrainIteration:
         outs = [train_iteration(tiny(seed=3), x, y, p, tiny(seed=4), cfg,
                                 np.random.default_rng(17), eval_x=x, eval_y=y)
                 for p in (pool, np.zeros((0, 2)))]
-        assert params_equal(outs[0][0], outs[1][0])
-        assert params_equal(outs[0][1], outs[1][1])
+        assert reference.params_equal(outs[0][0], outs[1][0])
+        assert reference.params_equal(outs[0][1], outs[1][1])
         assert outs[0][2] == outs[1][2]
 
     def test_guide_gets_no_gradient(self):
@@ -416,7 +419,7 @@ class TestTrainIteration:
         cfg = ExperimentConfig(steps=30)
         student, teacher, _ = train_iteration(p, x, y, pool, master, cfg,
                                               np.random.default_rng(0))
-        assert params_equal(master, tiny(seed=4))
+        assert reference.params_equal(master, tiny(seed=4))
         assert (p.buffer.tobytes(), master.buffer.tobytes()) == inputs
         # the returned models alias nothing: not each other, the inputs, nor
         # the models of a second call
@@ -513,7 +516,7 @@ class TestTrainIteration:
 
     def test_master_overflow_is_divergence_at_step_0(self):
         x, y = small_problem()
-        master = 1e300 * tiny(seed=4)
+        master = reference.scaled(tiny(seed=4), 1e300)
         assert master.all_finite()
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError) as exc:
@@ -536,8 +539,8 @@ class TestTrainIteration:
         monkeypatch.setattr(training, "EVAL_EVERY", 1)
         every_student, every_teacher, every = run()
 
-        assert params_equal(student, every_student)
-        assert params_equal(teacher, every_teacher)
+        assert reference.params_equal(student, every_student)
+        assert reference.params_equal(teacher, every_teacher)
         evaluated = [m.step for m in sparse if m.train_err is not None]
         assert evaluated == [*range(24, steps - 1, 25), steps - 1]
         assert all(m.test_err is None for m in sparse if m.step not in evaluated)
@@ -578,8 +581,8 @@ def student_loss(probs, targets, lambda1, lambda2, kind, master_weight):
         d = 2.0 * (p_s - p_g) / p_s.shape[-1]
         return p_s * (d - net.row_sum(d * p_s)[..., None])
 
-    j_class = net.mean_ce(targets, log_p_s[:n_lab]) if n_lab else 0.0
-    loss, student_side, dloss = ((net.mean_ce, log_p_s, np.subtract) if kind == "ce"
+    j_class = reference.mean_ce(targets, log_p_s[:n_lab]) if n_lab else 0.0
+    loss, student_side, dloss = ((reference.mean_ce, log_p_s, np.subtract) if kind == "ce"
                                  else (mean_mse, p_s, mse_dlogits))
     j_teacher = loss(p_t, student_side)
     j_master = master_weight * loss(p_m, student_side) if p_m is not None else 0.0
@@ -597,8 +600,8 @@ def student_loss(probs, targets, lambda1, lambda2, kind, master_weight):
 def per_step_iteration(student, train_x, train_y, pool_x, master, cfg, rng, eval_x=None,
                        eval_y=None):
     """train_iteration one step at a time, in the value forms: each step's
-    passes of the student, teacher and master, its terms and gradient,
-    a new student from sgd_step and a new teacher from ema_update."""
+    passes of the student, teacher and master, its terms and gradient, a new
+    student from reference.sgd_step and a new teacher from reference.ema."""
     teacher, velocity, metrics = student, None, []
     eye = np.eye(student.class_count)
     for step in range(cfg.steps):
@@ -615,8 +618,9 @@ def per_step_iteration(student, train_x, train_y, pool_x, master, cfg, rng, eval
         breakdown, dlogits = student_loss(np.stack([out.probs for out in passes]),
                                           eye[train_y[li]], cfg.lambda1, lam2,
                                           cfg.consistency, cfg.master_weight)
-        student, velocity = sgd_step(student, net.grad_from_dlogits(student, passes[0], dlogits),
-                                     cfg.learning_rate, cfg.momentum, velocity, l2=cfg.l2)
+        student, velocity = reference.sgd_step(
+            student, net.grad_from_dlogits(student, passes[0], dlogits), cfg.learning_rate,
+            cfg.momentum, velocity, l2=cfg.l2)
         if not math.isfinite(breakdown.total) or not student.all_finite():
             raise DivergenceError("", step=step)
         train_err = test_err = None
@@ -627,7 +631,7 @@ def per_step_iteration(student, train_x, train_y, pool_x, master, cfg, rng, eval
                             else float("nan"))
             except NumericsError:
                 raise DivergenceError("", step=step) from None
-        teacher = ema_update(teacher, student, cfg.alpha)
+        teacher = reference.ema(teacher, student, cfg.alpha)
         metrics.append(StepMetrics(step, *breakdown, lam2, train_err, test_err))
     return student, teacher, metrics
 
@@ -762,10 +766,10 @@ class TestDivergenceStep:
     def run(self, iteration, keys, student_scale, master_scale, seed, eval_scale):
         x, y = small_problem()
         pool = np.random.default_rng(9).normal(size=(40, 2))
-        master = None if master_scale is None else master_scale * tiny(seed=4)
+        master = None if master_scale is None else reference.scaled(tiny(seed=4), master_scale)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError) as exc:
-            iteration(student_scale * tiny(seed=3), x, y, pool, master,
+            iteration(reference.scaled(tiny(seed=3), student_scale), x, y, pool, master,
                       ExperimentConfig(steps=60, **keys), np.random.default_rng(seed),
                       eval_x=eval_scale * x, eval_y=y)
         return exc.value.step
