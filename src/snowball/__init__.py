@@ -18,8 +18,7 @@ from __future__ import annotations
 from .cli import (DataSpec, benchmark_blobs, benchmark_two_moons, make_dataset,
                   run_one, verify_manifest)
 from .data import gen_two_moons, split
-from .errors import (AggregationError, ConfigError, DataError, DiscoveryError,
-                     DivergenceError, NumericsError, OrchestrationError, SnowballError)
+from .errors import ConfigError, DataError, DivergenceError, NumericsError, SnowballError
 from .orchestrator import run_algorithm
 from .records import IterationRow, RunRecord
 from .training import ExperimentConfig

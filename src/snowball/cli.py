@@ -32,8 +32,7 @@ import numpy as np
 from . import network as net
 from .data import (DatasetSplit, gen_gaussian_blobs, gen_rings, gen_two_moons,
                    load_csv, split)
-from .errors import (AggregationError, ConfigError, DataError, DivergenceError,
-                     NumericsError, reading)
+from .errors import ConfigError, DataError, DivergenceError, NumericsError, reading
 from .orchestrator import ALGOS, PIPELINES, run_algorithm
 from .records import (RunRecord, read_manifest, rows_equal,
                       write_aggregate_csv, write_manifest, write_report_csv,
@@ -250,12 +249,15 @@ def run_one(algo: str, config: ExperimentConfig, spec: DataSpec, out_root: Path,
 def verify_manifest(path) -> bool:
     """True when a re-run of the manifest's config reproduces its metric rows
     bit-identically (wall_time excluded). The manifest's algo line names the
-    pipeline; the other keys go through build_configs."""
+    pipeline; the other keys go through build_configs, its errors named by path."""
     raw_config, old_rows = read_manifest(path)
     algo = raw_config.pop("algo", "")
     if algo not in ALGOS:  # before any dataset is built
         raise ConfigError(f"{path}: manifest has unknown algo {algo!r}")
-    config, spec = build_configs(raw_config)
+    try:
+        config, spec = build_configs(raw_config)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
     record = run_algorithm(algo, make_dataset(spec, config.seed), config)
     return rows_equal(record.rows, old_rows)
 
@@ -274,20 +276,20 @@ def aggregate(records: list[RunRecord]) -> list[dict[str, float]]:
     std 0 everywhere.
     """
     if not records:
-        raise AggregationError("nothing to aggregate")
+        raise ConfigError("nothing to aggregate")
     base = {k: v for k, v in records[0].config.items() if k not in _SEED_KEYS}
     for rec in records[1:]:
         if rec.algo != records[0].algo:
-            raise AggregationError("cannot aggregate records of different algorithms")
+            raise ConfigError("cannot aggregate records of different algorithms")
         other = {k: v for k, v in rec.config.items() if k not in _SEED_KEYS}
         if other != base:
             diff = sorted(k for k in set(base) | set(other)
                           if base.get(k) != other.get(k))
-            raise AggregationError(f"records differ beyond the seed: {diff}")
+            raise ConfigError(f"records differ beyond the seed: {diff}")
     grid = [(r.generation, r.iteration) for r in records[0].rows]
     for rec in records[1:]:
         if [(r.generation, r.iteration) for r in rec.rows] != grid:
-            raise AggregationError("records cover different (generation, iteration) grids")
+            raise ConfigError("records cover different (generation, iteration) grids")
     out = []
     for i, (m, k) in enumerate(grid):
         row: dict[str, float] = {"generation": m, "iteration": k}

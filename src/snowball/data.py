@@ -42,19 +42,18 @@ class DatasetSplit:
     """Labelled / unlabelled / test partition of a dataset.
 
     Sample ids index the originating RawDataset; the three id sets are
-    disjoint. ``true_y[i]`` is sample i's ground-truth label, for
-    evaluation only (pseudo-label noise rates, discovery dumps, the
+    disjoint. ``true_y[i]`` is sample i's ground-truth label, the one copy
+    of the labels: the labelled and test sets read theirs at their ids. The
+    pool's are for evaluation only (noise rates, discovery dumps, the
     use_true_labels ablation), never for training. Equality and hashing
     are by identity.
     """
 
     labeled_x: np.ndarray
-    labeled_y: np.ndarray
     labeled_ids: np.ndarray
     unlabeled_x: np.ndarray
     unlabeled_ids: np.ndarray
     test_x: np.ndarray
-    test_y: np.ndarray
     test_ids: np.ndarray
     true_y: np.ndarray
     class_count: int
@@ -169,9 +168,8 @@ def split(raw: RawDataset, labels_per_class: int, test_fraction: float, seed=0) 
     norm = (raw.x - mean) / scale
 
     return DatasetSplit(
-        labeled_x=norm[labeled_ids], labeled_y=raw.y[labeled_ids].copy(),
-        labeled_ids=labeled_ids, unlabeled_x=norm[unlabeled_ids], unlabeled_ids=unlabeled_ids,
-        test_x=norm[test_ids], test_y=raw.y[test_ids].copy(), test_ids=test_ids,
+        labeled_x=norm[labeled_ids], labeled_ids=labeled_ids, unlabeled_x=norm[unlabeled_ids],
+        unlabeled_ids=unlabeled_ids, test_x=norm[test_ids], test_ids=test_ids,
         true_y=raw.y.copy(), class_count=raw.class_count)
 
 

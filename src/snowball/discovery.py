@@ -7,10 +7,10 @@ center are presumed most reliable. Reports keep every candidate in rank
 order so selection, the master's extra candidates and noise measurement all
 read off the same structure.
 
-When several model snapshots are available their distances can be fused:
-averaged directly, computed in a concatenated feature space, or averaged as
-per-model sorting ranks. Pseudo-labels under fusion are majority votes with
-ties going to the most recent model.
+A single model ranks through assign_pseudo_labels. Several model snapshots
+fuse their distances in fuse_distances: averaged directly, computed in a
+concatenated feature space, or averaged as per-model sorting ranks, the two
+averages pseudo-labelling by majority vote with ties to the newest model.
 
 Distances are computed NEAREST_BLOCK pool rows at a time in one reused block
 buffer, feature_cascade fills one preallocated feature matrix model by model,
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import network as net
-from .errors import ConfigError, DiscoveryError
+from .errors import ConfigError, DataError
 from .network import ModelParams
 
 STRATEGIES = ("min", "random", "max")
@@ -71,7 +71,7 @@ def compute_class_centers(model: ModelParams, x: np.ndarray, y: np.ndarray) -> n
     for c in range(model.class_count):
         mask = y == c
         if not np.any(mask):
-            raise DiscoveryError(f"class {c} has no labelled samples, cannot place its center")
+            raise DataError(f"class {c} has no labelled samples, cannot place its center")
         centers[c] = feats[mask].mean(axis=0)
     return centers
 
@@ -116,39 +116,32 @@ def assign_pseudo_labels(model: ModelParams, pool_x: np.ndarray, pool_ids: np.nd
                          train_x: np.ndarray, train_y: np.ndarray) -> DiscoveryReport:
     """Pseudo-label a pool by nearest class center of a single model."""
     if len(pool_x) == 0:
-        raise DiscoveryError("unlabelled pool is empty")
+        raise DataError("unlabelled pool is empty")
     labels, dists = _model_nearest(model, pool_x, train_x, train_y)
     return _build_report(pool_ids, pool_x, labels, dists)
 
 
-def _majority_vote(per_model_labels: tuple[np.ndarray, ...], class_count: int) -> np.ndarray:
-    """Majority label per sample; ties take the most recent model's label."""
-    stacked = np.stack(per_model_labels, axis=1)  # (n, models)
-    counts = np.stack([np.sum(stacked == c, axis=1) for c in range(class_count)], axis=1)
-    top = counts.max(axis=1)
-    tied = np.sum(counts == top[:, None], axis=1) > 1
-    winners = np.argmax(counts, axis=1)
-    return np.where(tied, stacked[:, -1], winners)
+def _majority_vote(per_model_labels: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Majority label per sample over 1-3 snapshots, oldest first, ties to the
+    newest: of three, the first label where the first two agree and the
+    newest elsewhere (a majority or a three-way tie); of one or two, the newest."""
+    *older, newest = per_model_labels
+    return np.where(older[0] == older[1], older[0], newest) if len(older) == 2 else newest
 
 
 def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.ndarray,
                    train_x: np.ndarray, train_y: np.ndarray, fusion: str) -> DiscoveryReport:
-    """Pseudo-label a pool using 1-3 model snapshots, oldest first.
-
-    single demands exactly one model and matches `assign_pseudo_labels`;
-    the other fusions accept 1-3 and degrade to single-model behaviour when
-    given one model (or three identical ones).
+    """Pseudo-label a pool by fusing 1-3 model snapshots, oldest first, with
+    average_distance, feature_cascade or average_sorting_score; each degrades
+    to single-model behaviour given one model (or three identical ones).
+    'single' is a ConfigError: one model ranks through `assign_pseudo_labels`.
     """
-    if fusion not in FUSIONS:
-        raise ConfigError(f"unknown fusion {fusion!r}, expected one of {FUSIONS}")
+    if fusion not in FUSIONS[1:]:
+        raise ConfigError(f"unknown fusion {fusion!r}, expected one of {FUSIONS[1:]}")
     if not 1 <= len(models) <= 3:
         raise ConfigError(f"fusion takes 1-3 models, got {len(models)}")
-    if fusion == "single":
-        if len(models) != 1:
-            raise ConfigError(f"fusion 'single' takes exactly 1 model, got {len(models)}")
-        return assign_pseudo_labels(models[0], pool_x, pool_ids, train_x, train_y)
     if len(pool_x) == 0:
-        raise DiscoveryError("unlabelled pool is empty")
+        raise DataError("unlabelled pool is empty")
     if fusion == "feature_cascade":
         # the center of concatenated features is the concatenation of centers
         centers = np.concatenate([compute_class_centers(m, train_x, train_y) for m in models],
@@ -161,7 +154,7 @@ def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.n
         labels, dists = _nearest_center(feats, centers)
         return _build_report(pool_ids, pool_x, labels, dists)
     per_labels, per_dists = zip(*(_model_nearest(m, pool_x, train_x, train_y) for m in models))
-    labels = _majority_vote(per_labels, models[0].class_count)
+    labels = _majority_vote(per_labels)
     if fusion == "average_distance":
         scores = np.mean(per_dists, axis=0)
     else:  # average_sorting_score: mean of per-model 0-based ranks

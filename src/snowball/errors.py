@@ -1,8 +1,8 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package: the CLI's exit-code table.
 
-Three base classes decide the CLI's exit code: a ConfigError (configuration,
-usage, aggregation, orchestration) exits with 1, a DataError (datasets, files,
-discovery) with 2, and a DivergenceError or NumericsError with 3.
+Each class under SnowballError is one row: a ConfigError (configuration,
+usage, aggregation, orchestration) exits with 1, a DataError (datasets,
+files, discovery) with 2, and a DivergenceError or NumericsError with 3.
 """
 
 from __future__ import annotations
@@ -22,35 +22,16 @@ class DataError(SnowballError):
     """Problem with a dataset: parse failures, impossible splits, bad labels."""
 
 
-class DiscoveryError(DataError):
-    """Discovery cannot proceed, e.g. a class with no labelled representatives."""
-
-
-class OrchestrationError(ConfigError):
-    """A pipeline step received inputs that violate the run contract."""
-
-
 class NumericsError(SnowballError):
     """Non-finite values produced during a forward pass."""
 
-    def __init__(self, message: str, layer: int | None = None):
-        super().__init__(message)
-        self.layer = layer
-
 
 class DivergenceError(SnowballError):
-    """Training produced non-finite losses or parameters."""
+    """Training produced non-finite losses or parameters at ``step``."""
 
-    def __init__(self, message: str, step: int, generation: int | None = None,
-                 iteration: int | None = None):
+    def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
-        self.generation = generation
-        self.iteration = iteration
-
-
-class AggregationError(ConfigError):
-    """Run records cannot be aggregated (mismatched configs or grids)."""
 
 
 @contextlib.contextmanager

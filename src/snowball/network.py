@@ -212,7 +212,7 @@ def _run_layers(layers, activation: str, xs: np.ndarray,
         z = acts[-1] @ w
         z += b[..., None, :]  # in place: no pass keeps z once the activation is applied
         if not np.isfinite(z).all():
-            raise NumericsError(f"non-finite values in forward pass at layer {i}", layer=i)
+            raise NumericsError(f"non-finite values in forward pass at layer {i}")
         if not keep_trace:
             del acts[:-1]
         acts.append(z if i == last else _apply_activation(z, activation))

@@ -28,7 +28,7 @@ from . import network as net
 from .data import DatasetSplit
 from .discovery import (DiscoveryReport, assign_pseudo_labels, fuse_distances,
                         noise_rate, select_balanced, select_samples)
-from .errors import ConfigError, DataError, DivergenceError, NumericsError, OrchestrationError
+from .errors import ConfigError, DataError, DivergenceError, NumericsError
 from .network import ModelParams
 from .records import IterationRow, RunRecord
 from .training import ExperimentConfig, ema_update, one_hot, train_iteration
@@ -66,11 +66,11 @@ class TrainingSet:
 
     @classmethod
     def from_split(cls, data: DatasetSplit) -> TrainingSet:
-        return cls(data.labeled_ids.copy(), data.labeled_x.copy(), data.labeled_y.copy())
+        return cls(data.labeled_ids.copy(), data.labeled_x.copy(), data.true_y[data.labeled_ids])
 
     def with_discovered(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> TrainingSet:
         if np.intersect1d(self.ids, ids).size:
-            raise OrchestrationError("discovered samples overlap the training set")
+            raise ConfigError("discovered samples overlap the training set")
         return TrainingSet(np.concatenate([self.ids, ids]), np.concatenate([self.x, x]),
                            np.concatenate([self.y, y]))
 
@@ -97,7 +97,7 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     """
     n_selected = int(report.selected.sum())
     if len(report) == 0 or n_selected == 0:
-        raise OrchestrationError("cannot build a master from an empty discovery report")
+        raise ConfigError("cannot build a master from an empty discovery report")
     unselected = np.flatnonzero(~report.selected)  # already in rank order
     # clamped before int(): the slice caps there anyway, and a huge product overflows
     n_extra = int(min(np.ceil(config.master_extra_fraction * n_selected), len(unselected)))
@@ -157,8 +157,9 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
     overrides, guided = PIPELINES[algo]
     cfg = replace(config, **overrides)
     if len(data.labeled_ids) == 0:
-        raise OrchestrationError("run needs at least one labelled sample")
-    if len(data.test_y) == 0:
+        raise ConfigError("run needs at least one labelled sample")
+    test_y = data.true_y[data.test_ids]
+    if len(test_y) == 0:
         raise DataError("the test set is empty: raise test_fraction to hold out at least one row")
     schedule = cfg.resolved_schedule(len(data.labeled_ids))
     cfg = replace(cfg, discovery_schedule=schedule)
@@ -181,11 +182,11 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
             try:
                 student, teacher, steps = train_iteration(
                     student, training_set.x, training_set.y, pool_x, master,
-                    cfg, rng, eval_x=data.test_x, eval_y=data.test_y)
+                    cfg, rng, eval_x=data.test_x, eval_y=test_y)
             except DivergenceError as err:
                 raise DivergenceError(
                     f"training diverged at generation {m}, iteration {k}, step {err.step}",
-                    step=err.step, generation=m, iteration=k) from None
+                    step=err.step) from None
             step_metrics[(m, k)] = steps
             # the last step is always evaluated, on this student and these rows
             train_err = (steps[-1].train_err if steps else
@@ -222,13 +223,12 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                     except DivergenceError as err:
                         raise DivergenceError(
                             f"master refinement diverged at generation {m}, iteration {k}, "
-                            f"refine step {err.step}",
-                            step=err.step, generation=m, iteration=k) from None
+                            f"refine step {err.step}", step=err.step) from None
                     past_masters.append(master)
 
             rows.append(IterationRow(
                 generation=m, iteration=k, train_err=train_err,
-                test_err=net.error_rate(teacher if guided else student, data.test_x, data.test_y),
+                test_err=net.error_rate(teacher if guided else student, data.test_x, test_y),
                 noise_rate=noise, labeled_size=len(training_set),
                 wall_time=time.perf_counter() - t0))
 
@@ -238,7 +238,7 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
     role = "teacher" if guided else "student"
     predicted = np.unique(net.predict_labels(models[role], data.test_x))
     collapse = None
-    if len(predicted) == 1 and len(np.unique(data.test_y)) > 1:
-        collapse = f"the {role} predicts class {predicted[0]} for all {len(data.test_y)} test rows"
+    if len(predicted) == 1 and len(np.unique(test_y)) > 1:
+        collapse = f"the {role} predicts class {predicted[0]} for all {len(test_y)} test rows"
     return RunRecord(algo=algo, config=asdict(cfg), rows=rows, models=models,
                      step_metrics=step_metrics, reports=reports, collapse=collapse)

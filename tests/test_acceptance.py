@@ -147,7 +147,7 @@ def test_criterion_04_discovery_matches_brute_force():
 
     # distances agree to the last bit up to summation order, so compare at
     # 1e-12; labels and ranks must match exactly
-    rep = fuse_distances(models[:1], pool_x, ids, train_x, train_y, "single")
+    rep = assign_pseudo_labels(models[0], pool_x, ids, train_x, train_y)
     got = by_id(rep)
     for j, i in enumerate(ids):
         if got[int(i)][0] != int(per[0][0][j]) or \
@@ -215,7 +215,7 @@ def test_criterion_05_selection_noise_ordering():
         rec = run_algorithm("mean-teacher", data, replace(cfg, seed=s))
         rep = assign_pseudo_labels(rec.models["teacher"], data.unlabeled_x,
                                    data.unlabeled_ids, data.labeled_x,
-                                   data.labeled_y)
+                                   data.true_y[data.labeled_ids])
         truth = data.true_y
         by_strategy = {
             strat: report_noise_rate(

@@ -6,6 +6,7 @@ with the library by computing the same thing.
 """
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -22,6 +23,7 @@ from snowball.discovery import (
     FUSIONS,
     NEAREST_BLOCK,
     DiscoveryReport,
+    _majority_vote,
     _nearest_center,
     assign_pseudo_labels,
     compute_class_centers,
@@ -30,7 +32,7 @@ from snowball.discovery import (
     select_balanced,
     select_samples,
 )
-from snowball.errors import ConfigError, DiscoveryError
+from snowball.errors import ConfigError, DataError
 from snowball.network import init_params
 from snowball.orchestrator import TrainingSet, build_master
 from snowball.records import write_report_csv
@@ -79,7 +81,7 @@ class TestCenters:
         m = feature_identity_net()
         x = np.array([[0.0, 2.0], [2.0, 0.0], [5.0, 3.0]])
         y = np.array([0, 0, 1])
-        with pytest.raises(DiscoveryError, match="class 1"):
+        with pytest.raises(DataError, match="class 1"):
             compute_class_centers(m, x[:2], y[:2])
         centers = compute_class_centers(m, x, y)
         np.testing.assert_allclose(centers, [[1.0, 1.0], [5.0, 3.0]], atol=1e-15)
@@ -153,7 +155,7 @@ class TestAssignment:
 
     def test_empty_pool_rejected(self):
         m = feature_identity_net()
-        with pytest.raises(DiscoveryError):
+        with pytest.raises(DataError):
             assign_pseudo_labels(m, np.zeros((0, 2)), np.array([]),
                                  np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
 
@@ -366,8 +368,10 @@ class TestFusion:
         models = [init_params((2, 6, 2), seed=i) for i in range(4)]
         with pytest.raises(ConfigError):
             fuse_distances(models, pool_x, ids, train_x, train_y, "average_distance")
-        with pytest.raises(ConfigError):
-            fuse_distances(models[:2], pool_x, ids, train_x, train_y, "single")
+        # one model alone ranks through assign_pseudo_labels
+        with pytest.raises(ConfigError, match=r"one of \('average_distance', "
+                                              r"'feature_cascade', 'average_sorting_score'\)"):
+            fuse_distances(models[:1], pool_x, ids, train_x, train_y, "single")
         with pytest.raises(ConfigError):
             fuse_distances(models[:1], pool_x, ids, train_x, train_y, "stacking")
 
@@ -442,8 +446,9 @@ class TestBoundedMemory:
                                         "average_sorting_score"])
     def test_report_holds_no_feature_array(self, fusion):
         models, pool_x, ids, train_x, train_y = self.make_pool()
-        models = models[:1] if fusion == "single" else models
-        rep = fuse_distances(models, pool_x[:50], ids[:50], train_x, train_y, fusion)
+        rep = (assign_pseudo_labels(models[0], pool_x[:50], ids[:50], train_x, train_y)
+               if fusion == "single" else
+               fuse_distances(models, pool_x[:50], ids[:50], train_x, train_y, fusion))
         shapes = [getattr(rep, f.name).shape for f in dataclasses.fields(rep)
                   if isinstance(getattr(rep, f.name), np.ndarray)]
         assert (50, 2) in shapes  # the input rows
@@ -561,6 +566,14 @@ def ref_nearest(pool_feats, train_feats, train_y):
     return out
 
 
+def ref_vote(votes):
+    """The most common label, ties to the last one voted."""
+    counts = Counter(votes)
+    top = max(counts.values())
+    tied = [lab for lab, n in counts.items() if n == top]
+    return votes[-1] if len(tied) > 1 else tied[0]
+
+
 def ref_report(problem, fusion):
     """(ids in rank order, labels, scores by id, float distances by id)."""
     train_x, train_y, pool, ids, models, scales = problem
@@ -578,12 +591,7 @@ def ref_report(problem, fusion):
         per_model = [ref_nearest([ref_features(r, s) for r in pool],
                                  [ref_features(t, s) for t in train_x], train_y)
                      for s in chosen]
-        labels = []
-        for votes in zip(*per_model):
-            counts = Counter(lab for lab, _ in votes)
-            top = max(counts.values())
-            tied = [lab for lab, n in counts.items() if n == top]
-            labels.append(votes[-1][0] if len(tied) > 1 else tied[0])
+        labels = [ref_vote([lab for lab, _ in votes]) for votes in zip(*per_model)]
         if fusion == "average_sorting_score":
             ranks = [0] * len(pool)
             for model in per_model:
@@ -631,6 +639,14 @@ ANY_PROBLEM = st.sampled_from(MODEL_KINDS).flatmap(lambda kind: tie_problems(*ki
 class TestTies:
     """Nearest center, rank, vote, selection and the master's extra rows on
     inputs that hit their tie rules, against the exact reference."""
+
+    def test_vote_matches_the_counter_rule_on_every_label_tuple(self):
+        # every agreement pattern of 1-3 snapshots over 4 classes, which the
+        # drawn problems need not reach
+        for n_models in (1, 2, 3):
+            tuples = list(itertools.product(range(4), repeat=n_models))
+            per_model = tuple(np.array(labels) for labels in zip(*tuples))
+            assert _majority_vote(per_model).tolist() == [ref_vote(t) for t in tuples]
 
     @pytest.mark.parametrize("fusion", ["single"] + list(FUSIONS[1:]))
     @pytest.mark.parametrize("n_models, hidden", MODEL_KINDS)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -11,12 +12,13 @@ import numpy as np
 import pytest
 
 import snowball
+import snowball.errors
 
 from snowball.cli import (DataSpec, aggregate, build_configs, cli_run,
                           make_dataset, parse_config_file, parse_seeds, run_one,
                           verify_manifest)
-from snowball.errors import (AggregationError, ConfigError, DiscoveryError,
-                             DivergenceError, NumericsError, OrchestrationError)
+from snowball.errors import (ConfigError, DataError, DivergenceError, NumericsError,
+                             SnowballError)
 from snowball.orchestrator import ExperimentConfig
 from snowball.records import IterationRow, RunRecord, read_manifest, write_manifest
 
@@ -252,22 +254,22 @@ class TestAggregate:
     def test_algo_mismatch(self):
         recs = [record_with([0.1], algo="snowball"),
                 record_with([0.1], algo="supervised")]
-        with pytest.raises(AggregationError, match="different algorithms"):
+        with pytest.raises(ConfigError, match="different algorithms"):
             aggregate(recs)
 
     def test_config_mismatch_names_keys(self):
         recs = [record_with([0.1], {"seed": 0, "steps": 30}),
                 record_with([0.1], {"seed": 1, "steps": 60})]
-        with pytest.raises(AggregationError, match="steps"):
+        with pytest.raises(ConfigError, match="steps"):
             aggregate(recs)
 
     def test_grid_mismatch(self):
         recs = [record_with([0.1]), record_with([0.1, 0.2])]
-        with pytest.raises(AggregationError, match="grids"):
+        with pytest.raises(ConfigError, match="grids"):
             aggregate(recs)
 
     def test_empty(self):
-        with pytest.raises(AggregationError):
+        with pytest.raises(ConfigError):
             aggregate([])
 
 
@@ -317,29 +319,22 @@ class TestExitCodes:
                 f"csv_path={tmp_path}/missing.csv", "--out-dir", str(tmp_path)]
         assert cli_run(argv) == 2
 
-    def test_discovery_error_maps_to_2(self, tmp_path, monkeypatch):
-        def boom(*a, **k):
-            raise DiscoveryError("empty class")
-        monkeypatch.setattr("snowball.cli.run_algorithm", boom)
-        assert cli_run(fast_args(tmp_path)) == 2
+    # every error class snowball.errors defines, with its exit code
+    EXIT_CODES = {ConfigError: 1, DataError: 2, NumericsError: 3, DivergenceError: 3}
 
-    def test_divergence_maps_to_3(self, tmp_path, monkeypatch):
-        def boom(*a, **k):
-            raise DivergenceError("training diverged at step 3", step=3)
-        monkeypatch.setattr("snowball.cli.run_algorithm", boom)
-        assert cli_run(fast_args(tmp_path)) == 3
+    @pytest.mark.parametrize("error, code", EXIT_CODES.items(),
+                             ids=[error.__name__ for error in EXIT_CODES])
+    def test_each_error_class_exits_with_its_code(self, tmp_path, monkeypatch, capsys,
+                                                  error, code):
+        defined = {value for value in vars(snowball.errors).values()
+                   if isinstance(value, type) and issubclass(value, SnowballError)}
+        assert defined - {SnowballError} == set(self.EXIT_CODES)
 
-    def test_numerics_maps_to_3(self, tmp_path, monkeypatch):
         def boom(*a, **k):
-            raise NumericsError("non-finite activations")
+            raise (error("boom", step=3) if error is DivergenceError else error("boom"))
         monkeypatch.setattr("snowball.cli.run_algorithm", boom)
-        assert cli_run(fast_args(tmp_path)) == 3
-
-    def test_orchestration_maps_to_1(self, tmp_path, monkeypatch):
-        def boom(*a, **k):
-            raise OrchestrationError("bad schedule")
-        monkeypatch.setattr("snowball.cli.run_algorithm", boom)
-        assert cli_run(fast_args(tmp_path)) == 1
+        assert cli_run(fast_args(tmp_path)) == code
+        assert capsys.readouterr().err.endswith("error: boom\n")
 
     def test_non_utf8_config_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.conf"
@@ -909,6 +904,21 @@ class TestConfigRoundTrip:
         assert cli_run(fast_args(tmp_path, "--set", "csv_classes=3")) == 1
         assert capsys.readouterr().err == ("error: config key 'csv_classes' is retired; only "
                                            "csv_classes = 0 is accepted, got '3'\n")
+
+    @pytest.mark.parametrize("key, value", [("beta", "3"), ("bogus", "1"), ("steps", "five"),
+                                            ("ema_every", "2")])
+    def test_config_that_fails_to_build_names_the_manifest(self, tmp_path, capsys, key, value):
+        manifest = self.parent_format_manifest(tmp_path)
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", manifest.read_text(),
+                              flags=re.M)
+        if not count:
+            text = text.replace("[config]\n", f"[config]\n{key} = {value}\n")
+        manifest.write_text(text)
+        capsys.readouterr()
+        assert cli_run(["report", "--verify", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ") and err.count("\n") == 1 \
+            and err.endswith("\n")
 
     @pytest.mark.parametrize("ema_every, ema_warmup", [(2, False), (1, True), ("x", False)])
     def test_retired_keys_at_another_value_are_usage_errors(self, tmp_path, capsys,

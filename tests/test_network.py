@@ -85,9 +85,8 @@ class TestForward:
 
     def test_nonfinite_input_raises_with_layer(self):
         p = tiny_net()
-        with pytest.raises(NumericsError) as exc:
+        with pytest.raises(NumericsError, match=r"at layer \d+$"):
             forward_batch(p, np.array([np.nan, 0.0]))
-        assert exc.value.layer is not None
 
     def test_init_is_deterministic(self):
         a = init_params((4, 8, 3), seed=11)
@@ -228,9 +227,9 @@ class TestTraceFreeForward:
         p = reference.from_layers(weights=(np.ones((2, 4)), np.full((4, 3), 1e308)),
                                   biases=(np.zeros(4), np.zeros(3)), activation=activation)
         for fn in (forward, forward_batch):
-            with np.errstate(over="ignore"), pytest.raises(NumericsError) as exc:
+            with np.errstate(over="ignore"), \
+                    pytest.raises(NumericsError, match=f"at layer {at_layer}$"):
                 fn(p, np.array(x))
-            assert exc.value.layer == at_layer
 
     def test_backward_needs_the_trace(self):
         p = tiny_net((2, 5, 3))

@@ -10,7 +10,7 @@ import snowball.network as net
 from snowball.cli import DataSpec, make_dataset
 from snowball.data import gen_two_moons, split
 from snowball.discovery import assign_pseudo_labels, select_samples
-from snowball.errors import ConfigError, DivergenceError, OrchestrationError
+from snowball.errors import ConfigError, DivergenceError
 from snowball.network import error_rate, init_params
 from snowball.orchestrator import (
     ExperimentConfig,
@@ -92,14 +92,14 @@ class TestTrainingSet:
         d = small_data()
         ts = TrainingSet.from_split(d)
         dup = int(ts.ids[0])
-        with pytest.raises(OrchestrationError):
+        with pytest.raises(ConfigError):
             ts.with_discovered(np.array([dup]), np.zeros((1, 2)), np.array([0]))
 
 
 class TestBuildMaster:
     def make_report(self, d, model, n_select=4):
         rep = assign_pseudo_labels(model, d.unlabeled_x, d.unlabeled_ids,
-                                   d.labeled_x, d.labeled_y)
+                                   d.labeled_x, d.true_y[d.labeled_ids])
         return select_samples(rep, n_select, "min")
 
     def test_zero_fraction_uses_selected_only(self):
@@ -187,7 +187,7 @@ class TestBuildMaster:
         teacher = init_params((2, 8, 2), seed=1)
         ts = TrainingSet.from_split(d)
         rep = assign_pseudo_labels(teacher, d.unlabeled_x[:20], d.unlabeled_ids[:20],
-                                   d.labeled_x, d.labeled_y)
+                                   d.labeled_x, d.true_y[d.labeled_ids])
         rep = select_samples(rep, 10, "min")
         # under min-selection the selected rows are ranks 0..9, so the
         # refinement pool is exactly ranks 0..14 plus the training set
@@ -203,7 +203,7 @@ class TestBuildMaster:
         teacher = init_params((2, 8, 2), seed=1)
         ts = TrainingSet.from_split(d)
         rep = assign_pseudo_labels(teacher, d.unlabeled_x[:20], d.unlabeled_ids[:20],
-                                   d.labeled_x, d.labeled_y)
+                                   d.labeled_x, d.true_y[d.labeled_ids])
         rep = select_samples(rep, 10, "min")
         every = build_master(teacher, ts, rep, quick_cfg(master_extra_fraction=1.0))
         huge = build_master(teacher, ts, rep, quick_cfg(master_extra_fraction=1e308))
@@ -225,8 +225,8 @@ class TestBuildMaster:
         teacher = init_params((2, 8, 2), seed=1)
         ts = TrainingSet.from_split(d)
         rep = assign_pseudo_labels(teacher, d.unlabeled_x, d.unlabeled_ids,
-                                   d.labeled_x, d.labeled_y)
-        with pytest.raises(OrchestrationError):
+                                   d.labeled_x, d.true_y[d.labeled_ids])
+        with pytest.raises(ConfigError):
             build_master(teacher, ts, rep, quick_cfg())
 
 
@@ -290,7 +290,7 @@ class TestRunStructure:
         d = small_data()
         rec = run_algorithm("snowball", d, quick_cfg(generations=1, iterations=1, steps=steps,
                                                      discovery_schedule=(2,)))
-        want = error_rate(rec.models["student"], d.labeled_x, d.labeled_y)
+        want = error_rate(rec.models["student"], d.labeled_x, d.true_y[d.labeled_ids])
         assert rec.rows[0].train_err == want
 
     def test_different_seed_differs(self):
@@ -305,7 +305,7 @@ class TestRunStructure:
         for algo, role in (("snowball", "teacher"), ("mean-teacher", "teacher"),
                            ("self-learning", "student"), ("supervised", "student")):
             rec = run_algorithm(algo, d, cfg)
-            want = error_rate(rec.models[role], d.test_x, d.test_y)
+            want = error_rate(rec.models[role], d.test_x, d.true_y[d.test_ids])
             assert rec.rows[-1].test_err == want, algo
 
     def test_ranking_model_convention(self):
@@ -316,7 +316,7 @@ class TestRunStructure:
         for algo, role in (("snowball", "teacher"), ("self-learning", "student")):
             rec = run_algorithm(algo, d, cfg)
             want = assign_pseudo_labels(rec.models[role], d.unlabeled_x, d.unlabeled_ids,
-                                        d.labeled_x, d.labeled_y)
+                                        d.labeled_x, d.true_y[d.labeled_ids])
             got = rec.reports[(1, 1)]
             for field in ("sample_ids", "labels", "distances"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (algo, field)
@@ -344,9 +344,8 @@ class TestRunStructure:
     def test_refinement_divergence_names_generation_and_iteration(self):
         cfg = quick_cfg(steps=0, learning_rate=1e200)
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DivergenceError, match="generation 1, iteration 1, refine step") as info:
+                pytest.raises(DivergenceError, match="generation 1, iteration 1, refine step"):
             run_algorithm("snowball", small_data(), cfg)
-        assert (info.value.generation, info.value.iteration) == (1, 1)
 
     def test_unknown_algorithm(self):
         d = small_data()
@@ -386,7 +385,7 @@ class TestEmptyPool:
         labelled rows alone, and its test error climbs. A mend of that regime
         changes these figures on purpose."""
         data = make_dataset(DataSpec(dataset="blobs", classes=10, labels_per_class=25), 0)
-        assert (len(data.labeled_y), len(data.unlabeled_ids), len(data.test_y)) == (250, 583, 417)
+        assert (len(data.labeled_ids), len(data.unlabeled_ids), len(data.test_ids)) == (250, 583, 417)
         rec = run_algorithm("snowball", data, ExperimentConfig())
         assert [row.labeled_size for row in rec.rows] == [500, 833, 833] * 3
         assert [repr(row.test_err) for row in rec.rows] == [

@@ -71,7 +71,7 @@ ARRAY_VALUES = {
     "DiscoveryReport": make_report,
     "TrainingSet": lambda: TrainingSet(np.arange(3), np.zeros((3, 2)), np.array([0, 1, 0])),
     "RawDataset": lambda: RawDataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2),
-    "DatasetSplit": lambda: DatasetSplit(*[np.arange(3)] * 9, class_count=2),
+    "DatasetSplit": lambda: DatasetSplit(*[np.arange(3)] * 7, class_count=2),
     "RunRecord": lambda: RunRecord("snowball", {}, [make_row()],
                                    reports={(1, 1): make_report()}),
 }
