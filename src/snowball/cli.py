@@ -4,7 +4,8 @@ Configuration is a flat ``key = value`` text file covering both experiment
 hyperparameters and dataset construction; command line ``--set key=value``
 pairs and dedicated flags override file values. Every run writes its own
 directory under the output root (``--out-dir``, else $SNOWBALL_OUT_DIR,
-else ./runs) containing a manifest, per-step CSVs and model checkpoints.
+else ./runs) containing a manifest, per-step CSVs and model checkpoints;
+a run deletes an earlier run's artifacts there before writing its own.
 
 train and sweep (each --algo by each --vary value, over --seeds) are lists
 of variants (run name, algo, config overrides) run by one loop
@@ -228,13 +229,18 @@ def _out_root(args) -> Path:
 def run_one(algo: str, config: ExperimentConfig, spec: DataSpec, out_root: Path,
             name: str | None = None, dump_discovery: bool = False) -> tuple[RunRecord, Path]:
     """Execute one run on make_dataset(spec, config.seed) and persist
-    manifest, step CSVs and checkpoints."""
+    manifest, step CSVs and checkpoints, first deleting every file of those
+    names that an earlier run left in the directory; any other file stays."""
     data = make_dataset(spec, config.seed)
     record = run_algorithm(algo, data, config)
     record.config.update(asdict(spec))
     run_dir = out_root / (name or f"{algo}-{spec.dataset}-seed{config.seed}")
     with reading(run_dir):  # a directory or file that cannot be written is a DataError
         run_dir.mkdir(parents=True, exist_ok=True)
+        for pattern in ("manifest.txt", "steps-g*-i*.csv", "discovery-g*-i*.csv",
+                        "student.ckpt", "teacher.ckpt", "master.ckpt"):
+            for stale in run_dir.glob(pattern):
+                stale.unlink()
         write_manifest(run_dir / "manifest.txt", record)
         for (m, k), steps in record.step_metrics.items():
             write_step_metrics(run_dir / f"steps-g{m}-i{k}.csv", steps)

@@ -42,25 +42,19 @@ class DatasetSplit:
     """Labelled / unlabelled / test partition of a dataset.
 
     Sample ids index the originating RawDataset; the three id sets are
-    disjoint. ``true_y[i]`` is sample i's ground-truth label, the one copy
-    of the labels: the labelled and test sets read theirs at their ids. The
-    pool's are for evaluation only (noise rates, discovery dumps, the
-    use_true_labels ablation), never for training. Equality and hashing
-    are by identity.
+    disjoint and cover its rows. ``x[i]`` is sample i's normalised feature
+    row and ``true_y[i]`` its ground-truth label, the one copy of each:
+    every set reads its rows and labels at its ids. The pool's labels are
+    for evaluation only (noise rates, discovery dumps, the use_true_labels
+    ablation), never for training. Equality and hashing are by identity.
     """
 
-    labeled_x: np.ndarray
     labeled_ids: np.ndarray
-    unlabeled_x: np.ndarray
     unlabeled_ids: np.ndarray
-    test_x: np.ndarray
     test_ids: np.ndarray
+    x: np.ndarray
     true_y: np.ndarray
     class_count: int
-
-    @property
-    def input_dim(self) -> int:
-        return self.labeled_x.shape[1]
 
 
 def gen_two_moons(n: int, noise: float, seed=0) -> RawDataset:
@@ -133,8 +127,9 @@ def split(raw: RawDataset, labels_per_class: int, test_fraction: float, seed=0) 
     The test set is drawn first (uniformly, without replacement), then
     ``labels_per_class`` samples per class are drawn from the remainder to
     form the labelled set; everything else becomes the unlabelled pool.
-    Normalisation statistics come from labelled + unlabelled rows; constant
-    feature dimensions are left at their centred value (divisor 1).
+    Normalisation statistics come from labelled + unlabelled rows, and every
+    row is normalised; constant feature dimensions are left at their centred
+    value (divisor 1).
     """
     if labels_per_class < 1:
         raise DataError(f"labels_per_class must be >= 1, got {labels_per_class}")
@@ -165,12 +160,9 @@ def split(raw: RawDataset, labels_per_class: int, test_fraction: float, seed=0) 
     mean = raw.x[fit].mean(axis=0)
     std = raw.x[fit].std(axis=0)
     scale = np.where(std == 0.0, 1.0, std)
-    norm = (raw.x - mean) / scale
-
     return DatasetSplit(
-        labeled_x=norm[labeled_ids], labeled_ids=labeled_ids, unlabeled_x=norm[unlabeled_ids],
-        unlabeled_ids=unlabeled_ids, test_x=norm[test_ids], test_ids=test_ids,
-        true_y=raw.y.copy(), class_count=raw.class_count)
+        labeled_ids=labeled_ids, unlabeled_ids=unlabeled_ids, test_ids=test_ids,
+        x=(raw.x - mean) / scale, true_y=raw.y.copy(), class_count=raw.class_count)
 
 
 def augment(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:

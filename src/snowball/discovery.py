@@ -5,7 +5,7 @@ current labelled training set. Each pool sample is pseudo-labelled by its
 nearest center (Euclidean, on raw features); the candidates closest to their
 center are presumed most reliable. Reports keep every candidate in rank
 order so selection, the master's extra candidates and noise measurement all
-read off the same structure.
+read off the same structure; they name rows by sample id and hold no inputs.
 
 A single model ranks through assign_pseudo_labels. Several model snapshots
 fuse their distances in fuse_distances: averaged directly, computed in a
@@ -14,7 +14,7 @@ averages pseudo-labelling by majority vote with ties to the newest model.
 
 Distances are computed NEAREST_BLOCK pool rows at a time in one reused block
 buffer, feature_cascade fills one preallocated feature matrix model by model,
-and reports keep no features, so discovery's memory is linear in the pool.
+and reports keep only (n,) arrays, so discovery's memory is linear in the pool.
 records.write_report_csv dumps a report.
 """
 
@@ -43,14 +43,12 @@ class DiscoveryReport:
     holds plain Euclidean distances for single-model and feature_cascade
     reports, mean distances for average_distance and mean 0-based ranks for
     average_sorting_score. ``selected`` is all-False until `select_samples`.
-    The raw input rows ride along so downstream consumers (the enlarged
-    training set, the master's extra candidates) need no access to the
-    original pool; features are not kept, so a report is linear in n.
-    Equality and hashing are by identity.
+    Every field is an (n,) array: the enlarged training set and the master's
+    extra candidates read their input rows at ``sample_ids``. Equality and
+    hashing are by identity.
     """
 
     sample_ids: np.ndarray   # (n,) int
-    inputs: np.ndarray       # (n, d) raw input rows, in rank order
     labels: np.ndarray       # (n,) assigned pseudo-labels
     distances: np.ndarray    # (n,) score used for ranking
     selected: np.ndarray     # (n,) bool
@@ -104,12 +102,11 @@ def _rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.lexsort((ids, scores))
 
 
-def _build_report(ids, inputs, labels, scores) -> DiscoveryReport:
+def _build_report(ids, labels, scores) -> DiscoveryReport:
     order = _rank_order(scores, ids)
     return DiscoveryReport(
-        sample_ids=np.asarray(ids)[order], inputs=np.asarray(inputs)[order],
-        labels=np.asarray(labels)[order], distances=np.asarray(scores)[order],
-        selected=np.zeros(len(order), dtype=bool))
+        sample_ids=np.asarray(ids)[order], labels=np.asarray(labels)[order],
+        distances=np.asarray(scores)[order], selected=np.zeros(len(order), dtype=bool))
 
 
 def assign_pseudo_labels(model: ModelParams, pool_x: np.ndarray, pool_ids: np.ndarray,
@@ -118,7 +115,7 @@ def assign_pseudo_labels(model: ModelParams, pool_x: np.ndarray, pool_ids: np.nd
     if len(pool_x) == 0:
         raise DataError("unlabelled pool is empty")
     labels, dists = _model_nearest(model, pool_x, train_x, train_y)
-    return _build_report(pool_ids, pool_x, labels, dists)
+    return _build_report(pool_ids, labels, dists)
 
 
 def _majority_vote(per_model_labels: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -152,7 +149,7 @@ def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.n
             feats[:, at:at + m.layer_dims[-2]] = net.forward(m, pool_x).features
             at += m.layer_dims[-2]
         labels, dists = _nearest_center(feats, centers)
-        return _build_report(pool_ids, pool_x, labels, dists)
+        return _build_report(pool_ids, labels, dists)
     per_labels, per_dists = zip(*(_model_nearest(m, pool_x, train_x, train_y) for m in models))
     labels = _majority_vote(per_labels)
     if fusion == "average_distance":
@@ -166,7 +163,7 @@ def fuse_distances(models: list[ModelParams], pool_x: np.ndarray, pool_ids: np.n
             ranks[order] = np.arange(len(pool_ids))
             rank_sum += ranks
         scores = rank_sum / len(models)
-    return _build_report(pool_ids, pool_x, labels, scores)
+    return _build_report(pool_ids, labels, scores)
 
 
 def select_samples(report: DiscoveryReport, n: int, strategy: str = "min",

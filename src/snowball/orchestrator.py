@@ -52,13 +52,13 @@ ALGOS = tuple(PIPELINES)
 class TrainingSet:
     """The labelled set a training iteration sees: originals plus discoveries.
 
-    Sample ids stay unique; a sample can be discovered at most once per
-    generation because discovery always draws from the shrinking pool.
+    Sample ids and their labels; the input rows are DatasetSplit.x at
+    ``ids``. Sample ids stay unique; a sample can be discovered at most once
+    per generation because discovery always draws from the shrinking pool.
     Equality and hashing are by identity.
     """
 
     ids: np.ndarray
-    x: np.ndarray
     y: np.ndarray
 
     def __len__(self) -> int:
@@ -66,23 +66,23 @@ class TrainingSet:
 
     @classmethod
     def from_split(cls, data: DatasetSplit) -> TrainingSet:
-        return cls(data.labeled_ids.copy(), data.labeled_x.copy(), data.true_y[data.labeled_ids])
+        return cls(data.labeled_ids.copy(), data.true_y[data.labeled_ids])
 
-    def with_discovered(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> TrainingSet:
+    def with_discovered(self, ids: np.ndarray, y: np.ndarray) -> TrainingSet:
         if np.intersect1d(self.ids, ids).size:
             raise ConfigError("discovered samples overlap the training set")
-        return TrainingSet(np.concatenate([self.ids, ids]), np.concatenate([self.x, x]),
-                           np.concatenate([self.y, y]))
+        return TrainingSet(np.concatenate([self.ids, ids]), np.concatenate([self.y, y]))
 
 
-def build_master(teacher: ModelParams, training_set: TrainingSet,
+def build_master(teacher: ModelParams, x: np.ndarray, training_set: TrainingSet,
                  report: DiscoveryReport, config: ExperimentConfig,
                  prev_master: ModelParams | None = None) -> ModelParams:
     """Build (or evolve) the master from a refined copy of the teacher.
 
     The refinement set is the current training set plus the next
     ceil(master_extra_fraction * N) unselected report rows in rank order,
-    labelled from the report. A copy of the teacher takes classification-only
+    labelled from the report; x holds every sample's input row, indexed by
+    sample id (DatasetSplit.x). A copy of the teacher takes classification-only
     full-batch SGD steps on that set; the master is an EMA with decay beta
     over the per-step snapshots, continuing from prev_master when given and
     starting at the first snapshot otherwise. The steps write in place only
@@ -102,7 +102,7 @@ def build_master(teacher: ModelParams, training_set: TrainingSet,
     # clamped before int(): the slice caps there anyway, and a huge product overflows
     n_extra = int(min(np.ceil(config.master_extra_fraction * n_selected), len(unselected)))
     extra_rows = unselected[:n_extra]
-    refine_x = np.concatenate([training_set.x, report.inputs[extra_rows]])
+    refine_x = x[np.concatenate([training_set.ids, report.sample_ids[extra_rows]])]
     refine_y = np.concatenate([training_set.y, report.labels[extra_rows]])
 
     dims, activation = teacher.layer_dims, teacher.activation
@@ -158,13 +158,13 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
     cfg = replace(config, **overrides)
     if len(data.labeled_ids) == 0:
         raise ConfigError("run needs at least one labelled sample")
-    test_y = data.true_y[data.test_ids]
+    test_x, test_y = data.x[data.test_ids], data.true_y[data.test_ids]
     if len(test_y) == 0:
         raise DataError("the test set is empty: raise test_fraction to hold out at least one row")
     schedule = cfg.resolved_schedule(len(data.labeled_ids))
     cfg = replace(cfg, discovery_schedule=schedule)
 
-    dims = (data.input_dim, *cfg.hidden_dims, data.class_count)
+    dims = (data.x.shape[1], *cfg.hidden_dims, data.class_count)
     student = net.init_params(dims, cfg.activation, np.random.SeedSequence([cfg.seed, 0]))
     teacher = student
     master: ModelParams | None = None
@@ -175,14 +175,15 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
 
     for m in range(1, cfg.generations + 1):
         training_set = TrainingSet.from_split(data)
-        pool_ids, pool_x = data.unlabeled_ids, data.unlabeled_x  # masking makes new arrays
+        pool_ids = data.unlabeled_ids  # masking makes new arrays
         for k in range(1, cfg.iterations + 1):
             t0 = time.perf_counter()
+            train_x, pool_x = data.x[training_set.ids], data.x[pool_ids]
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, m, k]))
             try:
                 student, teacher, steps = train_iteration(
-                    student, training_set.x, training_set.y, pool_x, master,
-                    cfg, rng, eval_x=data.test_x, eval_y=test_y)
+                    student, train_x, training_set.y, pool_x, master,
+                    cfg, rng, eval_x=test_x, eval_y=test_y)
             except DivergenceError as err:
                 raise DivergenceError(
                     f"training diverged at generation {m}, iteration {k}, step {err.step}",
@@ -190,17 +191,17 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
             step_metrics[(m, k)] = steps
             # the last step is always evaluated, on this student and these rows
             train_err = (steps[-1].train_err if steps else
-                         net.error_rate(student, training_set.x, training_set.y))
+                         net.error_rate(student, train_x, training_set.y))
 
             noise = 0.0
             n_discover = schedule[k - 1]
             if n_discover > 0 and len(pool_ids) > 0:
                 if cfg.fusion != "single" and past_masters:
                     report = fuse_distances(past_masters[-3:], pool_x, pool_ids,
-                                            training_set.x, training_set.y, cfg.fusion)
+                                            train_x, training_set.y, cfg.fusion)
                 else:
                     model = (master if master is not None else teacher) if guided else student
-                    report = assign_pseudo_labels(model, pool_x, pool_ids, training_set.x,
+                    report = assign_pseudo_labels(model, pool_x, pool_ids, train_x,
                                                   training_set.y)
                 seed_seq = np.random.SeedSequence([cfg.seed, m, k, 7])
                 if cfg.balance_classes:
@@ -214,12 +215,11 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
                     report = replace(report, labels=data.true_y[report.sample_ids])
                 sel_ids = report.sample_ids[report.selected]
                 training_set = training_set.with_discovered(
-                    sel_ids, report.inputs[report.selected], report.labels[report.selected])
-                keep = np.isin(pool_ids, sel_ids, invert=True)
-                pool_ids, pool_x = pool_ids[keep], pool_x[keep]
+                    sel_ids, report.labels[report.selected])
+                pool_ids = pool_ids[np.isin(pool_ids, sel_ids, invert=True)]
                 if guided:
                     try:
-                        master = build_master(teacher, training_set, report, cfg, master)
+                        master = build_master(teacher, data.x, training_set, report, cfg, master)
                     except DivergenceError as err:
                         raise DivergenceError(
                             f"master refinement diverged at generation {m}, iteration {k}, "
@@ -228,7 +228,7 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
 
             rows.append(IterationRow(
                 generation=m, iteration=k, train_err=train_err,
-                test_err=net.error_rate(teacher if guided else student, data.test_x, test_y),
+                test_err=net.error_rate(teacher if guided else student, test_x, test_y),
                 noise_rate=noise, labeled_size=len(training_set),
                 wall_time=time.perf_counter() - t0))
 
@@ -236,7 +236,7 @@ def run_algorithm(algo: str, data: DatasetSplit, config: ExperimentConfig) -> Ru
     if master is not None:
         models["master"] = master
     role = "teacher" if guided else "student"
-    predicted = np.unique(net.predict_labels(models[role], data.test_x))
+    predicted = np.unique(net.predict_labels(models[role], test_x))
     collapse = None
     if len(predicted) == 1 and len(np.unique(test_y)) > 1:
         collapse = f"the {role} predicts class {predicted[0]} for all {len(test_y)} test rows"

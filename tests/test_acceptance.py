@@ -213,8 +213,8 @@ def test_criterion_05_selection_noise_ordering():
     for s in SEEDS:
         data = make_dataset(spec, s)
         rec = run_algorithm("mean-teacher", data, replace(cfg, seed=s))
-        rep = assign_pseudo_labels(rec.models["teacher"], data.unlabeled_x,
-                                   data.unlabeled_ids, data.labeled_x,
+        rep = assign_pseudo_labels(rec.models["teacher"], data.x[data.unlabeled_ids],
+                                   data.unlabeled_ids, data.x[data.labeled_ids],
                                    data.true_y[data.labeled_ids])
         truth = data.true_y
         by_strategy = {

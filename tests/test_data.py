@@ -110,20 +110,30 @@ class TestSplit:
     def test_normalisation_from_training_pool_only(self):
         raw = gen_two_moons(600, 0.1, seed=4)
         d = split(raw, labels_per_class=5, test_fraction=0.5, seed=4)
-        train = np.concatenate([d.labeled_x, d.unlabeled_x])
+        train = d.x[np.concatenate([d.labeled_ids, d.unlabeled_ids])]
         np.testing.assert_allclose(train.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(train.std(axis=0), 1.0, atol=1e-10)
         # test rows use the same statistics, so they are NOT exactly standard
-        assert not np.allclose(d.test_x.mean(axis=0), 0.0, atol=1e-12)
+        assert not np.allclose(d.x[d.test_ids].mean(axis=0), 0.0, atol=1e-12)
 
     def test_constant_dimension_divisor_one(self):
         x = np.column_stack([np.linspace(0, 1, 40), np.full(40, 3.0)])
         y = np.repeat([0, 1], 20)
         from snowball.data import RawDataset
         d = split(RawDataset(x, y, 2), labels_per_class=2, test_fraction=0.25, seed=0)
-        assert np.all(np.isfinite(d.labeled_x))
-        np.testing.assert_allclose(
-            np.concatenate([d.labeled_x, d.unlabeled_x])[:, 1], 0.0, atol=1e-12)
+        assert np.all(np.isfinite(d.x))
+        np.testing.assert_allclose(d.x[:, 1], 0.0, atol=1e-12)
+
+    def test_x_is_every_sample_row_normalised_by_the_labelled_and_pool_rows(self):
+        raw = gen_gaussian_blobs(3, 40, 0.3, 2.0, seed=5)
+        d = split(raw, labels_per_class=4, test_fraction=0.3, seed=5)
+        assert d.x.shape == raw.x.shape
+        # the three id sets are disjoint and cover the rows
+        ids = np.concatenate([d.labeled_ids, d.unlabeled_ids, d.test_ids])
+        np.testing.assert_array_equal(np.sort(ids), np.arange(len(raw)))
+        fit = raw.x[np.concatenate([d.labeled_ids, d.unlabeled_ids])]
+        want = (raw.x - fit.mean(axis=0)) / fit.std(axis=0)
+        assert d.x.tobytes() == want.tobytes()
 
     def test_true_y_is_the_label_of_every_sample_id(self):
         raw = gen_two_moons(120, 0.1, seed=3)

@@ -166,8 +166,7 @@ def report_from_distances(dists, ids=None):
     ids = np.arange(n) if ids is None else np.asarray(ids)
     order = np.lexsort((ids, dists))
     return DiscoveryReport(
-        sample_ids=ids[order], inputs=np.zeros((n, 1)),
-        labels=np.zeros(n, dtype=int), distances=dists[order],
+        sample_ids=ids[order], labels=np.zeros(n, dtype=int), distances=dists[order],
         selected=np.zeros(n, dtype=bool))
 
 
@@ -214,8 +213,8 @@ class TestBalancedSelection:
         # 6 rows, labels alternate 0/1, distances ascending
         n = 6
         return DiscoveryReport(
-            sample_ids=np.arange(n), inputs=np.zeros((n, 1)),
-            labels=np.array([0, 0, 0, 0, 1, 1]), distances=np.arange(n, dtype=float),
+            sample_ids=np.arange(n), labels=np.array([0, 0, 0, 0, 1, 1]),
+            distances=np.arange(n, dtype=float),
             selected=np.zeros(n, dtype=bool))
 
     def test_quota_split(self):
@@ -237,8 +236,8 @@ class TestBalancedSelection:
         for _ in range(10):
             n = int(rng.integers(3, 40))
             rep = DiscoveryReport(
-                sample_ids=np.arange(n), inputs=np.zeros((n, 1)),
-                labels=rng.integers(0, 3, size=n), distances=np.sort(rng.uniform(size=n)),
+                sample_ids=np.arange(n), labels=rng.integers(0, 3, size=n),
+                distances=np.sort(rng.uniform(size=n)),
                 selected=np.zeros(n, dtype=bool))
             want = int(rng.integers(1, n + 2))
             got = select_balanced(rep, want, 3, "min")
@@ -451,8 +450,7 @@ class TestBoundedMemory:
                fuse_distances(models, pool_x[:50], ids[:50], train_x, train_y, fusion))
         shapes = [getattr(rep, f.name).shape for f in dataclasses.fields(rep)
                   if isinstance(getattr(rep, f.name), np.ndarray)]
-        assert (50, 2) in shapes  # the input rows
-        assert all(shape in ((50,), (50, 2)) for shape in shapes), shapes
+        assert len(shapes) == 4 and all(shape == (50,) for shape in shapes), shapes
 
 
 class TestNoiseRate:
@@ -659,8 +657,6 @@ class TestTies:
         assert rep.sample_ids.tolist() == ranked
         assert rep.labels.tolist() == [labels[i] for i in ranked]
         np.testing.assert_allclose(rep.distances, [dists[i] for i in ranked], rtol=0, atol=1e-12)
-        by_id = dict(zip(problem[3].tolist(), problem[2].tolist()))
-        assert rep.inputs.tolist() == [by_id[i] for i in ranked]
 
     @pytest.mark.parametrize("balanced", [False, True], ids=["global", "balanced"])
     @settings(TIES, max_examples=25)
@@ -675,8 +671,8 @@ class TestTies:
             # a pool without one class: its quota falls back to the global order
             keep = np.array([labels[i] != absent for i in rep.sample_ids.tolist()])
             rep = dataclasses.replace(rep, sample_ids=rep.sample_ids[keep],
-                                      inputs=rep.inputs[keep], labels=rep.labels[keep],
-                                      distances=rep.distances[keep], selected=rep.selected[keep])
+                                      labels=rep.labels[keep], distances=rep.distances[keep],
+                                      selected=rep.selected[keep])
             ranked = [i for i in ranked if labels[i] != absent]
         size = len(ranked)  # n up to, at and above the pool
         n = data.draw(st.integers(1, size) | st.just(size) | st.integers(size + 1, size + 3),
@@ -709,5 +705,10 @@ class TestTies:
         # one refine step and no previous master: the master is the refined copy
         want, _ = reference.sgd_step(teacher, net.grad(teacher, x, targets), cfg.learning_rate,
                                      cfg.momentum, None, l2=cfg.l2)
-        training_set = TrainingSet(np.arange(len(train_y)), train_x, train_y)
-        assert reference.params_equal(build_master(teacher, training_set, rep, cfg), want)
+        # every sample's row at its id: the pool's at theirs, the labelled
+        # rows after them, and nan in rows 0-2, which no sample names
+        train_ids = 3 + len(ids) + np.arange(len(train_y))
+        rows = np.full((train_ids[-1] + 1, DIM), np.nan)
+        rows[ids], rows[train_ids] = pool, train_x
+        training_set = TrainingSet(train_ids, train_y)
+        assert reference.params_equal(build_master(teacher, rows, training_set, rep, cfg), want)

@@ -846,6 +846,27 @@ class TestCliBehaviour:
         header = (run_dir / "discovery-g1-i1.csv").read_text().splitlines()[0]
         assert header == "sample_id,assigned_label,true_label,distance,rank,selected"
 
+    def test_a_reused_run_directory_holds_only_the_latest_runs_artifacts(self, tmp_path):
+        # nine step CSVs, nine discovery dumps and a master, then a run of one
+        # iteration without a master under the same name
+        first = ["train", "--set", "steps=3", "--name", "x", "--out-dir", str(tmp_path / "a"),
+                 "--dump-discovery"]
+        second = ["train", "--algo", "mean-teacher", "--set", "steps=3", "--name", "x"]
+        run_dir = tmp_path / "a" / "x"
+        run_dir.mkdir(parents=True)
+        kept = {"notes.txt": "mine", "steps.csv": "not a step table"}
+        for name, text in kept.items():
+            (run_dir / name).write_text(text)
+        assert cli_run(first) == 0
+        assert (run_dir / "master.ckpt").exists() and (run_dir / "discovery-g3-i3.csv").exists()
+        assert cli_run(second + ["--out-dir", str(tmp_path / "a")]) == 0
+        assert cli_run(second + ["--out-dir", str(tmp_path / "b")]) == 0
+        fresh = sorted(path.name for path in (tmp_path / "b" / "x").iterdir())
+        assert fresh == ["manifest.txt", "steps-g1-i1.csv", "student.ckpt", "teacher.ckpt"]
+        assert sorted(path.name for path in run_dir.iterdir()) == sorted(fresh + list(kept))
+        assert all((run_dir / name).read_text() == text for name, text in kept.items())
+        assert cli_run(["report", "--verify", str(run_dir / "manifest.txt")]) == 0
+
     def test_noise_rate_recomputes_from_the_discovery_dump(self, tmp_path):
         # noisy blobs, so the selected pseudo-labels are not all correct
         argv = ["train", "--algo", "snowball", "--out-dir", str(tmp_path),
@@ -936,12 +957,12 @@ class TestMakeDataset:
         a = make_dataset(spec, 3)
         b = make_dataset(spec, 3)
         c = make_dataset(spec, 4)
-        np.testing.assert_array_equal(a.labeled_x, b.labeled_x)
-        assert not np.array_equal(a.labeled_x, c.labeled_x)
+        np.testing.assert_array_equal(a.x[a.labeled_ids], b.x[b.labeled_ids])
+        assert not np.array_equal(a.x[a.labeled_ids], c.x[c.labeled_ids])
 
     def test_fixed_data_seed_decouples_from_run_seed(self):
         spec = DataSpec(dataset="two-moons", labels_per_class=2, data_seed=9)
         a = make_dataset(spec, 0)
         b = make_dataset(spec, 123)
-        np.testing.assert_array_equal(a.labeled_x, b.labeled_x)
-        np.testing.assert_array_equal(a.test_x, b.test_x)
+        np.testing.assert_array_equal(a.x[a.labeled_ids], b.x[b.labeled_ids])
+        np.testing.assert_array_equal(a.x[a.test_ids], b.x[b.test_ids])

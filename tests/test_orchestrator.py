@@ -26,13 +26,13 @@ def small_data(seed=0, n=240, lpc=2, noise=0.1):
     return split(raw, labels_per_class=lpc, test_fraction=0.25, seed=seed)
 
 
-def refined_master(teacher, training_set, report, cfg, prev_master):
+def refined_master(teacher, rows, training_set, report, cfg, prev_master):
     """build_master in the value forms of net.grad and of reference.sgd_step and
     reference.ema: every step makes new models, and the master starts at the
     first snapshot when there is no previous one."""
     extra = np.flatnonzero(~report.selected)[:math.ceil(cfg.master_extra_fraction
                                                          * report.selected.sum())]
-    x = np.concatenate([training_set.x, report.inputs[extra]])
+    x = np.concatenate([rows[training_set.ids], rows[report.sample_ids[extra]]])
     targets = one_hot(np.concatenate([training_set.y, report.labels[extra]]),
                       teacher.class_count)
     refined, master, velocity = teacher, prev_master, None
@@ -81,8 +81,7 @@ class TestTrainingSet:
         ts = TrainingSet.from_split(d)
         assert len(ts) == len(d.labeled_ids)
         np.testing.assert_array_equal(ts.ids, d.labeled_ids)
-        grown = ts.with_discovered(
-            np.array([9991, 9992]), np.zeros((2, 2)), np.array([0, 1]))
+        grown = ts.with_discovered(np.array([9991, 9992]), np.array([0, 1]))
         assert len(grown) == len(ts) + 2
         # discoveries follow the original labels, which keep their place
         np.testing.assert_array_equal(grown.ids, np.concatenate([d.labeled_ids, [9991, 9992]]))
@@ -93,13 +92,13 @@ class TestTrainingSet:
         ts = TrainingSet.from_split(d)
         dup = int(ts.ids[0])
         with pytest.raises(ConfigError):
-            ts.with_discovered(np.array([dup]), np.zeros((1, 2)), np.array([0]))
+            ts.with_discovered(np.array([dup]), np.array([0]))
 
 
 class TestBuildMaster:
     def make_report(self, d, model, n_select=4):
-        rep = assign_pseudo_labels(model, d.unlabeled_x, d.unlabeled_ids,
-                                   d.labeled_x, d.true_y[d.labeled_ids])
+        rep = assign_pseudo_labels(model, d.x[d.unlabeled_ids], d.unlabeled_ids,
+                                   d.x[d.labeled_ids], d.true_y[d.labeled_ids])
         return select_samples(rep, n_select, "min")
 
     def test_zero_fraction_uses_selected_only(self):
@@ -108,7 +107,7 @@ class TestBuildMaster:
         ts = TrainingSet.from_split(d)
         rep = self.make_report(d, teacher)
         cfg = quick_cfg(master_extra_fraction=0.0, master_refine_steps=3)
-        m = build_master(teacher, ts, rep, cfg)
+        m = build_master(teacher, d.x, ts, rep, cfg)
         assert not reference.params_equal(m, teacher)
 
     def test_beta_one_keeps_previous_master(self):
@@ -118,7 +117,7 @@ class TestBuildMaster:
         ts = TrainingSet.from_split(d)
         rep = self.make_report(d, teacher)
         cfg = quick_cfg(beta=1.0, master_refine_steps=4)
-        m = build_master(teacher, ts, rep, cfg, prev_master=prev)
+        m = build_master(teacher, d.x, ts, rep, cfg, prev_master=prev)
         assert reference.params_equal(m, prev)
 
     def test_zero_steps_returns_prev_or_teacher(self):
@@ -128,8 +127,8 @@ class TestBuildMaster:
         ts = TrainingSet.from_split(d)
         rep = self.make_report(d, teacher)
         cfg = quick_cfg(master_refine_steps=0)
-        assert reference.params_equal(build_master(teacher, ts, rep, cfg, prev), prev)
-        assert reference.params_equal(build_master(teacher, ts, rep, cfg), teacher)
+        assert reference.params_equal(build_master(teacher, d.x, ts, rep, cfg, prev), prev)
+        assert reference.params_equal(build_master(teacher, d.x, ts, rep, cfg), teacher)
 
     @pytest.mark.parametrize("steps", [0, 1, 5])
     @pytest.mark.parametrize("with_prev", [False, True], ids=["no-prev", "prev"])
@@ -144,8 +143,8 @@ class TestBuildMaster:
         ts = TrainingSet.from_split(d)
         rep = self.make_report(d, teacher)
         cfg = quick_cfg(l2=l2, master_refine_steps=steps)
-        m = build_master(teacher, ts, rep, cfg, prev)
-        want = refined_master(teacher, ts, rep, cfg, prev)
+        m = build_master(teacher, d.x, ts, rep, cfg, prev)
+        want = refined_master(teacher, d.x, ts, rep, cfg, prev)
         assert (m.layer_dims, m.activation) == (want.layer_dims, want.activation)
         assert m.buffer.tobytes() == want.buffer.tobytes()
         if steps:
@@ -163,38 +162,38 @@ class TestBuildMaster:
         rep = self.make_report(d, teacher)
         for steps in (0, 5):
             with pytest.raises(ConfigError, match="stacked models must share"):
-                build_master(teacher, ts, rep, quick_cfg(master_refine_steps=steps), prev)
+                build_master(teacher, d.x, ts, rep, quick_cfg(master_refine_steps=steps), prev)
 
     def test_refinement_set_of_another_width_is_config_error(self):
         d = small_data()
         ts = TrainingSet.from_split(d)
         rep = self.make_report(d, init_params((2, 8, 2), seed=1))
         with pytest.raises(ConfigError, match="does not match 3 inputs"):
-            build_master(init_params((3, 8, 2), seed=1), ts, rep, quick_cfg())
+            build_master(init_params((3, 8, 2), seed=1), d.x, ts, rep, quick_cfg())
 
     def test_label_outside_the_classes_is_config_error(self):
         d = small_data()
-        ts = TrainingSet(d.labeled_ids, d.labeled_x, np.array([0, 1, 2, 5]))
+        ts = TrainingSet(d.labeled_ids, np.array([0, 1, 2, 5]))
         teacher = init_params((2, 8, 2), seed=1)
         rep = self.make_report(d, teacher)
         for steps in (0, 5):
             with pytest.raises(ConfigError, match="label 2 is not a class of a 2-class net"):
-                build_master(teacher, ts, rep, quick_cfg(master_refine_steps=steps))
+                build_master(teacher, d.x, ts, rep, quick_cfg(master_refine_steps=steps))
 
     def test_extra_candidates_are_next_ranked(self):
         # N=10 selected, fraction 0.5 -> 5 extras: ranks 10..14 of 20
         d = small_data(n=400)
         teacher = init_params((2, 8, 2), seed=1)
         ts = TrainingSet.from_split(d)
-        rep = assign_pseudo_labels(teacher, d.unlabeled_x[:20], d.unlabeled_ids[:20],
-                                   d.labeled_x, d.true_y[d.labeled_ids])
+        rep = assign_pseudo_labels(teacher, d.x[d.unlabeled_ids[:20]], d.unlabeled_ids[:20],
+                                   d.x[d.labeled_ids], d.true_y[d.labeled_ids])
         rep = select_samples(rep, 10, "min")
         # under min-selection the selected rows are ranks 0..9, so the
         # refinement pool is exactly ranks 0..14 plus the training set
         unsel = np.flatnonzero(~rep.selected)
         assert list(unsel[:5]) == [10, 11, 12, 13, 14]
         cfg = quick_cfg(master_extra_fraction=0.5, master_refine_steps=2)
-        m = build_master(teacher, ts, rep, cfg)
+        m = build_master(teacher, d.x, ts, rep, cfg)
         assert m.layer_dims == teacher.layer_dims
 
     def test_huge_fraction_takes_every_unselected_row(self):
@@ -202,11 +201,11 @@ class TestBuildMaster:
         d = small_data(n=400)
         teacher = init_params((2, 8, 2), seed=1)
         ts = TrainingSet.from_split(d)
-        rep = assign_pseudo_labels(teacher, d.unlabeled_x[:20], d.unlabeled_ids[:20],
-                                   d.labeled_x, d.true_y[d.labeled_ids])
+        rep = assign_pseudo_labels(teacher, d.x[d.unlabeled_ids[:20]], d.unlabeled_ids[:20],
+                                   d.x[d.labeled_ids], d.true_y[d.labeled_ids])
         rep = select_samples(rep, 10, "min")
-        every = build_master(teacher, ts, rep, quick_cfg(master_extra_fraction=1.0))
-        huge = build_master(teacher, ts, rep, quick_cfg(master_extra_fraction=1e308))
+        every = build_master(teacher, d.x, ts, rep, quick_cfg(master_extra_fraction=1.0))
+        huge = build_master(teacher, d.x, ts, rep, quick_cfg(master_extra_fraction=1e308))
         assert reference.params_equal(huge, every)
 
     def test_divergence_names_the_refine_step(self):
@@ -217,17 +216,17 @@ class TestBuildMaster:
         cfg = quick_cfg(learning_rate=1e200, master_refine_steps=5)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError, match=r"refine step \d") as info:
-            build_master(teacher, ts, rep, cfg)
+            build_master(teacher, d.x, ts, rep, cfg)
         assert 0 <= info.value.step < 5
 
     def test_empty_selection_rejected(self):
         d = small_data()
         teacher = init_params((2, 8, 2), seed=1)
         ts = TrainingSet.from_split(d)
-        rep = assign_pseudo_labels(teacher, d.unlabeled_x, d.unlabeled_ids,
-                                   d.labeled_x, d.true_y[d.labeled_ids])
+        rep = assign_pseudo_labels(teacher, d.x[d.unlabeled_ids], d.unlabeled_ids,
+                                   d.x[d.labeled_ids], d.true_y[d.labeled_ids])
         with pytest.raises(ConfigError):
-            build_master(teacher, ts, rep, quick_cfg())
+            build_master(teacher, d.x, ts, rep, quick_cfg())
 
 
 class TestDegenerateEquivalence:
@@ -290,7 +289,7 @@ class TestRunStructure:
         d = small_data()
         rec = run_algorithm("snowball", d, quick_cfg(generations=1, iterations=1, steps=steps,
                                                      discovery_schedule=(2,)))
-        want = error_rate(rec.models["student"], d.labeled_x, d.true_y[d.labeled_ids])
+        want = error_rate(rec.models["student"], d.x[d.labeled_ids], d.true_y[d.labeled_ids])
         assert rec.rows[0].train_err == want
 
     def test_different_seed_differs(self):
@@ -305,7 +304,7 @@ class TestRunStructure:
         for algo, role in (("snowball", "teacher"), ("mean-teacher", "teacher"),
                            ("self-learning", "student"), ("supervised", "student")):
             rec = run_algorithm(algo, d, cfg)
-            want = error_rate(rec.models[role], d.test_x, d.true_y[d.test_ids])
+            want = error_rate(rec.models[role], d.x[d.test_ids], d.true_y[d.test_ids])
             assert rec.rows[-1].test_err == want, algo
 
     def test_ranking_model_convention(self):
@@ -315,8 +314,8 @@ class TestRunStructure:
         cfg = quick_cfg(generations=1, iterations=1, discovery_schedule=(2,))
         for algo, role in (("snowball", "teacher"), ("self-learning", "student")):
             rec = run_algorithm(algo, d, cfg)
-            want = assign_pseudo_labels(rec.models[role], d.unlabeled_x, d.unlabeled_ids,
-                                        d.labeled_x, d.true_y[d.labeled_ids])
+            want = assign_pseudo_labels(rec.models[role], d.x[d.unlabeled_ids], d.unlabeled_ids,
+                                        d.x[d.labeled_ids], d.true_y[d.labeled_ids])
             got = rec.reports[(1, 1)]
             for field in ("sample_ids", "labels", "distances"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (algo, field)

@@ -61,17 +61,17 @@ class TestRunRecord:
 
 
 def make_report():
-    return DiscoveryReport(np.arange(3), np.zeros((3, 2)), np.array([0, 1, 0]),
-                           np.arange(3.0), np.array([True, False, False]))
+    return DiscoveryReport(np.arange(3), np.array([0, 1, 0]), np.arange(3.0),
+                           np.array([True, False, False]))
 
 
 # each builds a new instance from equal arrays on every call
 ARRAY_VALUES = {
     "BatchForward": lambda: BatchForward((np.zeros((3, 2)), np.ones((3, 2)))),
     "DiscoveryReport": make_report,
-    "TrainingSet": lambda: TrainingSet(np.arange(3), np.zeros((3, 2)), np.array([0, 1, 0])),
+    "TrainingSet": lambda: TrainingSet(np.arange(3), np.array([0, 1, 0])),
     "RawDataset": lambda: RawDataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2),
-    "DatasetSplit": lambda: DatasetSplit(*[np.arange(3)] * 7, class_count=2),
+    "DatasetSplit": lambda: DatasetSplit(*[np.arange(3)] * 5, class_count=2),
     "RunRecord": lambda: RunRecord("snowball", {}, [make_row()],
                                    reports={(1, 1): make_report()}),
 }

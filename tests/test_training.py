@@ -558,9 +558,9 @@ class TestTrainIteration:
         d = split(raw, labels_per_class=2, test_fraction=1 / 3, seed=0)
         p = init_params((2, 32, 32, 2), seed=0)
         student, _, metrics = train_iteration(
-            p, d.labeled_x, d.true_y[d.labeled_ids], d.unlabeled_x, None, ExperimentConfig(),
-            np.random.default_rng(0))
-        assert error_rate(student, d.labeled_x, d.true_y[d.labeled_ids]) == 0.0
+            p, d.x[d.labeled_ids], d.true_y[d.labeled_ids], d.x[d.unlabeled_ids], None,
+            ExperimentConfig(), np.random.default_rng(0))
+        assert error_rate(student, d.x[d.labeled_ids], d.true_y[d.labeled_ids]) == 0.0
         assert metrics[-1].train_err == 0.0
 
 
