@@ -13,10 +13,10 @@ of variants (run name, algo, config overrides) run by one loop
 in a config file or with --set is a usage error, never silently replaced,
 and so is varying a key that the variant's pipeline fixes.
 
-Exit codes: 0 success, 1 usage or configuration problems, 2 data problems,
-3 numerical divergence. A run whose record collapsed (see
-orchestrator.PIPELINES for each pipeline's output model) prints one warning
-on stderr and still exits 0.
+Exit codes: 0 success, 1 usage or configuration problems or running out of
+memory, 2 data problems, 3 numerical divergence. A run whose record
+collapsed (see orchestrator.PIPELINES for each pipeline's output model)
+prints one warning on stderr and still exits 0.
 """
 
 from __future__ import annotations
@@ -514,6 +514,9 @@ def cli_run(argv: list[str] | None = None) -> int:
             return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 1
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)

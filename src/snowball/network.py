@@ -6,8 +6,8 @@ in order, its weights row-major, then its bias. `ModelParams` is a frozen
 dataclass over that buffer, which it takes as given and checks against the
 layer dims, and a checkpoint is the buffer's bytes behind a short header.
 The training loops update weights in place, by `sgd_step` and
-`training.ema_update` on buffers they own; the value forms the tests compare
-them with live in tests/reference.py.
+`training.ema_update` on the buffers of models they own; the value forms the
+tests compare them with live in tests/reference.py.
 
 The forward pass exposes the activations entering the final linear layer as
 the sample's feature vector. One layer loop runs either one model's layer
@@ -17,9 +17,9 @@ backpropagation reads for `forward_batch` and only features and logits for
 backward pass write in place only into arrays they made themselves or that a
 caller owns and hands them as output, never into the logits, trace or
 dlogits a caller passed: `train_iteration` and `build_master` own a stack of
-their models, a velocity and a gradient buffer, which `_backward` and
-`sgd_step` update, and copy models out. `_backward` reduces a bias
-gradient with ``einsum("ij->j")`` when the gradient at that layer is
+their models, a velocity that starts at zero and a gradient buffer, which
+`_backward` and `sgd_step` update, and copy models out. `_backward` reduces a
+bias gradient with ``einsum("ij->j")`` when the gradient at that layer is
 C-contiguous and wider than one column: like ``sum(axis=0)`` it adds the rows
 in order, but in one pass down the columns, not one inner loop per row. A
 width-1 or non-C-contiguous gradient keeps ``sum(axis=0)``, which adds a
@@ -107,12 +107,6 @@ class ModelParams:
 
     def copy(self) -> ModelParams:
         return replace(self, buffer=self.buffer.copy())
-
-    def _other_buffer(self, other: ModelParams) -> np.ndarray:
-        if (self.layer_dims, self.activation) != (other.layer_dims, other.activation):
-            raise ConfigError(f"models differ: {self.layer_dims} {self.activation} vs "
-                              f"{other.layer_dims} {other.activation}")
-        return other.buffer
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.buffer).all())
@@ -332,32 +326,25 @@ def grad(params: ModelParams, x: np.ndarray, targets: np.ndarray) -> ModelParams
     return grad_from_dlogits(params, out, dlogits)
 
 
-def sgd_step(params: ModelParams, gradient: ModelParams, lr: float, momentum: float,
-             velocity: np.ndarray | None = None, l2: float = 0.0, *,
-             out: tuple[np.ndarray, np.ndarray]):
-    """One classical momentum SGD update, v <- mu*v + g, p <- p - lr*v, written
-    into out=(p, v), which may be params.buffer and velocity; returns out.
-    velocity None is the first step, v = g. l2 > 0 adds l2 * w to each weight
+def sgd_step(params: ModelParams, gradient: np.ndarray, velocity: np.ndarray, lr: float,
+             momentum: float, l2: float = 0.0) -> None:
+    """One classical momentum SGD update in place, v <- mu*v + g, p <- p - lr*v,
+    of params.buffer and velocity from the gradient buffer g; velocity starts
+    at zero, so the first step descends g. l2 > 0 adds l2 * w to each weight
     gradient (biases are not decayed)."""
     if lr <= 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ConfigError(f"momentum must lie in [0, 1), got {momentum}")
-    if params.layer_dims != gradient.layer_dims:
+    if gradient.shape != params.buffer.shape:
         raise ConfigError("gradient shape does not match parameters")
-    g = gradient.buffer
     if l2 > 0.0:
-        g = g.copy()
+        gradient = gradient.copy()
         for ws, _, _ in _layout(params.layer_dims):
-            g[ws] += l2 * params.buffer[ws]
-    p, v = out
-    if velocity is None:
-        np.copyto(v, g)  # a copy keeps g's -0.0, which 0 * mu + g would not
-    else:
-        np.multiply(momentum, velocity, out=v)
-        v += g
-    np.subtract(params.buffer, lr * v, out=p)
-    return out
+            gradient[ws] += l2 * params.buffer[ws]
+    velocity *= momentum
+    velocity += gradient
+    np.subtract(params.buffer, lr * velocity, out=params.buffer)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -114,10 +114,9 @@ def build_master(teacher: ModelParams, x: np.ndarray, training_set: TrainingSet,
     state = net.stack_params((teacher, teacher if prev_master is None else prev_master))
     refined_layers = net._layer_views(state[0], dims)
     refined_weights = tuple(w for w, _ in refined_layers)
-    gradient, velocity = np.empty(state.shape[1]), np.empty(state.shape[1])
+    gradient, velocity = np.empty(state.shape[1]), np.zeros(state.shape[1])
     gradient_layers = net._layer_views(gradient, dims)
-    refined, master, gradient_params = (ModelParams(buffer, dims, activation)
-                                        for buffer in (state[0], state[1], gradient))
+    refined, master = (ModelParams(buffer, dims, activation) for buffer in state)
     targets = one_hot(refine_y, dims[-1])
     for step in range(config.resolved_refine_steps()):
         # finite weights can still overflow the forward pass; both are divergence
@@ -132,15 +131,15 @@ def build_master(teacher: ModelParams, x: np.ndarray, training_set: TrainingSet,
         dlogits /= len(refine_x)
         net._backward(refined_weights, acts, dlogits, gradient_layers, activation)
         del acts  # the next forward pass builds its trace without this one alive
-        net.sgd_step(refined, gradient_params, config.learning_rate, config.momentum,
-                     velocity if step else None, l2=config.l2, out=(state[0], velocity))
+        net.sgd_step(refined, gradient, velocity, config.learning_rate, config.momentum,
+                     config.l2)
         if not refined.all_finite():
             raise DivergenceError(f"master refinement diverged at refine step {step}",
                                   step=step)
         if step == 0 and prev_master is None:
             np.copyto(state[1], state[0])  # the master starts at the first snapshot
         else:
-            ema_update(master, refined, config.beta, out=state[1])
+            ema_update(master, refined, config.beta)
     return master.copy()
 
 

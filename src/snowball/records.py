@@ -63,7 +63,7 @@ class StepMetrics(NamedTuple):
     """One row of the per-step metrics CSV.
 
     train_err and test_err are None on steps that were not evaluated (an
-    empty CSV cell); test_err is nan when no eval set was given.
+    empty CSV cell).
     """
 
     step: int
@@ -100,10 +100,10 @@ class RunRecord:
 
 def rows_equal(a: list[IterationRow], b: list[IterationRow]) -> bool:
     """Bit-exact equality of metric rows, ignoring wall_time (a measurement,
-    not a metric); nan equals nan."""
+    not a metric)."""
     return len(a) == len(b) and all(
-        x == y or (isinstance(x, float) and isinstance(y, float) and np.isnan(x) and np.isnan(y))
-        for ra, rb in zip(a, b) for x, y in zip(ra.manifest_values()[:6], rb.manifest_values()[:6]))
+        x == y for ra, rb in zip(a, b)
+        for x, y in zip(ra.manifest_values()[:6], rb.manifest_values()[:6]))
 
 
 def _write_rows(path, header: tuple[str, ...], rows, head: str = "") -> None:

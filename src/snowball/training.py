@@ -1,10 +1,10 @@
 """The run configuration, losses, exponential moving averages and the inner
 training loop.
 
-The student is the only network touched by gradient descent. The teacher is
-an exponential moving average of student snapshots, refreshed every step; a
-master network (when present) contributes a second consistency target. The
-student objective is
+The student is the only network touched by gradient descent, momentum SGD
+from a zero velocity. The teacher is an exponential moving average of student
+snapshots, `ema_update` in place every step; a master network (when present)
+contributes a second consistency target. The student objective is
 
     total = lambda1 * classification + lambda2 * (teacher + master consistency)
 
@@ -12,11 +12,12 @@ where classification is averaged over the labelled rows of a minibatch only
 and the consistency terms cover every row. `objective_terms` gives its terms
 and `objective_dlogits` its gradient at the student's logits. lambda2 follows
 a normalised sigmoid ramp so early, unreliable guidance carries little weight.
-`train_iteration` returns one StepMetrics row per step; records.py defines it.
-Its master is fixed and its terms are only written out, so the iteration runs
-in windows of EVAL_EVERY steps: one master pass over a window's guide views,
-one pass for its terms, in buffers of about EVAL_EVERY x batch rows x widest
-layer floats, whatever the number of steps.
+`train_iteration` returns one StepMetrics row per step, the student's errors
+on its labelled set and on the eval set every EVAL_EVERY-th step; records.py
+defines it. Its master is fixed and its terms are only written out, so the
+iteration runs in windows of EVAL_EVERY steps: one master pass over a
+window's guide views, one pass for its terms, in buffers of about EVAL_EVERY
+x batch rows x widest layer floats, whatever the number of steps.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ CONSISTENCY_KINDS = ("ce", "mse")
 EVAL_EVERY = 25  # train_iteration measures error rates every EVAL_EVERY-th step
 
 
-def ema_update(averaged: ModelParams, source: ModelParams, decay: float, out: np.ndarray):
-    """decay * averaged + (1 - decay) * source, on the buffers, written into out,
-    which may be averaged.buffer; returns out."""
-    source_buffer = averaged._other_buffer(source)
-    np.multiply(decay, averaged.buffer, out=out)
-    out += (1.0 - decay) * source_buffer
-    return out
+def ema_update(averaged: ModelParams, source: ModelParams, decay: float) -> None:
+    """averaged.buffer <- decay * averaged + (1 - decay) * source, in place."""
+    if (averaged.layer_dims, averaged.activation) != (source.layer_dims, source.activation):
+        raise ConfigError(f"models differ: {averaged.layer_dims} {averaged.activation} vs "
+                          f"{source.layer_dims} {source.activation}")
+    np.multiply(averaged.buffer, decay, out=averaged.buffer)
+    np.add(averaged.buffer, (1.0 - decay) * source.buffer, out=averaged.buffer)
 
 
 def one_hot(y: np.ndarray, class_count: int) -> np.ndarray:
@@ -239,8 +240,7 @@ class ExperimentConfig:
 
 def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.ndarray,
                     pool_x: np.ndarray, master: ModelParams | None, cfg: ExperimentConfig,
-                    rng: np.random.Generator, *, eval_x: np.ndarray | None = None,
-                    eval_y: np.ndarray | None = None
+                    rng: np.random.Generator, *, eval_x: np.ndarray, eval_y: np.ndarray
                     ) -> tuple[ModelParams, ModelParams, list[StepMetrics]]:
     """Run one training iteration and return (student, teacher, step metrics).
 
@@ -254,10 +254,10 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     are read; cfg was checked when it was built. A training or eval label
     that is not a class, a label count other than the training set's rows,
     and a training set, pool or eval set whose width is not the net's input
-    are ConfigErrors before any step, as are an eval_x or eval_y without the
-    other and an eval set with more or fewer labels than rows. Steps write in
-    place only into buffers the iteration owns: a (k, P) stack of the student,
-    teacher and master (a master of another shape is a ConfigError), velocity,
+    are ConfigErrors before any step, as is an eval set with more or fewer
+    labels than rows. Steps write in place only into buffers the iteration
+    owns: a (k, P) stack of the student, teacher and master (a master of
+    another shape is a ConfigError), a velocity that starts at zero, the
     gradient and the window buffers; the student and teacher leave as copies.
 
     Steps run in windows that end at each evaluated step: a window draws its
@@ -266,10 +266,9 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
     widest layer floats, never more as steps grow.
 
     train_err is the student's error on the labelled set, test_err its error
-    on the eval set (nan when no eval set is given), both measured after the
-    step's update on every EVAL_EVERY-th step (steps EVAL_EVERY - 1,
-    2 * EVAL_EVERY - 1, ...) and on the last step; on the other steps both
-    are None. Evaluation reads no randomness, so the cadence leaves the
+    on the eval set, both measured after the step's update on every
+    EVAL_EVERY-th step (steps EVAL_EVERY - 1, 2 * EVAL_EVERY - 1, ...) and on
+    the last step; on the other steps both are None. Evaluation reads no randomness, so the cadence leaves the
     parameters and loss columns unchanged.
 
     Divergence raises DivergenceError at the first failing step, as one step
@@ -286,28 +285,25 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
         raise ConfigError("training set is empty")
     if len(train_y) != len(train_x):
         raise ConfigError(f"{len(train_y)} training labels for {len(train_x)} training rows")
-    if (eval_x is None) != (eval_y is None):
-        raise ConfigError("eval_x and eval_y must be given together")
-    if eval_x is not None and len(eval_y) != len(eval_x):
+    if len(eval_y) != len(eval_x):
         raise ConfigError(f"{len(eval_y)} eval labels for {len(eval_x)} eval rows")
     n_pool = len(pool_x)
     dims, activation = student_init.layer_dims, student_init.activation
     for name, x in (("training set", train_x), ("pool", pool_x), ("eval set", eval_x)):
-        if x is not None and np.shape(x)[1:] != dims[:1]:
+        if np.shape(x)[1:] != dims[:1]:
             raise ConfigError(f"{name} of shape {np.shape(x)} does not match {dims[0]} inputs")
     labels = one_hot(train_y, dims[-1])
-    eval_y = eval_y if eval_y is None else net.class_labels(eval_y, dims[-1])
+    eval_y = net.class_labels(eval_y, dims[-1])
 
     state = net.stack_params((student_init, student_init) + (() if master is None else (master,)))
     # one stacked pass of the student and teacher per step; the master's
     # layers keep a model axis of one, which broadcasts over a window's views
     layers, master_layers = net._layer_views(state[:2], dims), net._layer_views(state[2:], dims)
     student_weights = tuple(w[0] for w, _ in layers)
-    gradient, velocity = np.empty(state.shape[1]), np.empty(state.shape[1])
+    gradient, velocity = np.empty(state.shape[1]), np.zeros(state.shape[1])
     gradient_layers = net._layer_views(gradient, dims)
     # models over the owned buffers for the update and evaluation calls; they change in place
-    student, teacher, gradient_params = (ModelParams(buffer, dims, activation)
-                                         for buffer in (state[0], state[1], gradient))
+    student, teacher = (ModelParams(buffer, dims, activation) for buffer in state[:2])
     n_lab, n = cfg.labeled_batch, cfg.labeled_batch + (cfg.unlabeled_batch if n_pool else 0)
     # a step draws its rows of the labelled set and pool stacked, labelled in [0, T) and pool
     # in [T, T + P), on per-row bounds: numpy gives the values and end state of a draw of
@@ -360,19 +356,17 @@ def train_iteration(student_init: ModelParams, train_x: np.ndarray, train_y: np.
                                         cfg.consistency, cfg.master_weight)
             net._backward(student_weights, tuple(a[0] for a in acts), dlogits,
                           gradient_layers, activation)
-            net.sgd_step(student, gradient_params, cfg.learning_rate, cfg.momentum,
-                         velocity if step else None, l2=cfg.l2, out=(state[0], velocity))
+            net.sgd_step(student, gradient, velocity, cfg.learning_rate, cfg.momentum, cfg.l2)
             if not student.all_finite():
                 raise diverged(step, i + 1)
-            ema_update(teacher, student, cfg.alpha, out=state[1])
+            ema_update(teacher, student, cfg.alpha)
 
         values = [a.tolist() for a in terms(len(steps))]
         if not all(map(math.isfinite, values[3])):
             raise diverged(steps[-1], len(steps))
         try:
             train_err = net.error_rate(student, train_x, train_y)
-            test_err = (net.error_rate(student, eval_x, eval_y)
-                        if eval_x is not None else float("nan"))
+            test_err = net.error_rate(student, eval_x, eval_y)
         except NumericsError:
             raise diverged(steps[-1], len(steps)) from None
         metrics += [StepMetrics(*row, None, None) for row in zip(steps, *values, lam2)]

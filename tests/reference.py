@@ -7,9 +7,11 @@ buffer, compares models by value, evaluates the mean cross-entropy that
 `network.grad` differentiates and the central differences of a loss, and
 computes the momentum SGD step and the EMA as new buffers, with the same
 operations in the same order as the package, so their bytes are the
-in-place updates' bytes. The buffer layout is written out
-here from its definition (per layer, weights row-major, then bias) rather
-than read from the package.
+in-place updates' bytes. One step differs: the reference's first takes
+v = g, where the package steps from a zero velocity, so a first velocity
+may differ in the sign of a zero; no parameter that is not -0.0 does. The
+buffer layout is written out here from its definition (per layer, weights
+row-major, then bias) rather than read from the package.
 """
 
 from dataclasses import replace

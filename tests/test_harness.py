@@ -336,6 +336,14 @@ class TestExitCodes:
         assert cli_run(fast_args(tmp_path)) == code
         assert capsys.readouterr().err.endswith("error: boom\n")
 
+    def test_out_of_memory_exits_1_in_one_line(self, tmp_path, monkeypatch, capsys):
+        def no_memory(*a, **k):
+            raise MemoryError("Unable to allocate 1.49 GiB for an array")
+        monkeypatch.setattr("snowball.cli.run_algorithm", no_memory)
+        assert cli_run(fast_args(tmp_path)) == 1
+        assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 1.49 GiB "
+                                           "for an array\n")
+
     def test_non_utf8_config_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.conf"
         path.write_bytes(b"steps = 5\xff\n")
@@ -652,6 +660,18 @@ class TestCliBehaviour:
         manifest = tmp_path / "supervised-two-moons-seed0" / "manifest.txt"
         assert cli_run(["report", str(manifest)]) == 0
         assert cli_run(["report", "--verify", str(manifest)]) == 0
+
+    def test_report_verify_of_a_nan_test_err_says_no(self, tmp_path, capsys):
+        # no run writes nan, so a manifest that holds one never verifies
+        assert cli_run(fast_args(tmp_path)) == 0
+        manifest = tmp_path / "supervised-two-moons-seed0" / "manifest.txt"
+        *head, last = manifest.read_text().splitlines()
+        cells = last.split(",")
+        cells[3] = "nan"  # test_err
+        manifest.write_text("\n".join([*head, ",".join(cells)]) + "\n")
+        capsys.readouterr()
+        assert cli_run(["report", "--verify", str(manifest)]) == 1
+        assert capsys.readouterr().out.endswith("bit-identically: NO\n")
 
     def test_sweep_aggregates(self, tmp_path, capsys):
         argv = ["sweep", "--algo", "supervised", "--dataset", "two-moons",

@@ -418,10 +418,12 @@ class TestStackedForward:
 
 
 def sgd(params, gradient, lr, momentum, velocity=None, l2=0.0):
-    """sgd_step into fresh buffers: the stepped model and its velocity."""
-    p, v = np.empty_like(params.buffer), np.empty_like(params.buffer)
-    sgd_step(params, gradient, lr, momentum, velocity, l2=l2, out=(p, v))
-    return dataclasses.replace(params, buffer=p), v
+    """sgd_step on copies of params and of velocity (zero when None): the
+    stepped model and its velocity."""
+    q = params.copy()
+    v = np.zeros_like(params.buffer) if velocity is None else velocity.copy()
+    sgd_step(q, gradient.buffer, v, lr, momentum, l2)
+    return q, v
 
 
 class TestSgd:
@@ -429,6 +431,17 @@ class TestSgd:
         p = tiny_net()
         q, _ = sgd(p, reference.scaled(p, 0.0), lr=0.5, momentum=0.9)
         assert reference.params_equal(p, q)
+
+    def test_steps_in_place_from_zero_velocity(self):
+        # the first step from v = 0 is v = g, p - lr * g, written over p and v
+        p = tiny_net(seed=2)
+        g = init_params(p.layer_dims, seed=3)
+        buffer, velocity = p.buffer, np.zeros_like(p.buffer)
+        want = p.buffer - 0.5 * g.buffer
+        assert sgd_step(p, g.buffer, velocity, 0.5, 0.9) is None
+        assert p.buffer is buffer
+        np.testing.assert_array_equal(velocity, g.buffer)
+        np.testing.assert_array_equal(p.buffer, want)
 
     def test_plain_step_is_lr_times_grad(self):
         p = tiny_net(seed=2)

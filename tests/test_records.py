@@ -38,11 +38,11 @@ class TestRowsEqual:
     def test_metric_difference_detected(self):
         assert not rows_equal([make_row(test=0.10)], [make_row(test=0.11)])
 
-    def test_nan_matches_nan(self):
-        assert rows_equal([make_row(noise=float("nan"))],
-                          [make_row(noise=float("nan"))])
-        assert not rows_equal([make_row(noise=float("nan"))],
-                              [make_row(noise=0.0)])
+    def test_nan_matches_nothing(self):
+        # no run writes nan, so a row that holds one equals no row, itself included
+        row = make_row(test=float("nan"))
+        assert not rows_equal([row], [row])
+        assert not rows_equal([row], [make_row()])
 
     def test_length_mismatch(self):
         assert not rows_equal([make_row()], [make_row(), make_row(g=2)])

@@ -270,20 +270,24 @@ class TestObjectiveGradient:
 class TestEma:
     def test_decay_zero_copies_source(self):
         a, b = tiny(seed=1), tiny(seed=2)
-        assert ema_update(a, b, 0.0, out=np.empty_like(a.buffer)).tobytes() == b.buffer.tobytes()
+        ema_update(a, b, 0.0)
+        assert a.buffer.tobytes() == b.buffer.tobytes()
 
     def test_decay_one_frozen(self):
         a, b = tiny(seed=1), tiny(seed=2)
-        assert ema_update(a, b, 1.0, out=np.empty_like(a.buffer)).tobytes() == a.buffer.tobytes()
+        before = a.buffer.tobytes()
+        ema_update(a, b, 1.0)
+        assert a.buffer.tobytes() == before
 
     def test_source_of_another_activation_is_config_error(self):
         relu, tanh = tiny(seed=1), tiny(seed=2, activation="tanh")
         with pytest.raises(ConfigError, match="models differ"):
-            ema_update(relu, tanh, 0.5, out=relu.buffer.copy())
+            ema_update(relu, tanh, 0.5)
 
     def test_midpoint(self):
         twos, fours = (ModelParams(np.full(17, value), (2, 3, 2)) for value in (2.0, 4.0))
-        assert np.all(ema_update(twos, fours, 0.5, out=np.empty(17)) == 3.0)
+        ema_update(twos, fours, 0.5)
+        assert np.all(twos.buffer == 3.0)
 
 
 UPDATES = settings(derandomize=True, max_examples=100, database=None, deadline=None)
@@ -291,6 +295,9 @@ UPDATE_DIMS = (2, 3, 2)  # 17 parameters
 # finite entries of either sign, both zeros drawn often
 BUFFERS = arrays(np.float64, 17, elements=st.one_of(st.sampled_from([0.0, -0.0]),
                                                      st.floats(-1e3, 1e3)))
+# parameters as training holds them: +0.0 biases and weights that are never -0.0
+PARAMS = arrays(np.float64, 17, elements=st.one_of(st.just(0.0),
+                                                    st.floats(-1e3, 1e3).map(lambda f: f + 0.0)))
 
 
 def as_model(buffer):
@@ -302,25 +309,31 @@ def as_model(buffer):
 
 class TestInPlaceUpdates:
     """sgd_step and ema_update, which a training step calls on buffers it
-    owns, write exactly the bytes of the plain numpy value forms in
-    tests/reference.py, into fresh buffers or over their own inputs."""
+    owns, write over their own inputs exactly the bytes of the plain numpy
+    value forms in tests/reference.py."""
 
     @UPDATES
-    @given(p=BUFFERS, g=BUFFERS, v=st.none() | BUFFERS, lr=st.floats(1e-6, 10.0),
+    @given(p=PARAMS, gs=st.lists(BUFFERS, min_size=1, max_size=3), lr=st.floats(1e-6, 10.0),
            momentum=st.sampled_from([0.0, 0.5, 0.9]), l2=st.sampled_from([0.0, 1e-4, 0.5]))
-    @example(p=np.ones(17), g=np.full(17, -0.0), v=None, lr=0.05, momentum=0.9, l2=0.0)
-    def test_sgd_step(self, p, g, v, lr, momentum, l2):
-        params, gradient = as_model(p), as_model(g)
-        want_params, want_velocity = reference.sgd_step(params, gradient, lr, momentum, v, l2=l2)
-        # the first step must not read the velocity buffer: it starts as nan
-        velocity = np.full(17, np.nan) if v is None else v.copy()
-        out = (params.buffer, velocity)
-        got = sgd_step(params, gradient, lr, momentum, None if v is None else velocity,
-                       l2=l2, out=out)
-        assert got is out
-        assert params.buffer.tobytes() == want_params.buffer.tobytes()
-        assert velocity.tobytes() == want_velocity.tobytes()
-        assert gradient.buffer.tobytes() == g.tobytes()
+    @example(p=np.ones(17), gs=[np.full(17, -0.0)] * 2, lr=0.05, momentum=0.9, l2=0.0)
+    @example(p=np.zeros(17), gs=[np.full(17, -0.0)] * 2, lr=0.05, momentum=0.0, l2=0.5)
+    def test_sgd_step(self, p, gs, lr, momentum, l2):
+        # sgd_step starts from a zero velocity, the reference from v = g: the
+        # first velocities may differ in the sign of a zero, which p - lr * v
+        # never carries into a parameter that is not -0.0
+        params, velocity, want_velocity = as_model(p), np.zeros(17), None
+        for g in gs:
+            gradient = as_model(g)
+            want_params, want = reference.sgd_step(params, gradient, lr, momentum,
+                                                   want_velocity, l2=l2)
+            sgd_step(params, gradient.buffer, velocity, lr, momentum, l2)
+            assert params.buffer.tobytes() == want_params.buffer.tobytes()
+            if want_velocity is None:
+                assert np.array_equal(velocity, want)
+            else:
+                assert velocity.tobytes() == want.tobytes()
+            assert gradient.buffer.tobytes() == g.tobytes()
+            want_velocity = velocity.copy()  # later steps go on from the same velocity
 
     @UPDATES
     @given(a=BUFFERS, s=BUFFERS, decay=st.sampled_from([0.0, 1.0, 0.99]))
@@ -328,9 +341,8 @@ class TestInPlaceUpdates:
     def test_ema_update(self, a, s, decay):
         averaged, source = as_model(a), as_model(s)
         want = reference.ema(averaged, source, decay).buffer.tobytes()
-        assert ema_update(averaged, source, decay, out=np.empty(17)).tobytes() == want
-        got = ema_update(averaged, source, decay, out=averaged.buffer)
-        assert got is averaged.buffer and got.tobytes() == want
+        ema_update(averaged, source, decay)
+        assert averaged.buffer.tobytes() == want
         assert source.buffer.tobytes() == s.tobytes()
 
 
@@ -362,7 +374,7 @@ class TestTrainIteration:
         p = tiny(seed=3)
         cfg = ExperimentConfig(steps=0)
         student, teacher, metrics = train_iteration(
-            p, x, y, np.zeros((0, 2)), None, cfg, np.random.default_rng(0))
+            p, x, y, np.zeros((0, 2)), None, cfg, np.random.default_rng(0), eval_x=x, eval_y=y)
         assert reference.params_equal(student, p)
         assert reference.params_equal(teacher, p)
         assert metrics == []
@@ -373,7 +385,7 @@ class TestTrainIteration:
         cfg = ExperimentConfig(steps=300, labeled_batch=16, unlabeled_batch=0,
                           lambda2_max=0.0, sigma_aug=0.0)
         student, teacher, metrics = train_iteration(
-            p, x, y, np.zeros((0, 2)), None, cfg, np.random.default_rng(0))
+            p, x, y, np.zeros((0, 2)), None, cfg, np.random.default_rng(0), eval_x=x, eval_y=y)
         assert error_rate(student, x, y) <= 0.05
         assert metrics[-1].train_err <= 0.05
 
@@ -382,7 +394,7 @@ class TestTrainIteration:
         p = tiny(seed=3)
         cfg = ExperimentConfig(steps=50, sigma_aug=0.0, lambda2_max=0.0, unlabeled_batch=0)
         student, teacher, _ = train_iteration(
-            p, x, y, np.zeros((0, 2)), None, cfg, np.random.default_rng(0))
+            p, x, y, np.zeros((0, 2)), None, cfg, np.random.default_rng(0), eval_x=x, eval_y=y)
         assert not reference.params_equal(student, teacher)
 
     def test_determinism(self):
@@ -418,12 +430,13 @@ class TestTrainIteration:
         inputs = p.buffer.tobytes(), master.buffer.tobytes()
         cfg = ExperimentConfig(steps=30)
         student, teacher, _ = train_iteration(p, x, y, pool, master, cfg,
-                                              np.random.default_rng(0))
+                                              np.random.default_rng(0), eval_x=x, eval_y=y)
         assert reference.params_equal(master, tiny(seed=4))
         assert (p.buffer.tobytes(), master.buffer.tobytes()) == inputs
         # the returned models alias nothing: not each other, the inputs, nor
         # the models of a second call
-        again = train_iteration(p, x, y, pool, master, cfg, np.random.default_rng(0))[:2]
+        again = train_iteration(p, x, y, pool, master, cfg, np.random.default_rng(0),
+                                eval_x=x, eval_y=y)[:2]
         models = (student, teacher, p, master, *again)
         for i, returned in enumerate(models[:2]):
             for other in models[i + 1:]:
@@ -437,33 +450,39 @@ class TestTrainIteration:
         assert master.buffer.size == student.buffer.size
         with pytest.raises(ConfigError, match="stacked models must share"):
             train_iteration(student, x, y, np.zeros((0, 2)), master, ExperimentConfig(steps=2),
-                            np.random.default_rng(0))
+                            np.random.default_rng(0), eval_x=x, eval_y=y)
 
     def test_pool_of_another_width_is_config_error(self):
         x, y = small_problem()
         with pytest.raises(ConfigError, match=r"pool of shape \(40, 3\) does not match 2 inputs"):
             train_iteration(tiny(seed=3), x, y, np.zeros((40, 3)), None,
-                            ExperimentConfig(steps=2), np.random.default_rng(0))
+                            ExperimentConfig(steps=2), np.random.default_rng(0), eval_x=x, eval_y=y)
 
     def test_fewer_labels_than_rows_is_config_error(self):
         x, y = small_problem()
         with pytest.raises(ConfigError, match="59 training labels for 60 training rows"):
             train_iteration(tiny(seed=3), x, y[:-1], np.zeros((0, 2)), None,
-                            ExperimentConfig(steps=2), np.random.default_rng(0))
+                            ExperimentConfig(steps=2), np.random.default_rng(0), eval_x=x, eval_y=y)
 
     @pytest.mark.parametrize("steps", [0, 5])
-    @pytest.mark.parametrize("passed, message", [
-        ("x", "eval_x and eval_y must be given together"),
-        ("y", "eval_x and eval_y must be given together"),
-        ("short-y", "29 eval labels for 30 eval rows")], ids=["x-only", "y-only", "short-y"])
-    def test_unmatched_eval_set_is_config_error(self, steps, passed, message):
+    @pytest.mark.parametrize("message", ["29 eval labels for 30 eval rows"], ids=["short-y"])
+    def test_unmatched_eval_set_is_config_error(self, steps, message):
         x, y = small_problem()
         ex, ey = small_problem(seed=1, n=30)
-        evaluation = {"x": dict(eval_x=ex), "y": dict(eval_y=ey),
-                      "short-y": dict(eval_x=ex, eval_y=ey[:-1])}[passed]
         with pytest.raises(ConfigError, match=message):
             train_iteration(tiny(seed=3), x, y, np.zeros((0, 2)), None,
-                            ExperimentConfig(steps=steps), np.random.default_rng(0), **evaluation)
+                            ExperimentConfig(steps=steps), np.random.default_rng(0),
+                            eval_x=ex, eval_y=ey[:-1])
+
+    @pytest.mark.parametrize("missing", ["eval_y", "eval_x"], ids=["x-only", "y-only"])
+    def test_eval_set_is_required(self, missing):
+        # every iteration evaluates: neither half of the eval set has a default
+        x, y = small_problem()
+        evaluation = {"eval_x": x, "eval_y": y}
+        del evaluation[missing]
+        with pytest.raises(TypeError, match=f"missing 1 required keyword-only argument: '{missing}'"):
+            train_iteration(tiny(seed=3), x, y, np.zeros((0, 2)), None,
+                            ExperimentConfig(steps=0), np.random.default_rng(0), **evaluation)
 
     @pytest.mark.parametrize("steps", [0, 30])
     def test_eval_set_of_another_width_is_config_error(self, steps):
@@ -490,7 +509,8 @@ class TestTrainIteration:
         x, y = small_problem(n=4)
         with pytest.raises(ConfigError, match="label 2 is not a class of a 2-class net"):
             train_iteration(tiny(seed=3), x, np.array([0, 1, 2, 5]), np.zeros((0, 2)), None,
-                            ExperimentConfig(steps=steps), np.random.default_rng(0))
+                            ExperimentConfig(steps=steps), np.random.default_rng(0),
+                            eval_x=x, eval_y=y)
 
     def test_divergence_raises(self):
         x, y = small_problem()
@@ -499,7 +519,7 @@ class TestTrainIteration:
                           unlabeled_batch=0, sigma_aug=0.0)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
             train_iteration(p, x, y, np.zeros((0, 2)), None, cfg,
-                            np.random.default_rng(0))
+                            np.random.default_rng(0), eval_x=x, eval_y=y)
         assert exc.value.step is not None
 
     def test_huge_learning_rate_diverges_at_step_0(self):
@@ -521,7 +541,8 @@ class TestTrainIteration:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError) as exc:
             train_iteration(tiny(seed=3), x, y, np.zeros((0, 2)), master,
-                            ExperimentConfig(steps=30), np.random.default_rng(0))
+                            ExperimentConfig(steps=30), np.random.default_rng(0),
+                            eval_x=x, eval_y=y)
         assert exc.value.step == 0
 
     @pytest.mark.parametrize("steps", [60, 75])
@@ -559,7 +580,8 @@ class TestTrainIteration:
         p = init_params((2, 32, 32, 2), seed=0)
         student, _, metrics = train_iteration(
             p, d.x[d.labeled_ids], d.true_y[d.labeled_ids], d.x[d.unlabeled_ids], None,
-            ExperimentConfig(), np.random.default_rng(0))
+            ExperimentConfig(), np.random.default_rng(0),
+            eval_x=d.x[d.test_ids], eval_y=d.true_y[d.test_ids])
         assert error_rate(student, d.x[d.labeled_ids], d.true_y[d.labeled_ids]) == 0.0
         assert metrics[-1].train_err == 0.0
 
@@ -597,8 +619,8 @@ def student_loss(probs, targets, lambda1, lambda2, kind, master_weight):
     return LossBreakdown(j_class, j_teacher, j_master, total), dlogits
 
 
-def per_step_iteration(student, train_x, train_y, pool_x, master, cfg, rng, eval_x=None,
-                       eval_y=None):
+def per_step_iteration(student, train_x, train_y, pool_x, master, cfg, rng, *, eval_x,
+                       eval_y):
     """train_iteration one step at a time, in the value forms: each step's
     passes of the student, teacher and master, its terms and gradient, a new
     student from reference.sgd_step and a new teacher from reference.ema."""
@@ -627,8 +649,7 @@ def per_step_iteration(student, train_x, train_y, pool_x, master, cfg, rng, eval
         if (step + 1) % training.EVAL_EVERY == 0 or step == cfg.steps - 1:
             try:
                 train_err = error_rate(student, train_x, train_y)
-                test_err = (error_rate(student, eval_x, eval_y) if eval_x is not None
-                            else float("nan"))
+                test_err = error_rate(student, eval_x, eval_y)
             except NumericsError:
                 raise DivergenceError("", step=step) from None
         teacher = reference.ema(teacher, student, cfg.alpha)
@@ -682,17 +703,15 @@ class TestWindows:
     """train_iteration runs in windows of EVAL_EVERY steps; it must return
     exactly what the loop one step at a time returns."""
 
-    def both(self, cfg, classes=2, activation="relu", with_master=True, pool_rows=40,
-             eval_set=True):
+    def both(self, cfg, classes=2, activation="relu", with_master=True, pool_rows=40):
         x, y = problem(classes)
         ex, ey = problem(classes, seed=1, n=30)
         pool = np.random.default_rng(9).normal(size=(pool_rows, 3))
         dims = (3, 6, 5, classes)
         student = init_params(dims, activation, seed=3)
         master = init_params(dims, activation, seed=4) if with_master else None
-        evaluation = dict(eval_x=ex, eval_y=ey) if eval_set else {}
         return [as_bytes(*run(student, x, y, pool, master, cfg, np.random.default_rng(17),
-                              **evaluation))
+                              eval_x=ex, eval_y=ey))
                 for run in (train_iteration, per_step_iteration)]
 
     @pytest.mark.parametrize("steps", [0, 1, 24, 25, 26, 37, 60])
@@ -715,8 +734,7 @@ class TestWindows:
         monkeypatch.setattr(training, "EVAL_EVERY", 7)
         cfg = ExperimentConfig(steps=37, ramp_len=20, consistency=kind, l2=0.01,
                                master_weight=0.7)
-        got, want = self.both(cfg, classes, activation, with_master, pool_rows,
-                              eval_set=pool_rows > 0)
+        got, want = self.both(cfg, classes, activation, with_master, pool_rows)
         assert got == want
 
     def test_wrapped_names_are_called_once_per_step(self, monkeypatch):
@@ -735,7 +753,7 @@ class TestWindows:
         x, y = small_problem()
         pool = np.random.default_rng(9).normal(size=(40, 2))
         train_iteration(tiny(seed=3), x, y, pool, tiny(seed=4), ExperimentConfig(steps=37),
-                        np.random.default_rng(0))
+                        np.random.default_rng(0), eval_x=x, eval_y=y)
         assert calls == {"augment": 74, "sgd_step": 37, "ema_update": 37}
 
 
